@@ -7,13 +7,11 @@ Usage::
     --requests N      requests per load level (default 5000)
     --rps R           service capacity, token-bucket rate (default 2000)
     --levels L,L,...  offered-load multiples of --rps (default 0.5,1,2,4)
-    --mode M          serial | thread (default serial; both answer
-                      identically — try it)
     --spike-rate R    inject index latency spikes at per-key rate R
-    --shards N        domain shards; >1 serves through the cluster tier
-    --replicas R      replicas per shard; >1 serves through the cluster
+    --shards N        domain shards (default 1: the single node)
+    --replicas R      replicas per shard (default 1)
     --policy P        round_robin | least_outstanding | power_of_two
-    --crash-rate R    per-replica crash probability (cluster chaos)
+    --crash-rate R    per-replica crash probability (replica chaos)
     --pattern P       poisson | flash | diurnal arrival process
     --trace PATH      append the service span tree as JSONL
                       (service → request → index-lookup); feed it to
@@ -28,8 +26,8 @@ Usage::
 Builds a world, runs the batch study, freezes it into a
 :class:`~repro.service.LinkStatusIndex`, then replays seeded Zipf
 traffic at each offered load and prints the per-level digest: virtual
-throughput, p50/p99 latency, cache hit rate, shed rate. With cluster
-flags, the same traffic is served by N shards × R replicas — run both
+throughput, p50/p99 latency, cache hit rate, shed rate. The same
+traffic can be served by N shards × R replicas — run two topologies
 and diff the response surface: identical when chaos is off. Every
 number except wall time is deterministic in (world seed, workload
 seed, config) — run it twice and diff.
@@ -49,7 +47,6 @@ from repro.service import (
     ClusterConfig,
     ClusterService,
     LinkStatusIndex,
-    LinkStatusService,
     ServerConfig,
     ServiceFaultPlan,
     WorkloadConfig,
@@ -72,7 +69,6 @@ def parse_args(argv):
     parser.add_argument("--requests", type=int, default=5000)
     parser.add_argument("--rps", type=float, default=2000.0)
     parser.add_argument("--levels", default="0.5,1,2,4")
-    parser.add_argument("--mode", choices=("serial", "thread"), default="serial")
     parser.add_argument("--spike-rate", type=float, default=0.0)
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--replicas", type=int, default=1)
@@ -117,14 +113,12 @@ def main(argv=None) -> int:
             index_spike=FaultSpec(rate=args.spike_rate, permanent=True),
             replica_crash=FaultSpec(rate=args.crash_rate, permanent=True),
         )
-    clustered = args.shards > 1 or args.replicas > 1
     tracer = Tracer() if args.trace else None
     urls = [entry.url for entry in index.entries]
-    if clustered:
-        print(
-            f"cluster: {args.shards} shards x {args.replicas} replicas, "
-            f"policy {args.policy}"
-        )
+    print(
+        f"cluster: {args.shards} shards x {args.replicas} replicas, "
+        f"policy {args.policy}"
+    )
     for level in levels:
         workload = generate_workload(
             urls,
@@ -138,42 +132,34 @@ def main(argv=None) -> int:
             ),
         )
         audit = AuditLog() if args.audit_log else None
-        if clustered:
-            service = ClusterService(
-                index,
-                config,
-                ClusterConfig(
-                    n_shards=args.shards,
-                    replicas_per_shard=args.replicas,
-                    policy=args.policy,
-                ),
-                tracer=tracer,
-                faults=faults,
-                audit=audit,
-            )
-        else:
-            service = LinkStatusService(
-                index, config, tracer=tracer, faults=faults, audit=audit
-            )
+        service = ClusterService(
+            index,
+            config,
+            ClusterConfig(
+                n_shards=args.shards,
+                replicas_per_shard=args.replicas,
+                policy=args.policy,
+            ),
+            tracer=tracer,
+            faults=faults,
+            audit=audit,
+        )
         wall_start = time.perf_counter()
-        result = service.serve(workload, mode=args.mode)
+        result = service.serve(workload)
         wall = time.perf_counter() - wall_start
         print()
         print(f"== offered {args.rps * level:g} rps ({level:g}x capacity) ==")
         print(result.summary())
-        if clustered:
-            print(
-                f"redispatches {result.redispatches}; "
-                f"gave up (503) {len(result.unavailable_ids)}; "
-                f"replica fault events {len(result.fault_events)}"
-            )
-            digest = result.replica_digest()
-            for replica_id in result.replica_ids:
-                lookups = digest[replica_id].get("service.index.lookups", 0)
-                ok = digest[replica_id].get("service.requests.ok", 0)
-                print(
-                    f"  {replica_id}: {int(ok)} ok, {int(lookups)} lookups"
-                )
+        print(
+            f"redispatches {result.redispatches}; "
+            f"gave up (503) {len(result.unavailable_ids)}; "
+            f"replica fault events {len(result.fault_events)}"
+        )
+        digest = result.replica_digest()
+        for replica_id in result.replica_ids:
+            lookups = digest[replica_id].get("service.index.lookups", 0)
+            ok = digest[replica_id].get("service.requests.ok", 0)
+            print(f"  {replica_id}: {int(ok)} ok, {int(lookups)} lookups")
         print(f"replay wall: {wall:.3f}s")
         if audit is not None:
             audit_path = _level_path(args.audit_log, level)

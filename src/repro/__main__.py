@@ -171,7 +171,6 @@ def _cmd_serve(args) -> int:
         AuditLog,
         ClusterConfig,
         ClusterService,
-        LinkStatusService,
         ServerConfig,
         ServiceFaultPlan,
         WorkloadConfig,
@@ -199,36 +198,29 @@ def _cmd_serve(args) -> int:
             index_spike=FaultSpec(rate=args.spike_rate, permanent=True),
             replica_crash=FaultSpec(rate=args.crash_rate, permanent=True),
         )
-    clustered = args.shards > 1 or args.replicas > 1
     tracer = Tracer() if args.trace else None
     audit = AuditLog() if (args.audit_log or args.slo) else None
-    if clustered:
-        service = ClusterService(
-            index,
-            config,
-            ClusterConfig(
-                n_shards=args.shards,
-                replicas_per_shard=args.replicas,
-                policy=args.policy,
-            ),
-            faults=faults,
-            tracer=tracer,
-            audit=audit,
-        )
-    else:
-        service = LinkStatusService(
-            index, config, faults=faults, tracer=tracer, audit=audit
-        )
-    result = service.serve(workload, mode=args.mode)
+    service = ClusterService(
+        index,
+        config,
+        ClusterConfig(
+            n_shards=args.shards,
+            replicas_per_shard=args.replicas,
+            policy=args.policy,
+        ),
+        faults=faults,
+        tracer=tracer,
+        audit=audit,
+    )
+    result = service.serve(workload)
     print()
     print(result.summary())
-    if clustered:
-        print(
-            f"cluster: {args.shards} shards x {args.replicas} replicas, "
-            f"policy {args.policy}; {result.redispatches} redispatches, "
-            f"{len(result.unavailable_ids)} gave up (503), "
-            f"{len(result.fault_events)} replica fault events"
-        )
+    print(
+        f"cluster: {args.shards} shards x {args.replicas} replicas, "
+        f"policy {args.policy}; {result.redispatches} redispatches, "
+        f"{len(result.unavailable_ids)} gave up (503), "
+        f"{len(result.fault_events)} replica fault events"
+    )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(result.as_dict(), handle, indent=2)
@@ -548,9 +540,6 @@ def main(argv: list[str] | None = None) -> int:
                 help="offered load in rps (default: equal to --rps)",
             )
             cmd.add_argument(
-                "--mode", choices=("serial", "thread"), default="serial"
-            )
-            cmd.add_argument(
                 "--spike-rate",
                 type=float,
                 default=0.0,
@@ -560,13 +549,13 @@ def main(argv: list[str] | None = None) -> int:
                 "--shards",
                 type=int,
                 default=1,
-                help="domain shards (>1 serves through the cluster tier)",
+                help="domain shards (default 1: the single node)",
             )
             cmd.add_argument(
                 "--replicas",
                 type=int,
                 default=1,
-                help="replicas per shard (>1 serves through the cluster tier)",
+                help="replicas per shard (default 1: the single node)",
             )
             cmd.add_argument(
                 "--policy",
@@ -578,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
                 "--crash-rate",
                 type=float,
                 default=0.0,
-                help="per-replica crash probability (cluster chaos)",
+                help="per-replica crash probability (replica chaos)",
             )
             cmd.add_argument(
                 "--pattern",

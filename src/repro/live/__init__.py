@@ -17,10 +17,9 @@ measurement *current* as the world moves. Four pieces:
   forward evolution of a generated world (sweeps, captures, edits)
   that the demos, benchmarks, and tests script.
 
-Serving tiers adopt generations via the ``swaps=`` schedule on
-:meth:`LinkStatusService.serve <repro.service.server.
-LinkStatusService.serve>` and :meth:`ClusterService.serve
-<repro.service.cluster.ClusterService.serve>` — atomically, as
+The serving engine adopts generations via the ``swaps=`` schedule on
+:meth:`ClusterService.serve <repro.service.cluster.ClusterService.serve>`
+(the single node included) — atomically, as
 rolling drained cutovers, or as :class:`GenerationPublisher.
 build_delta` deltas through the :mod:`repro.service.reconfig` plane.
 """

@@ -169,7 +169,7 @@ class Tracer:
         self,
         name: str,
         kind: str,
-        parent: "int | None" = None,
+        parent: "int | str | None" = None,
         virtual_ms: float = 0.0,
         **attrs,
     ) -> int:
@@ -181,10 +181,11 @@ class Tracer:
         buffer alternative: one tuple append now, object construction
         when the trace is consumed. Returns the span's *defer index*;
         pass it as ``parent`` to a later call to parent one deferred
-        span under another (``None`` parents under the innermost
-        currently-open eager span). Wall duration is recorded as 0 —
-        deferred spans carry virtual time, which is the only clock
-        the serving tier's spans mean anything on.
+        span under another. A string ``parent`` is an issued span id
+        (e.g. an eager span that has since closed); ``None`` parents
+        under the innermost currently-open eager span. Wall duration
+        is recorded as 0 — deferred spans carry virtual time, which is
+        the only clock the serving tier's spans mean anything on.
         """
         index = len(self._deferred_ids) + len(self._deferred)
         self._deferred.append(

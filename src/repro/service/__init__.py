@@ -21,24 +21,32 @@ The stack, front to back:
   cache;
 - :class:`~repro.service.index.LinkStatusIndex` — the immutable,
   content-hash-versioned snapshot built from a completed study;
-- :class:`~repro.service.server.LinkStatusService` — the event loop
-  tying them together, in serial or thread-pool mode, traced via
-  :mod:`repro.obs` and chaos-testable via
-  :class:`~repro.service.faults.ServiceFaultPlan`;
-- :class:`~repro.service.cluster.ClusterService` — the replicated,
-  sharded tier: the index rendezvous-partitioned by registrable
-  domain into N shards × R replicas behind a deterministic router
-  (:mod:`repro.service.router`), byte-identical to the single node
-  when faults are off and degrading only in latency and shed rate
-  under replica-level chaos.
+- :class:`~repro.service.cluster.ClusterService` — the one serving
+  engine: a discrete-event loop tying them together over the index
+  rendezvous-partitioned by registrable domain into N shards × R
+  replicas behind a deterministic router (:mod:`repro.service.router`),
+  traced via :mod:`repro.obs`, chaos-testable via
+  :class:`~repro.service.faults.ServiceFaultPlan`, and reconfigurable
+  mid-replay via :mod:`repro.service.reconfig`; its answer surface is
+  identical on every topology when faults are off;
+- :class:`~repro.service.cluster.LinkStatusService` — the single
+  node: that engine pinned to one shard × one replica;
+- :mod:`repro.service.server` — the shared surface: config,
+  :class:`~repro.service.server.Response`, result, and the pure
+  :func:`~repro.service.server.answer` query function.
 """
 
-from .admission import AdmissionController, TokenBucket
+from .admission import AdmissionController, AdmissionError, TokenBucket
 from .audit import AuditLog, AuditRecord
 from .audit import read_jsonl as read_audit_jsonl
 from .batcher import Batch, BatchItem, MicroBatcher
 from .cache import ResultCache
-from .cluster import ClusterConfig, ClusterResult, ClusterService, ShardIndex
+from .cluster import (
+    ClusterConfig,
+    ClusterService,
+    LinkStatusService,
+    ShardIndex,
+)
 from .faults import ReplicaFaultEvent, ServiceFaultPlan, ServiceFaults
 from .index import LinkStatusEntry, LinkStatusIndex
 from .reconfig import (
@@ -63,7 +71,6 @@ from .router import (
     routing_key,
 )
 from .server import (
-    LinkStatusService,
     Response,
     ServerConfig,
     ServiceResult,
@@ -73,12 +80,12 @@ from .workload import PATTERNS, Request, WorkloadConfig, generate_workload
 
 __all__ = [
     "AdmissionController",
+    "AdmissionError",
     "AuditLog",
     "AuditRecord",
     "Batch",
     "BatchItem",
     "ClusterConfig",
-    "ClusterResult",
     "ClusterService",
     "DeltaApply",
     "GenerationDelta",

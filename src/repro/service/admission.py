@@ -13,8 +13,8 @@ past its declared capacity. This module is that declaration:
 
 Everything is a pure function of arrival times and configuration, so
 at any offered load the *set* of shed request ids — not just their
-count — is identical across runs and across serial/thread-pool server
-modes. That is the property the overload tests pin.
+count — is identical across runs and across topologies. That is the
+property the overload tests pin.
 """
 
 from __future__ import annotations
@@ -22,9 +22,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..errors import ReproError
 from ..obs.metrics import DEFAULT_LATENCY_BOUNDS_MS, MetricsRegistry
 
-__all__ = ["AdmissionController", "TokenBucket"]
+__all__ = ["AdmissionController", "AdmissionError", "TokenBucket"]
+
+
+class AdmissionError(ReproError, RuntimeError):
+    """The admission controller's token accounting broke an invariant
+    (a queue release found no token at the instant one was promised).
+    Raised instead of serving on, because every later admission
+    verdict would be wrong."""
 
 
 @dataclass
@@ -156,8 +164,10 @@ class AdmissionController:
         if not self._queue:
             raise IndexError("release_one on an empty admission queue")
         ready = self.bucket.next_ready_ms()
-        taken = self.bucket.try_take(ready)
-        assert taken, "token accounting out of sync"
+        if not self.bucket.try_take(ready):
+            raise AdmissionError(
+                f"no token at the promised release instant {ready!r} ms"
+            )
         self.metrics.counter("service.admission.admitted").inc()
         request, enqueued_ms = self._queue.popleft()
         self.metrics.histogram(

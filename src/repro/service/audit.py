@@ -50,8 +50,8 @@ class AuditRecord:
             (paid the fresh lookup), ``"hit"`` (batch-time cache hit
             carrier), ``"rider"`` (shared a batchmate's result), empty
             for sheds.
-        shard / replica: where the answer came from (empty on the
-            single-node service and for sheds).
+        shard / replica: where the answer came from (``shard-0`` /
+            ``s0r0`` on the single node; empty for sheds).
         attempts: dispatch attempts consumed (1 for a first-try
             answer; 0 for front-door sheds that never dispatched).
         redispatches: blame trail of ``"replica:channel"`` fault
@@ -113,7 +113,7 @@ class AuditLog:
     which is deterministic — but :meth:`lines` and
     :meth:`write_jsonl` additionally sort by request id so the
     on-disk artifact is trivially diffable against a response list
-    and byte-identical across serial/thread serve modes.
+    and byte-identical across replays.
 
     The serving loop records through :meth:`emit`, which buffers one
     compact tuple of already-in-hand references per request;

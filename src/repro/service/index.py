@@ -10,12 +10,12 @@ and per-bucket sweeps, and aggregate endpoints (bucket counts, ECDF
 quantiles) that agree **byte-for-byte** with the batch report, because
 they are computed by the same code paths over the same values.
 
-Immutability is the serving contract: the server, the cache, and any
-number of thread-pool workers read the index concurrently without a
-lock, and a response is reproducible for as long as the version string
-it was served under is. Entries are frozen dataclasses, collections
-are tuples, and the lookup tables are :class:`types.MappingProxyType`
-views — mutation raises instead of corrupting.
+Immutability is the serving contract: every replica's shard view and
+result cache read the same snapshot without copying it, and a response
+is reproducible for as long as the version string it was served under
+is. Entries are frozen dataclasses, collections are tuples, and the
+lookup tables are :class:`types.MappingProxyType` views — mutation
+raises instead of corrupting.
 """
 
 from __future__ import annotations
@@ -115,6 +115,20 @@ def _measurement_key(entry: LinkStatusEntry) -> dict:
     }
 
 
+def group_by(
+    entries: tuple[LinkStatusEntry, ...], attr: str
+) -> dict[str, tuple[LinkStatusEntry, ...]]:
+    """Entries grouped by one attribute, in one linear pass.
+
+    Groups appear in first-seen order and keep entry order inside —
+    the order every domain/bucket answer is rendered in.
+    """
+    groups: dict[str, list[LinkStatusEntry]] = {}
+    for entry in entries:
+        groups.setdefault(getattr(entry, attr), []).append(entry)
+    return {key: tuple(group) for key, group in groups.items()}
+
+
 class LinkStatusIndex:
     """An immutable queryable snapshot of one study's results.
 
@@ -130,12 +144,10 @@ class LinkStatusIndex:
         self._entries = entries
         self._gap_days = tuple(gap_days)
         by_url: dict[str, LinkStatusEntry] = {}
-        by_domain: dict[str, tuple[LinkStatusEntry, ...]] = {}
-        by_bucket: dict[str, tuple[LinkStatusEntry, ...]] = {}
         for entry in entries:
             by_url.setdefault(entry.url, entry)
-            by_domain[entry.domain] = by_domain.get(entry.domain, ()) + (entry,)
-            by_bucket[entry.bucket] = by_bucket.get(entry.bucket, ()) + (entry,)
+        by_domain = group_by(entries, "domain")
+        by_bucket = group_by(entries, "bucket")
         self._by_url = MappingProxyType(by_url)
         self._by_domain = MappingProxyType(by_domain)
         self._by_bucket = MappingProxyType(by_bucket)

@@ -465,7 +465,6 @@ def normalize_schedule(
     swaps,
     initial: LinkStatusIndex,
     *,
-    allow_rebalance: bool = False,
     shard_ids: tuple[str, ...] = (),
 ) -> list[Reconfiguration]:
     """Validate a ``swaps=`` schedule up front; return typed ops.
@@ -486,7 +485,8 @@ def normalize_schedule(
       (a no-op "swap" that would still wipe every cache);
     - a delta whose ``from_version`` is not the generation that will
       be serving when it lands (broken delta chain);
-    - a rebalance on a tier that has no shards, with no moves, with
+    - a rebalance on a tier with fewer than two ``shard_ids`` (one
+      shard has nothing to move keys between), with no moves, with
       duplicate keys, or targeting an unknown shard id.
     """
     if not swaps:
@@ -543,10 +543,11 @@ def normalize_schedule(
                 )
             current = op.delta.to_version
         elif isinstance(op, RebalancePlan):
-            if not allow_rebalance:
+            if len(shard_ids) < 2:
                 raise ReconfigError(
-                    "rebalance scheduled on a tier without shards "
-                    "(single-node services have nothing to move)"
+                    f"rebalance scheduled on a tier with "
+                    f"{len(shard_ids)} shard(s): nothing to move keys "
+                    f"between"
                 )
             if not op.moves:
                 raise ReconfigError(

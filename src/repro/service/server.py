@@ -1,59 +1,33 @@
-"""The in-process service loop: admission → cache → batcher → index.
+"""The serving surface every tier shares: config, response, result.
 
-:class:`LinkStatusService` turns a :class:`~repro.service.index.LinkStatusIndex`
-into a request-serving system. The loop is a small discrete-event
-simulation on the service's virtual millisecond clock — arrivals,
-token accruals, batch deadlines, and lookup completions all happen at
-exact computed instants — so every response (status, body, *and*
-latency) is a pure function of ``(index, config, workload, faults)``.
+One engine serves every topology: :class:`~repro.service.cluster.
+ClusterService`, a discrete-event simulation on the service's virtual
+millisecond clock (arrivals, token accruals, batch deadlines, replica
+fault transitions, reconfigurations, and lookup completions all
+happen at exact computed instants), so every response — status,
+body, *and* latency — is a pure function of ``(index, config,
+workload, faults)``.
 
-Two execution modes, equal by construction:
-
-- ``serial`` — unique-key lookups of each flushed batch run in a loop;
-- ``thread`` — they run on a :class:`~concurrent.futures.ThreadPoolExecutor`.
-
-All scheduling decisions (admission verdicts, batch boundaries,
-coalescing groups, cache reads/writes, latency assignment) happen in
-the coordinating thread; the pool only evaluates pure reads of the
-immutable index, so the thread schedule cannot leak into any response.
-
-Observability and chaos ride the same rails as the batch pipeline: a
-``tracer`` records the ``service → request → index-lookup`` hierarchy
-(one ``index-lookup`` per *coalesced computation*, owned by its
-carrier request), metrics fold into one
-:class:`~repro.obs.metrics.MetricsRegistry`, and a
-:class:`~repro.service.faults.ServiceFaultPlan` injects index latency
-spikes and cache faults that degrade latency and hit rate — provably
-never response bodies.
+:class:`LinkStatusService`, the single node, is that engine pinned to
+one shard × one replica; it takes no topology argument and holds no
+serving logic of its own. This module holds what both share:
+:class:`ServerConfig` (capacity and policy knobs), :class:`Response`
+(one served request), :class:`ServiceResult` (a run's responses plus
+derived rates), :func:`answer` (the pure query function the engine
+batches and caches), and :func:`key_latency_ms` (the per-key virtual
+lookup cost).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs.metrics import DEFAULT_LATENCY_BOUNDS_MS, MetricsRegistry
-from ..obs.trace import Tracer
 from ..reporting.cdf import ecdf
-from .admission import AdmissionController, TokenBucket
-from .audit import AuditLog
-from .batcher import Batch, MicroBatcher
-from .cache import ResultCache
-from .faults import ServiceFaultPlan, ServiceFaults
 from .index import LinkStatusIndex
-from .reconfig import (
-    RECONFIG_LAG_BOUNDS_MS,
-    DeltaApply,
-    GenerationSwap,
-    ReconfigError,
-    ReconfigEvent,
-    Reconfiguration,
-    apply_delta,
-    normalize_schedule,
-)
-from .workload import Request
+from .reconfig import ReconfigEvent
 
 __all__ = [
     "LinkStatusService",
@@ -93,8 +67,6 @@ class ServerConfig:
     index_latency_ms: float = 4.0
     #: Virtual cost of serving a batch-time cache hit.
     cache_hit_latency_ms: float = 0.5
-    #: Thread-pool width for ``mode="thread"``.
-    threads: int = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +97,8 @@ class Response:
     def shed(self) -> bool:
         """Whether the request was rejected rather than answered.
 
-        429 is admission control (rate/quota); 503 is the cluster
-        tier's "no replica of the owning shard recovered in time".
-        The single-node service never emits 503.
+        429 is admission control (rate/quota); 503 is "no replica of
+        the owning shard recovered in time" (replica faults only).
         """
         return self.status in (429, 503)
 
@@ -136,9 +107,10 @@ class Response:
 
         Timing fields are deliberately excluded: the answer surface a
         client sees is ``(status, body, index version)``, and that is
-        the surface the cluster differential tests compare byte-for-
-        byte against the single-node service. Latency is the
-        *documented* degradation dimension, not part of the answer.
+        the surface the differential tests compare byte-for-byte
+        across topologies, router policies, and fault plans. Latency
+        is the *documented* degradation dimension, not part of the
+        answer.
         """
         return json.dumps(
             {
@@ -169,6 +141,13 @@ class ServiceResult:
     #: order, with scheduled vs applied instants — the drain lag the
     #: SLO layer grades via ``events_from_reconfigs``.
     reconfig_events: tuple[ReconfigEvent, ...] = ()
+    #: The fleet's own accounting: topology, router policy, the
+    #: replica fault schedule, and every replica id.
+    n_shards: int = 1
+    replicas_per_shard: int = 1
+    policy: str = "round_robin"
+    fault_events: tuple = ()
+    replica_ids: tuple[str, ...] = ()
 
     @property
     def offered(self) -> int:
@@ -187,6 +166,37 @@ class ServiceResult:
     @property
     def shed_rate(self) -> float:
         return len(self.shed_ids) / self.offered if self.offered else 0.0
+
+    @property
+    def redispatches(self) -> int:
+        return self.metrics.counter("service.cluster.redispatches").int_value
+
+    @property
+    def quota_shed_ids(self) -> tuple[int, ...]:
+        """Request ids shed by per-tenant quotas (a subset of 429s)."""
+        return tuple(
+            r.request_id
+            for r in self.responses
+            if r.status == 429 and r.source == "quota"
+        )
+
+    @property
+    def unavailable_ids(self) -> tuple[int, ...]:
+        """Request ids shed 503 after exhausting dispatch attempts."""
+        return tuple(
+            r.request_id for r in self.responses if r.status == 503
+        )
+
+    def replica_digest(self) -> dict[str, dict[str, float]]:
+        """Per-replica counter families, read back from the registry."""
+        digest: dict[str, dict[str, float]] = {}
+        for replica_id in self.replica_ids:
+            prefix = f"service.replica.{replica_id}."
+            counters = self.metrics.counters(prefix)
+            digest[replica_id] = {
+                name[len(prefix):]: value for name, value in counters.items()
+            }
+        return digest
 
     @property
     def duration_ms(self) -> float:
@@ -237,6 +247,13 @@ class ServiceResult:
             "coalesced": self.metrics.counter(
                 "service.batch.coalesced"
             ).int_value,
+            "n_shards": self.n_shards,
+            "replicas_per_shard": self.replicas_per_shard,
+            "policy": self.policy,
+            "redispatches": self.redispatches,
+            "unavailable": len(self.unavailable_ids),
+            "quota_shed": len(self.quota_shed_ids),
+            "fault_events": len(self.fault_events),
         }
 
     def summary(self) -> str:
@@ -270,11 +287,10 @@ def key_latency_ms(version: str, key: str, base_ms: float) -> float:
 
     Base cost times a hash-derived multiplier in [0.5, 1.5): the
     latency *distribution* is non-degenerate (p50 ≠ p99) while each
-    key's cost is a pure function of the index version. Shared by the
-    single-node service and every cluster replica — a replica serving
-    under its parent snapshot's version therefore charges exactly the
-    single-node cost per key, which is what keeps the cluster's
-    faults-off latency surface honest.
+    key's cost is a pure function of the index version. Every replica
+    serves under its parent snapshot's version, so each key costs the
+    same on every shard of every topology, which is what keeps the
+    faults-off latency surface identical across them.
     """
     digest = hashlib.sha256(f"{version}:{key}".encode("utf-8")).digest()
     unit = int.from_bytes(digest[:8], "big") / _UNIT_DENOM
@@ -284,8 +300,7 @@ def key_latency_ms(version: str, key: str, base_ms: float) -> float:
 def answer(index: LinkStatusIndex, kind: str, target: str) -> tuple[int, object]:
     """The pure query function the service batches and caches.
 
-    Returns ``(status, body)``; safe to evaluate from any thread —
-    it only reads the immutable index.
+    Returns ``(status, body)``; it only reads the immutable index.
     """
     if kind == "url":
         entry = index.lookup(target)
@@ -316,479 +331,12 @@ def answer(index: LinkStatusIndex, kind: str, target: str) -> tuple[int, object]
     return 400, None
 
 
-class LinkStatusService:
-    """One service instance over one immutable index snapshot."""
+def __getattr__(name: str):
+    # The single node is the engine pinned to 1×1, so it lives beside
+    # the engine in :mod:`repro.service.cluster`, which imports this
+    # module's types — resolved on first access to break the cycle.
+    if name == "LinkStatusService":
+        from .cluster import LinkStatusService
 
-    def __init__(
-        self,
-        index: LinkStatusIndex,
-        config: ServerConfig = ServerConfig(),
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        faults: ServiceFaultPlan | None = None,
-        audit: AuditLog | None = None,
-    ) -> None:
-        self.index = index
-        self.config = config
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer
-        self.audit = audit
-        self._faults = (
-            ServiceFaults(faults)
-            if faults is not None and faults.active
-            else None
-        )
-        self.cache = ResultCache(
-            capacity=config.cache_capacity,
-            ttl_ms=config.cache_ttl_ms,
-            metrics=self.metrics,
-        )
-        self.admission = AdmissionController(
-            TokenBucket(rate_per_s=config.rate_rps, burst=float(config.burst)),
-            queue_limit=config.queue_limit,
-            metrics=self.metrics,
-        )
-        self.batcher = MicroBatcher(
-            max_batch=config.max_batch,
-            max_wait_ms=config.max_wait_ms,
-            metrics=self.metrics,
-        )
-        self._pending_reconfigs: list[Reconfiguration] = []
-        #: An in-progress drained reconfiguration: ``(op, new_index)``
-        #: waiting for the open batch to close under the old binding.
-        self._draining: tuple[Reconfiguration, LinkStatusIndex] | None = None
-        self._reconfig_log: list[ReconfigEvent] = []
-        self._versions_served: list[str] = [index.version]
-
-    # -- deterministic latency model ---------------------------------------------
-
-    def index_latency_ms(self, key: str) -> float:
-        """Virtual cost of one index lookup for ``key`` (pre-fault)."""
-        return key_latency_ms(
-            self.index.version, key, self.config.index_latency_ms
-        )
-
-    # -- the serve loop ----------------------------------------------------------
-
-    def serve(
-        self,
-        requests,
-        mode: str = "serial",
-        threads: int | None = None,
-        swaps=None,
-    ) -> ServiceResult:
-        """Replay a workload against the index; return every response.
-
-        ``mode`` is ``"serial"`` or ``"thread"``; both return
-        identical responses for the same inputs (asserted by the test
-        suite). Responses come back in request-id order.
-
-        ``swaps`` is an optional reconfiguration schedule: legacy
-        ``(at_ms, index)`` pairs (atomic generation swaps) and/or
-        :class:`~repro.service.reconfig.Reconfiguration` instances
-        (:class:`~repro.service.reconfig.GenerationSwap`,
-        :class:`~repro.service.reconfig.DeltaApply`), validated up
-        front by :func:`~repro.service.reconfig.normalize_schedule`
-        (duplicate instants, empty indexes, non-monotonic versions,
-        and broken delta chains raise a typed
-        :class:`~repro.service.reconfig.ReconfigError` before the
-        replay starts). Each reconfiguration is an event on the
-        virtual clock, ordered *after* batch deadlines due at the
-        same instant and *before* queue releases. Atomic applies
-        force-flush the open batch at the reconfiguration instant
-        (in-flight requests complete against the index they were
-        admitted under); drained applies (``drain=True``) let the
-        open batch run to its own flush under the old binding and
-        rebind at that instant. Either way the result cache is wiped
-        on a generation change and no response ever mixes
-        generations.
-        """
-        if mode not in ("serial", "thread"):
-            raise ValueError(f"unknown serve mode {mode!r}")
-        self._pending_reconfigs = normalize_schedule(swaps, self.index)
-        self._draining = None
-        self._reconfig_log = []
-        self._versions_served = versions = [self.index.version]
-        pool = (
-            ThreadPoolExecutor(
-                max_workers=threads if threads else self.config.threads
-            )
-            if mode == "thread"
-            else None
-        )
-        responses: list[Response] = []
-        ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-        service_cm = (
-            self.tracer.span(
-                "service",
-                kind="service",
-                index_version=self.index.version,
-                mode=mode,
-                offered=len(ordered),
-            )
-            if self.tracer is not None
-            else None
-        )
-        if service_cm is not None:
-            service_cm.__enter__()
-        try:
-            for request in ordered:
-                self._advance(request.arrival_ms, responses, pool)
-                verdict = self.admission.offer(request, request.arrival_ms)
-                if verdict == "admit":
-                    self._enqueue(request, request.arrival_ms, responses, pool)
-                elif verdict == "shed":
-                    self._shed(request, responses)
-            self._advance(None, responses, pool)
-            tail = self.batcher.flush()
-            if tail is not None:
-                self._execute(tail, responses, pool)
-        finally:
-            if service_cm is not None:
-                service_cm.__exit__(None, None, None)
-            if pool is not None:
-                pool.shutdown(wait=True)
-        responses.sort(key=lambda r: r.request_id)
-        return ServiceResult(
-            responses=responses,
-            metrics=self.metrics,
-            index_version=self.index.version,
-            mode=mode,
-            index_versions=tuple(versions),
-            reconfig_events=tuple(self._reconfig_log),
-        )
-
-    def _advance(
-        self, now_ms: float | None, responses: list[Response], pool
-    ) -> None:
-        """Run every due event (queue releases, batch deadlines,
-        generation swaps) in time order up to ``now_ms`` (``None`` =
-        run them all)."""
-        while True:
-            release_ms = self.admission.next_release_ms()
-            deadline_ms = self.batcher.deadline_ms
-            swap_ms = (
-                self._pending_reconfigs[0].at_ms
-                if self._pending_reconfigs
-                else None
-            )
-            candidates = [
-                t for t in (release_ms, deadline_ms, swap_ms) if t is not None
-            ]
-            if not candidates:
-                return
-            next_ms = min(candidates)
-            if now_ms is not None and next_ms > now_ms:
-                return
-            # Deadline flush wins ties: the batch closed before (or
-            # exactly as) the token accrued, so the released request
-            # belongs to the next batch. A reconfiguration ranks after
-            # deadlines (due batches still belong to the old
-            # generation) and before releases (requests released at
-            # the swap instant are served by the new one).
-            if deadline_ms is not None and deadline_ms <= next_ms:
-                batch = self.batcher.flush_due(deadline_ms)
-                if batch is not None:
-                    self._execute(batch, responses, pool)
-                continue
-            if swap_ms is not None and swap_ms <= next_ms:
-                op = self._pending_reconfigs.pop(0)
-                self._begin_reconfig(op, responses, pool)
-                continue
-            request, ready_ms = self.admission.release_one()
-            self._enqueue(request, ready_ms, responses, pool)
-
-    # -- the reconfiguration plane -------------------------------------------------
-
-    def _begin_reconfig(
-        self, op: Reconfiguration, responses: list[Response], pool
-    ) -> None:
-        """One due reconfiguration: resolve the new binding, then
-        apply it atomically or hand it to the drain machinery.
-
-        Atomic (``drain=False``): the open batch (if any) is
-        force-flushed and completes against the old index, then the
-        new binding installs at the scheduled instant — the classic
-        copy-on-write swap. Drained (``drain=True``): the open batch
-        keeps its own deadline and finishes under the old binding;
-        the rebind happens at that batch's flush instant (see the
-        tail of :meth:`_execute`), bounded by ``max_wait_ms``. With
-        no open batch a drained apply degenerates to an atomic one.
-        """
-        if self._draining is not None:
-            # A later reconfiguration preempts an unfinished drain:
-            # the draining batch force-flushes under its old binding
-            # now, completing the previous cutover first.
-            batch = self.batcher.flush_now(op.at_ms)
-            if batch is not None:
-                self._execute(batch, responses, pool)
-            if self._draining is not None:
-                self._complete_drain(op.at_ms)
-        new_index = self._resolve(op)
-        if op.drain and self.batcher.deadline_ms is not None:
-            self._draining = (op, new_index)
-            return
-        batch = self.batcher.flush_now(op.at_ms)
-        if batch is not None:
-            self._execute(batch, responses, pool)
-        self._install(op, new_index, op.at_ms, drained=0)
-
-    def _resolve(self, op: Reconfiguration) -> LinkStatusIndex:
-        """The index the reconfiguration binds (copy-on-write)."""
-        if isinstance(op, GenerationSwap):
-            return op.index
-        if isinstance(op, DeltaApply):
-            # Verified application: the result is byte-identical to
-            # the full snapshot or this raises (never serves a
-            # divergent index).
-            return apply_delta(self.index, op.delta)
-        raise ReconfigError(
-            f"single-node service cannot apply {op.kind!r}"
-        )
-
-    def _complete_drain(self, applied_ms: float) -> None:
-        op, new_index = self._draining
-        self._draining = None
-        self._install(op, new_index, applied_ms, drained=1)
-
-    def _install(
-        self,
-        op: Reconfiguration,
-        new_index: LinkStatusIndex,
-        applied_ms: float,
-        drained: int,
-    ) -> None:
-        """Cut over to ``new_index``: wipe the cache (old-generation
-        bodies must not outlive their index), rebind, record."""
-        old_version = self.index.version
-        self.cache = ResultCache(
-            capacity=self.config.cache_capacity,
-            ttl_ms=self.config.cache_ttl_ms,
-            metrics=self.metrics,
-        )
-        self.index = new_index
-        self._versions_served.append(new_index.version)
-        self.metrics.counter("service.swaps").inc()
-        self._record_reconfig(
-            op, old_version, new_index.version, applied_ms, drained
-        )
-
-    def _record_reconfig(
-        self,
-        op: Reconfiguration,
-        from_version: str,
-        to_version: str,
-        applied_ms: float,
-        drained: int,
-        moved_keys: int = 0,
-    ) -> None:
-        event = ReconfigEvent(
-            kind=op.kind,
-            scheduled_ms=op.at_ms,
-            applied_ms=applied_ms,
-            from_version=from_version,
-            to_version=to_version,
-            drained_batches=drained,
-            moved_keys=moved_keys,
-        )
-        self._reconfig_log.append(event)
-        self.metrics.counter("service.reconfig.applied").inc()
-        self.metrics.counter(f"service.reconfig.{op.kind}").inc()
-        self.metrics.histogram(
-            "service.reconfig.lag_ms", RECONFIG_LAG_BOUNDS_MS
-        ).observe(event.lag_ms)
-
-    def _enqueue(
-        self,
-        request: Request,
-        ready_ms: float,
-        responses: list[Response],
-        pool,
-    ) -> None:
-        batch = self.batcher.add(request, ready_ms)
-        if batch is not None:
-            self._execute(batch, responses, pool)
-
-    def _shed(self, request: Request, responses: list[Response]) -> None:
-        self.metrics.counter("service.requests.shed").inc()
-        if self.tracer is not None:
-            self.tracer.record_span(
-                "request",
-                kind="service.request",
-                duration_s=0.0,
-                rid=request.request_id,
-                key=request.key,
-                status=429,
-                shed=True,
-            )
-        if self.audit is not None:
-            self.audit.emit(
-                request, 429, "shed", "admission", "shed", "", "", "",
-                0, (), request.arrival_ms, request.arrival_ms,
-                self.index.version,
-            )
-        responses.append(
-            Response(
-                request_id=request.request_id,
-                status=429,
-                body=None,
-                arrival_ms=request.arrival_ms,
-                start_ms=request.arrival_ms,
-                completion_ms=request.arrival_ms,
-                source="shed",
-                index_version=self.index.version,
-            )
-        )
-
-    def _execute(
-        self, batch: Batch, responses: list[Response], pool
-    ) -> None:
-        """Resolve one flushed batch: cache reads, coalesced lookups,
-        latency assignment, span emission — all at exact instants."""
-        flush_ms = batch.flush_ms
-        groups = batch.groups()
-
-        # Cache pass (coordinator thread; order = first-arrival order).
-        resolved: dict[str, tuple[int, object]] = {}
-        latency: dict[str, float] = {}
-        spike: dict[str, float] = {}
-        jobs: list[str] = []
-        for key in groups:
-            lost = self._faults.cache_lost(key) if self._faults else False
-            if lost:
-                self.metrics.counter("service.cache.faults").inc()
-            hit = None if lost else self.cache.get(key, flush_ms)
-            if hit is not None:
-                resolved[key] = hit
-                latency[key] = self.config.cache_hit_latency_ms
-            else:
-                jobs.append(key)
-
-        # Index pass: pure lookups, serial or pooled — same order,
-        # same results, because `answer` only reads the frozen index.
-        job_requests = [groups[key][0].request for key in jobs]
-        if pool is not None and jobs:
-            results = list(
-                pool.map(
-                    lambda req: answer(self.index, req.kind, req.target),
-                    job_requests,
-                )
-            )
-        else:
-            results = [
-                answer(self.index, req.kind, req.target)
-                for req in job_requests
-            ]
-        for key, outcome in zip(jobs, results):
-            resolved[key] = outcome
-            spiked = self._faults.spike_ms(key) if self._faults else 0.0
-            if spiked:
-                self.metrics.counter("service.index.spikes").inc()
-            spike[key] = spiked
-            latency[key] = self.index_latency_ms(key) + spiked
-            self.metrics.counter("service.index.lookups").inc()
-            self.cache.put(key, outcome, flush_ms)
-
-        # Emission pass: responses, counters, spans.
-        fresh = set(jobs)
-        for key, items in groups.items():
-            status, body = resolved[key]
-            completion_ms = flush_ms + latency[key]
-            carrier = items[0].request
-            if self.tracer is not None:
-                self._trace_group(
-                    key, items, status, completion_ms, key in fresh,
-                    latency[key], spike.get(key, 0.0),
-                )
-            observed = self.audit is not None or self.tracer is not None
-            for position, item in enumerate(items):
-                request = item.request
-                if position == 0:
-                    source = "index" if key in fresh else "cache"
-                    role = "carrier" if key in fresh else "hit"
-                else:
-                    source = "coalesced"
-                    role = "rider"
-                self.metrics.counter(
-                    "service.requests.ok"
-                    if status == 200
-                    else "service.requests.failed"
-                ).inc()
-                histogram = self.metrics.histogram(
-                    "service.latency_ms", LATENCY_BOUNDS_MS
-                )
-                if observed:
-                    histogram.observe(
-                        completion_ms - request.arrival_ms,
-                        exemplar=f"rid={request.request_id}",
-                        at_ms=completion_ms,
-                    )
-                else:
-                    histogram.observe(completion_ms - request.arrival_ms)
-                if self.audit is not None:
-                    self.audit.emit(
-                        request, status,
-                        "ok" if status == 200 else "error", "",
-                        source, role, "", "", 1, (),
-                        item.ready_ms, completion_ms,
-                        self.index.version,
-                    )
-                responses.append(
-                    Response(
-                        request_id=request.request_id,
-                        status=status,
-                        body=body,
-                        arrival_ms=request.arrival_ms,
-                        start_ms=item.ready_ms,
-                        completion_ms=completion_ms,
-                        source=source,
-                        index_version=self.index.version,
-                    )
-                )
-            del carrier  # clarity: the carrier is items[0].request
-        if self._draining is not None:
-            # The queued batch has finished under the old binding; the
-            # drained reconfiguration cuts over at its flush instant.
-            self._complete_drain(flush_ms)
-
-    def _trace_group(
-        self,
-        key: str,
-        items,
-        status: int,
-        completion_ms: float,
-        fresh: bool,
-        latency_ms: float,
-        spike_ms: float,
-    ) -> None:
-        """Emit the request → index-lookup spans for one coalesced group."""
-        carrier = items[0].request
-        with self.tracer.span(
-            "request",
-            kind="service.request",
-            rid=carrier.request_id,
-            key=key,
-            status=status,
-            coalesced_riders=len(items) - 1,
-        ) as span:
-            span.add_virtual_ms(completion_ms - carrier.arrival_ms)
-            if fresh:
-                lookup = self.tracer.record_span(
-                    "index-lookup",
-                    kind="service.index",
-                    duration_s=0.0,
-                    key=key,
-                    spiked=bool(spike_ms),
-                )
-                lookup.add_virtual_ms(latency_ms)
-        for item in items[1:]:
-            rider = self.tracer.record_span(
-                "request",
-                kind="service.request",
-                duration_s=0.0,
-                rid=item.request.request_id,
-                key=key,
-                status=status,
-                coalesced=True,
-            )
-            rider.add_virtual_ms(completion_ms - item.request.arrival_ms)
+        return LinkStatusService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

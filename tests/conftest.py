@@ -10,7 +10,11 @@ Two tiers:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -156,8 +160,61 @@ def artifact_dir(tmp_path):
     root = os.environ.get("REPRO_TEST_ARTIFACTS")
     if not root:
         return tmp_path
-    from pathlib import Path
-
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+class ServeGolden:
+    """The recorded single-node serving output.
+
+    ``tests/golden/single_node_serve.json`` holds digests of what the
+    single-node service answered — full responses (timing and
+    ``source`` included), shed ids, counters, and reconfiguration
+    events — recorded from the dedicated single-node event loop before
+    that loop was folded into the one serving engine (a 1×1 cluster).
+    The differential tests compare the engine against it, so a match
+    *is* the proof that the fold changed no answer and no latency.
+
+    Re-record (only for a deliberate behaviour change) with
+    ``REPRO_UPDATE_SERVE_GOLDEN=1 pytest tests/test_cluster.py
+    tests/test_live.py``.
+    """
+
+    path = Path(__file__).parent / "golden" / "single_node_serve.json"
+
+    @staticmethod
+    def responses_sha(responses) -> str:
+        """sha256 over every full response, timing and source included."""
+        payload = json.dumps(
+            [dataclasses.asdict(r) for r in responses],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    @staticmethod
+    def wire_sha(responses) -> str:
+        """sha256 over the concatenated answer surface (``to_wire``)."""
+        return hashlib.sha256(
+            b"".join(r.to_wire() for r in responses)
+        ).hexdigest()
+
+    def section(self, name: str, record) -> dict:
+        """The recorded section ``name``. Under
+        ``REPRO_UPDATE_SERVE_GOLDEN=1`` it is first re-recorded as
+        ``record()`` — a digest of what the single node serves now."""
+        golden = (
+            json.loads(self.path.read_text()) if self.path.exists() else {}
+        )
+        if os.environ.get("REPRO_UPDATE_SERVE_GOLDEN"):
+            golden[name] = record()
+            self.path.write_text(
+                json.dumps(golden, indent=2, sort_keys=True) + "\n"
+            )
+        return golden[name]
+
+
+@pytest.fixture(scope="session")
+def serve_golden() -> ServeGolden:
+    return ServeGolden()

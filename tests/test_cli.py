@@ -49,6 +49,22 @@ class TestCli:
         ][1]["dirty"]
         assert len(payload["served_by_generation"]) == 3
 
+    def test_serve_default_topology_applies_crash_plan(self, tmp_path, capsys):
+        import json
+
+        path = str(tmp_path / "serve.json")
+        assert main(
+            [
+                "serve", "--links", "400", "--seed", "6", "--requests", "300",
+                "--crash-rate", "1.0", "--json", path,
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "1 shards x 1 replicas" in out
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload["fault_events"] > 0
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -8,11 +8,10 @@ The contracts pinned here:
 - routing keys put every studied URL on the shard that holds its
   entry, because both sides derive the registrable domain identically;
 - the cluster's answer surface (``Response.to_wire``: status, body,
-  index version) and shed set are byte-identical to the single-node
-  service for every tested shard/replica count and router policy when
-  faults are off — and a 1×1 cluster reproduces the single-node run
+  index version) and shed set are byte-identical to the recorded
+  single-node golden for every tested shard/replica count and router
+  policy when faults are off — and a 1×1 cluster reproduces it
   *including timing*;
-- serial and thread-pool cluster runs return identical responses;
 - replica-level chaos (crash, partition, slow) degrades latency and
   the shed set only — every mutually-served request returns the same
   bytes, the admission (429) set never moves, and runs replay exactly;
@@ -227,11 +226,48 @@ def test_cluster_config_validation():
 # -- faults-off equivalence with the single-node service -------------------------
 
 
-def test_cluster_equals_single_node_across_topologies(service_index):
-    """to_wire bytes and the shed set match for every N×R tested."""
+#: Counters the recorded single-node golden pins next to the responses.
+GOLDEN_COUNTERS = (
+    "service.index.lookups",
+    "service.batch.coalesced",
+    "service.cache.hits",
+    "service.cache.misses",
+)
+
+
+def mixed_digest(result, golden) -> dict:
+    """What the single-node golden records for one faults-off run."""
+    return {
+        "responses_sha256": golden.responses_sha(result.responses),
+        "wire_sha256": golden.wire_sha(result.responses),
+        "shed_ids": list(result.shed_ids),
+        "counters": {
+            name: result.metrics.counter(name).int_value
+            for name in GOLDEN_COUNTERS
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def mixed_golden(service_index, serve_golden) -> dict:
+    """The recorded single-node run of :func:`mixed_workload`."""
+    return serve_golden.section(
+        "mixed_workload",
+        lambda: mixed_digest(
+            LinkStatusService(service_index).serve(
+                mixed_workload(service_index)
+            ),
+            serve_golden,
+        ),
+    )
+
+
+def test_cluster_equals_single_node_across_topologies(
+    service_index, serve_golden, mixed_golden
+):
+    """to_wire bytes and the shed set match the recorded single node
+    for every N×R tested."""
     workload = mixed_workload(service_index)
-    single = LinkStatusService(service_index).serve(workload)
-    single_wire = wire(single)
     for n_shards in (1, 2, 4):
         for replicas in (1, 2, 3):
             result = ClusterService(
@@ -240,14 +276,23 @@ def test_cluster_equals_single_node_across_topologies(service_index):
                     n_shards=n_shards, replicas_per_shard=replicas
                 ),
             ).serve(workload)
-            assert wire(result) == single_wire, (n_shards, replicas)
-            assert result.shed_ids == single.shed_ids, (n_shards, replicas)
+            assert (
+                serve_golden.wire_sha(result.responses)
+                == mixed_golden["wire_sha256"]
+            ), (n_shards, replicas)
+            assert list(result.shed_ids) == mixed_golden["shed_ids"], (
+                n_shards, replicas,
+            )
 
 
-def test_one_by_one_cluster_reproduces_single_node_exactly(service_index):
-    """At N=1, R=1 even the virtual timing is identical, per policy."""
+def test_one_by_one_cluster_reproduces_single_node_exactly(
+    service_index, serve_golden, mixed_golden
+):
+    """At N=1, R=1 even the virtual timing and the counters match the
+    recorded single node — for the single node itself and per policy."""
     workload = mixed_workload(service_index)
     single = LinkStatusService(service_index).serve(workload)
+    assert mixed_digest(single, serve_golden) == mixed_golden
     for policy in ("round_robin", "least_outstanding", "power_of_two"):
         result = ClusterService(
             service_index,
@@ -255,7 +300,7 @@ def test_one_by_one_cluster_reproduces_single_node_exactly(service_index):
                 n_shards=1, replicas_per_shard=1, policy=policy
             ),
         ).serve(workload)
-        assert result.responses == single.responses, policy
+        assert mixed_digest(result, serve_golden) == mixed_golden, policy
 
 
 def test_policies_agree_on_answers(service_index):
@@ -271,16 +316,6 @@ def test_policies_agree_on_answers(service_index):
     wires = {policy: wire(run) for policy, run in runs.items()}
     assert wires["round_robin"] == wires["least_outstanding"]
     assert wires["round_robin"] == wires["power_of_two"]
-
-
-def test_cluster_serial_equals_thread(service_index):
-    workload = mixed_workload(service_index)
-    cluster = ClusterConfig(n_shards=2, replicas_per_shard=2)
-    serial = ClusterService(service_index, cluster=cluster).serve(workload)
-    threaded = ClusterService(service_index, cluster=cluster).serve(
-        workload, mode="thread"
-    )
-    assert serial.responses == threaded.responses
 
 
 # -- replica-level chaos: degradation is confined --------------------------------
@@ -327,6 +362,22 @@ def test_replica_crash_chaos_confined_and_replayable(service_index):
     ).serve(workload)
     assert chaotic.responses == replay.responses
     assert chaotic.fault_events == replay.fault_events
+
+
+def test_single_node_applies_replica_faults(service_index):
+    """A crash plan on the default 1×1 topology fires instead of being
+    silently ignored: the lone replica's outage shows up as fault
+    events and moved latencies, with the answers still confined."""
+    workload = mixed_workload(service_index)
+    plan = ServiceFaultPlan.crashes(
+        rate=1.0, seed=5,
+        horizon_ms=max(r.arrival_ms for r in workload), duration_ms=40.0,
+    )
+    clean = LinkStatusService(service_index).serve(workload)
+    crashed = LinkStatusService(service_index, faults=plan).serve(workload)
+    assert [e.replica_id for e in crashed.fault_events] == ["s0r0", "s0r0"]
+    assert crashed.responses != clean.responses
+    assert_chaos_confined(clean, crashed)
 
 
 def test_unrecoverable_shard_sheds_503_deterministically(service_index):
@@ -564,16 +615,3 @@ def test_chaos_grid_confinement_across_policies_and_topologies(service_index):
                 service_index, cluster=config, faults=CRASH_PLAN
             ).serve(workload)
             assert chaotic.responses == replay.responses
-
-
-@pytest.mark.chaos
-def test_chaos_thread_mode_matches_serial(service_index):
-    workload = mixed_workload(service_index, n=3000, rps=3000.0)
-    cluster = ClusterConfig(n_shards=2, replicas_per_shard=2)
-    serial = ClusterService(
-        service_index, cluster=cluster, faults=CRASH_PLAN
-    ).serve(workload)
-    threaded = ClusterService(
-        service_index, cluster=cluster, faults=CRASH_PLAN
-    ).serve(workload, mode="thread")
-    assert serial.responses == threaded.responses

@@ -20,9 +20,9 @@ The contracts pinned here:
 - generation lifecycle: publisher sequence numbers are strictly
   monotonic, retention retires old generations, stale builds are
   refused, and freshness grades through the latency SLO machinery;
-- **zero-downtime swaps**: under a swap schedule serial and thread
-  serving agree byte-for-byte, a 1×1 cluster reproduces the
-  single-node run exactly, and — clean or under replica chaos — no
+- **zero-downtime swaps**: a swap schedule replays byte-for-byte,
+  the single node and a 1×1 cluster reproduce the recorded
+  single-node golden exactly, and — clean or under replica chaos — no
   response ever mixes generations: every 200 body re-derives from the
   exact index version the response reports, and shed responses carry
   a scheduled version too.
@@ -439,19 +439,15 @@ def assert_no_mixed_generation(result, requests, generations):
         assert (status, body) == (response.status, response.body)
 
 
-def test_single_node_swap_serial_equals_thread(live_run):
+def test_single_node_swap_replays_and_never_mixes_generations(live_run):
     _, _, generations, _ = live_run
     g0, g1, g2 = generations
     requests = swap_workload(g0.index)
     swaps = swap_schedule(requests, generations)
-    serial = LinkStatusService(g0.index).serve(
-        requests, mode="serial", swaps=list(swaps)
-    )
-    threaded = LinkStatusService(g0.index).serve(
-        requests, mode="thread", swaps=list(swaps)
-    )
+    serial = LinkStatusService(g0.index).serve(requests, swaps=list(swaps))
+    again = LinkStatusService(g0.index).serve(requests, swaps=list(swaps))
     assert [r.to_wire() for r in serial.responses] == [
-        r.to_wire() for r in threaded.responses
+        r.to_wire() for r in again.responses
     ]
     # Generation ids march monotonically through the schedule, and
     # both swaps actually took.
@@ -473,22 +469,33 @@ def test_swap_schedule_must_strictly_increase(live_run):
         )
 
 
-def test_one_by_one_cluster_swap_reproduces_single_node(live_run):
+def swap_digest(result, golden) -> dict:
+    """What the single-node golden records for one swap-schedule run."""
+    return {
+        "responses_sha256": golden.responses_sha(result.responses),
+        "wire_sha256": golden.wire_sha(result.responses),
+        "index_versions": list(result.index_versions),
+        "reconfig_events": [e.as_dict() for e in result.reconfig_events],
+    }
+
+
+def test_one_by_one_cluster_swap_reproduces_single_node(live_run, serve_golden):
     _, _, generations, _ = live_run
     g0 = generations[0]
     requests = swap_workload(g0.index)
     swaps = swap_schedule(requests, generations)
-    single = LinkStatusService(g0.index).serve(
-        requests, mode="serial", swaps=list(swaps)
-    )
+
+    def single_node() -> dict:
+        result = LinkStatusService(g0.index).serve(requests, swaps=list(swaps))
+        return swap_digest(result, serve_golden)
+
+    golden = serve_golden.section("live_swaps", single_node)
+    assert single_node() == golden
     cluster = ClusterService(
         g0.index, ServerConfig(),
         ClusterConfig(n_shards=1, replicas_per_shard=1),
-    ).serve(requests, mode="serial", swaps=list(swaps))
-    assert [r.to_wire() for r in single.responses] == [
-        r.to_wire() for r in cluster.responses
-    ]
-    assert single.index_versions == cluster.index_versions
+    ).serve(requests, swaps=list(swaps))
+    assert swap_digest(cluster, serve_golden) == golden
 
 
 def test_cluster_swap_under_chaos_never_mixes_generations(live_run):
@@ -504,27 +511,23 @@ def test_cluster_swap_under_chaos_never_mixes_generations(live_run):
         replica_slow=FaultSpec(rate=0.3),
     )
 
-    def run(mode):
+    def run():
         service = ClusterService(
             g0.index, ServerConfig(),
             ClusterConfig(n_shards=2, replicas_per_shard=2),
             faults=plan,
         )
-        return service.serve(requests, mode=mode, swaps=list(swaps))
+        return service.serve(requests, swaps=list(swaps))
 
-    chaotic = run("serial")
+    chaotic = run()
     assert chaotic.fault_events  # the plan actually fired
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
     # Chaos degrades latency and shedding only — and deterministically:
-    # the run replays byte-for-byte, serial or threaded.
-    again = run("serial")
+    # the run replays byte-for-byte.
+    again = run()
     assert [r.to_wire() for r in chaotic.responses] == [
         r.to_wire() for r in again.responses
-    ]
-    threaded = run("thread")
-    assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
     ]
 
 
@@ -554,7 +557,7 @@ def test_swap_chaos_grid(live_run, topology, policy):
         replica_slow=FaultSpec(rate=0.3),
     )
 
-    def run(mode):
+    def run():
         return ClusterService(
             g0.index, ServerConfig(),
             ClusterConfig(
@@ -562,12 +565,12 @@ def test_swap_chaos_grid(live_run, topology, policy):
                 policy=policy,
             ),
             faults=plan,
-        ).serve(requests, mode=mode, swaps=list(swaps))
+        ).serve(requests, swaps=list(swaps))
 
-    chaotic = run("serial")
+    chaotic = run()
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
-    threaded = run("thread")
+    again = run()
     assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
+        r.to_wire() for r in again.responses
     ]

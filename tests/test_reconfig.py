@@ -14,8 +14,8 @@ The contracts pinned here:
   request replays;
 - **drained rolling swaps**: with ``drain=True`` each replica
   finishes its queued batch under the old generation before
-  rebinding; serial ≡ thread, no response mixes generations (clean or
-  under the replica crash/partition/slow grid), and the recorded
+  rebinding; runs replay byte-for-byte, no response mixes generations
+  (clean or under the replica crash/partition/slow grid), and the recorded
   :class:`ReconfigEvent` lag is the actual drain time;
 - **live rebalancing**: a mid-replay
   :class:`~repro.service.reconfig.RebalancePlan` migrates routing
@@ -296,34 +296,41 @@ def test_schedule_rejects_malformed_rebalances(reconfig_run):
     _, generations = reconfig_run
     g0 = generations[0]
     move = RebalancePlan(at_ms=50.0, moves=(("a.test", "shard-0"),))
-    with pytest.raises(ReconfigError, match="without shards"):
+    with pytest.raises(ReconfigError, match="nothing to move"):
         normalize_schedule([move], g0.index)
+    with pytest.raises(ReconfigError, match="1 shard"):
+        normalize_schedule([move], g0.index, shard_ids=("shard-0",))
     shards = ("shard-0", "shard-1")
     with pytest.raises(ReconfigError, match="moves nothing"):
         normalize_schedule(
             [RebalancePlan(at_ms=50.0)], g0.index,
-            allow_rebalance=True, shard_ids=shards,
+            shard_ids=shards,
         )
     with pytest.raises(ReconfigError, match="twice"):
         normalize_schedule(
             [RebalancePlan(at_ms=50.0, moves=(
                 ("a.test", "shard-0"), ("a.test", "shard-1"),
             ))],
-            g0.index, allow_rebalance=True, shard_ids=shards,
+            g0.index, shard_ids=shards,
         )
     with pytest.raises(ReconfigError, match="unknown"):
         normalize_schedule(
             [RebalancePlan(at_ms=50.0, moves=(("a.test", "shard-9"),))],
-            g0.index, allow_rebalance=True, shard_ids=shards,
+            g0.index, shard_ids=shards,
         )
     ok = normalize_schedule(
-        [move], g0.index, allow_rebalance=True, shard_ids=shards
+        [move], g0.index, shard_ids=shards
     )
     assert ok[0].kind == "rebalance"
-    # Single-node serve() rejects rebalances through the same gate.
+    # Single-node serve() rejects rebalances through the same gate,
+    # as does any one-shard fleet: the gate is the shard count.
     requests = swap_workload(g0.index, n=20)
     with pytest.raises(ReconfigError):
         LinkStatusService(g0.index).serve(requests, swaps=[move])
+    with pytest.raises(ReconfigError, match="1 shard"):
+        ClusterService(
+            g0.index, cluster=ClusterConfig(n_shards=1, replicas_per_shard=2)
+        ).serve(requests, swaps=[move])
 
 
 # -- delta swaps through the serving tiers ----------------------------------------
@@ -380,13 +387,13 @@ def test_single_node_drained_swap_finishes_batch_under_old_binding(
     g0 = generations[0]
     requests = swap_workload(g0.index)
     serial = LinkStatusService(g0.index).serve(
-        requests, mode="serial", swaps=drained_swaps(requests, generations)
+        requests, swaps=drained_swaps(requests, generations)
     )
-    threaded = LinkStatusService(g0.index).serve(
-        requests, mode="thread", swaps=drained_swaps(requests, generations)
+    again = LinkStatusService(g0.index).serve(
+        requests, swaps=drained_swaps(requests, generations)
     )
     assert [r.to_wire() for r in serial.responses] == [
-        r.to_wire() for r in threaded.responses
+        r.to_wire() for r in again.responses
     ]
     assert serial.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(serial, requests, generations)
@@ -423,7 +430,7 @@ def test_drained_swap_answers_match_atomic_generationwise(reconfig_run):
 def test_cluster_rolling_drained_swap_under_chaos(reconfig_run):
     """Rolling per-replica drains under crash + slow chaos: replicas
     cut over one by one, yet no response ever mixes generations and
-    serial ≡ thread byte-for-byte."""
+    the run replays byte-for-byte."""
     _, generations = reconfig_run
     g0 = generations[0]
     requests = swap_workload(g0.index)
@@ -436,21 +443,21 @@ def test_cluster_rolling_drained_swap_under_chaos(reconfig_run):
         replica_slow=FaultSpec(rate=0.3),
     )
 
-    def run(mode):
+    def run():
         return ClusterService(
             g0.index, ServerConfig(),
             ClusterConfig(n_shards=2, replicas_per_shard=2),
             faults=plan,
-        ).serve(requests, mode=mode, swaps=list(swaps))
+        ).serve(requests, swaps=list(swaps))
 
-    chaotic = run("serial")
+    chaotic = run()
     assert chaotic.fault_events
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
     assert [e.kind for e in chaotic.reconfig_events] == ["swap", "swap"]
-    threaded = run("thread")
+    again = run()
     assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
+        r.to_wire() for r in again.responses
     ]
 
 
@@ -482,9 +489,9 @@ def test_mid_replay_rebalance_keeps_single_node_equivalence(reconfig_run):
     _, generations = reconfig_run
     g0 = generations[0]
     requests = swap_workload(g0.index)
-    single = LinkStatusService(g0.index).serve(requests, mode="serial")
+    single = LinkStatusService(g0.index).serve(requests)
 
-    def run(mode):
+    def run():
         service = ClusterService(
             g0.index, ServerConfig(),
             ClusterConfig(n_shards=2, replicas_per_shard=2),
@@ -494,10 +501,10 @@ def test_mid_replay_rebalance_keeps_single_node_equivalence(reconfig_run):
             moves=cross_shard_moves(service, hot_keys(g0.index)),
         )
         return service, service.serve(
-            requests, mode=mode, swaps=[plan]
+            requests, swaps=[plan]
         )
 
-    service, result = run("serial")
+    service, result = run()
     assert [r.to_wire() for r in single.responses] == [
         r.to_wire() for r in result.responses
     ]
@@ -513,9 +520,9 @@ def test_mid_replay_rebalance_keeps_single_node_equivalence(reconfig_run):
     assert result.metrics.counter(
         "service.cluster.rebalanced_keys"
     ).int_value == 3
-    _, threaded = run("thread")
+    _, again = run()
     assert [r.to_wire() for r in result.responses] == [
-        r.to_wire() for r in threaded.responses
+        r.to_wire() for r in again.responses
     ]
 
 
@@ -534,7 +541,7 @@ def test_rebalance_composes_with_drained_swaps_under_chaos(reconfig_run):
         crash_duration_ms=50.0,
     )
 
-    def run(mode):
+    def run():
         service = ClusterService(
             g0.index, ServerConfig(),
             ClusterConfig(n_shards=2, replicas_per_shard=2),
@@ -552,16 +559,16 @@ def test_rebalance_composes_with_drained_swaps_under_chaos(reconfig_run):
                 at_ms=t2, drain=True, index=generations[2].index
             ),
         ]
-        return service.serve(requests, mode=mode, swaps=swaps)
+        return service.serve(requests, swaps=swaps)
 
-    chaotic = run("serial")
+    chaotic = run()
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
     kinds = [e.kind for e in chaotic.reconfig_events]
     assert sorted(kinds) == ["rebalance", "swap", "swap"]
-    threaded = run("thread")
+    again = run()
     assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
+        r.to_wire() for r in again.responses
     ]
 
 
@@ -591,7 +598,7 @@ def test_reconfig_chaos_grid(reconfig_run, topology, policy):
         replica_slow=FaultSpec(rate=0.3),
     )
 
-    def run(mode):
+    def run():
         service = ClusterService(
             g0.index, ServerConfig(),
             ClusterConfig(
@@ -612,14 +619,14 @@ def test_reconfig_chaos_grid(reconfig_run, topology, policy):
                 at_ms=t2, drain=True, index=generations[2].index
             ),
         ]
-        return service.serve(requests, mode=mode, swaps=swaps)
+        return service.serve(requests, swaps=swaps)
 
-    chaotic = run("serial")
+    chaotic = run()
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
-    threaded = run("thread")
+    again = run()
     assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
+        r.to_wire() for r in again.responses
     ]
 
 

@@ -9,7 +9,9 @@ The contracts pinned here, in rough dependency order:
 - the result cache expires on the virtual clock, not the wall clock;
 - admission control sheds a deterministic, reproducible *set* of
   request ids, FIFO-fairly;
-- serial and thread-pool serving return identical responses;
+- a replay is deterministic: responses and metrics repeat exactly;
+- the trace nests every lookup under its request under one
+  ``service`` root, on every topology;
 - fault plans degrade latency and hit rate only — never bodies,
   statuses, or the shed set.
 """
@@ -17,6 +19,10 @@ The contracts pinned here, in rough dependency order:
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +30,8 @@ from repro.obs.trace import Tracer
 from repro.reporting.cdf import ecdf
 from repro.service import (
     AdmissionController,
+    ClusterConfig,
+    ClusterService,
     LinkStatusEntry,
     LinkStatusIndex,
     LinkStatusService,
@@ -32,10 +40,12 @@ from repro.service import (
     ResultCache,
     ServerConfig,
     ServiceFaultPlan,
+    ShardIndex,
     TokenBucket,
     WorkloadConfig,
     generate_workload,
 )
+from repro.service.index import group_by
 from repro.service.server import answer
 
 
@@ -150,6 +160,33 @@ def test_quantiles_byte_match_batch_report(small_report, service_index):
     for q in (0.1, 0.25, 0.5, 0.9, 0.99):
         assert service_index.quantile("gap_days", q) == gap_cdf.quantile(q)
         assert service_index.quantile("posting_year", q) == year_cdf.quantile(q)
+
+
+def test_one_hot_domain_groups_in_entry_order():
+    """A Zipf-hot domain is one large group: the index and a shard view
+    group it in one linear pass and keep entry order inside it, with
+    groups in first-seen order."""
+    hot = [
+        make_entry(
+            f"http://hot.example.com/p{i}", bucket="200" if i % 3 else "404"
+        )
+        for i in range(3000)
+    ]
+    cold = [make_entry(f"http://www.cold{i}.org/x") for i in range(3)]
+    entries = tuple(hot[:1500] + cold + hot[1500:])
+    index = LinkStatusIndex(entries, gap_days=(1.0,))
+    assert index.by_domain("example.com") == tuple(hot)
+    assert index.by_domain("cold1.org") == (cold[1],)
+    assert index.by_bucket("404") == tuple(
+        e for e in entries if e.bucket == "404"
+    )
+    assert list(group_by(entries, "domain")) == [
+        "example.com", "cold0.org", "cold1.org", "cold2.org",
+    ]
+    shard = ShardIndex(index, "shard-0", entries)
+    assert shard.by_domain("example.com") == tuple(hot)
+    status, body = answer(shard, "domain", "example.com")
+    assert status == 200 and body["urls"] == [e.url for e in hot]
 
 
 def test_lookup_and_domain_queries(service_index, small_report):
@@ -281,6 +318,37 @@ def test_admission_admit_queue_shed_progression():
     assert wait["sum"] == pytest.approx(1000.0)
 
 
+#: Runs under ``python -O``: a queue release that finds no token at
+#: its promised instant must raise the typed error, not sail past a
+#: stripped ``assert``.
+_BROKEN_BUCKET_SCRIPT = """
+from repro.service.admission import AdmissionController, TokenBucket
+
+class NeverReady(TokenBucket):
+    def try_take(self, now_ms):
+        return False
+
+controller = AdmissionController(NeverReady(rate_per_s=1.0), queue_limit=1)
+print(controller.offer("request", 0.0))
+try:
+    controller.release_one()
+except Exception as error:
+    print(type(error).__name__)
+"""
+
+
+def test_admission_release_raises_typed_error_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_BUCKET_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["queue", "AdmissionError"]
+
+
 def test_shed_set_is_deterministic_and_reproducible(service_index):
     workload = generate_workload(
         [e.url for e in service_index.entries],
@@ -288,8 +356,8 @@ def test_shed_set_is_deterministic_and_reproducible(service_index):
     )
     config = ServerConfig(rate_rps=1000.0, burst=4, queue_limit=16)
     runs = [
-        LinkStatusService(service_index, config).serve(workload, mode=mode)
-        for mode in ("serial", "serial", "thread")
+        LinkStatusService(service_index, config).serve(workload)
+        for _ in range(3)
     ]
     assert runs[0].shed_ids  # overload actually sheds
     assert runs[0].shed_ids == runs[1].shed_ids == runs[2].shed_ids
@@ -298,7 +366,7 @@ def test_shed_set_is_deterministic_and_reproducible(service_index):
             assert response.status == 429 and response.body is None
 
 
-# -- server: serial ≡ thread, tracing --------------------------------------------
+# -- server: replay determinism, tracing -----------------------------------------
 
 
 def mixed_workload(index: LinkStatusIndex, n: int = 600) -> tuple[Request, ...]:
@@ -314,28 +382,28 @@ def mixed_workload(index: LinkStatusIndex, n: int = 600) -> tuple[Request, ...]:
     )
 
 
-def test_serial_and_thread_modes_answer_identically(service_index):
+def test_serve_replays_identically(service_index):
     workload = mixed_workload(service_index)
-    serial = LinkStatusService(service_index).serve(workload, mode="serial")
-    threaded = LinkStatusService(service_index).serve(workload, mode="thread")
-    assert serial.responses == threaded.responses
-    assert serial.metrics.snapshot() == threaded.metrics.snapshot()
+    first = LinkStatusService(service_index).serve(workload)
+    again = LinkStatusService(service_index).serve(workload)
+    assert first.responses == again.responses
+    assert first.metrics.snapshot() == again.metrics.snapshot()
 
 
 def test_unknown_serve_mode_rejected(service_index):
-    with pytest.raises(ValueError, match="mode"):
-        LinkStatusService(service_index).serve([], mode="fork")
+    for mode in ("fork", "thread"):
+        with pytest.raises(ValueError, match="mode"):
+            LinkStatusService(service_index).serve([], mode=mode)
 
 
-def test_trace_hierarchy_service_request_lookup(service_index):
-    tracer = Tracer()
-    service = LinkStatusService(service_index, tracer=tracer)
-    service.serve(mixed_workload(service_index, n=200))
+def assert_service_request_lookup_tree(tracer, service, n_requests):
     by_id = {span.span_id: span for span in tracer.spans}
     roots = [s for s in tracer.spans if s.kind == "service"]
     assert len(roots) == 1
     requests = [s for s in tracer.spans if s.kind == "service.request"]
-    assert len(requests) == 200
+    assert len(requests) == n_requests
+    # Every request span (carrier, rider, or shed) hangs under the root.
+    assert {by_id[s.parent_id].kind for s in requests} == {"service"}
     lookups = [s for s in tracer.spans if s.kind == "service.index"]
     assert len(lookups) == service.metrics.counter(
         "service.index.lookups"
@@ -346,6 +414,24 @@ def test_trace_hierarchy_service_request_lookup(service_index):
         assert parent.kind == "service.request"
         assert by_id[parent.parent_id].kind == "service"
         assert lookup.virtual_ms > 0.0
+
+
+def test_trace_hierarchy_service_request_lookup(service_index):
+    tracer = Tracer()
+    service = LinkStatusService(service_index, tracer=tracer)
+    service.serve(mixed_workload(service_index, n=200))
+    assert_service_request_lookup_tree(tracer, service, 200)
+
+
+def test_trace_hierarchy_holds_on_a_cluster(service_index):
+    tracer = Tracer()
+    service = ClusterService(
+        service_index,
+        cluster=ClusterConfig(n_shards=2, replicas_per_shard=2),
+        tracer=tracer,
+    )
+    service.serve(mixed_workload(service_index, n=200))
+    assert_service_request_lookup_tree(tracer, service, 200)
 
 
 # -- faults: degradation is bounded and documented -------------------------------
