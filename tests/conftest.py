@@ -218,3 +218,93 @@ class ServeGolden:
 @pytest.fixture(scope="session")
 def serve_golden() -> ServeGolden:
     return ServeGolden()
+
+
+class WorldGolden:
+    """The recorded digest of generated worlds.
+
+    ``tests/golden/world_digest.json`` holds, per named world, sha256
+    digests over everything world generation produces: every
+    article's full revision history, every snapshot (sketch included)
+    in URL and time order, the crawler's counters, the bot's stats and
+    ``World.summary()``. A match proves a change to the replay left
+    the generated world byte-identical.
+
+    Re-record (only for a deliberate behaviour change) with
+    ``REPRO_UPDATE_WORLD_GOLDEN=1 pytest tests/test_integration_world.py``.
+    """
+
+    path = Path(__file__).parent / "golden" / "world_digest.json"
+
+    @staticmethod
+    def _sha(payload) -> str:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @classmethod
+    def digest(cls, world) -> dict:
+        """Digests of every part of ``world`` the replay writes."""
+        enc = world.encyclopedia
+        articles = [
+            [
+                title,
+                [
+                    [
+                        rev.revision_id,
+                        repr(rev.timestamp.days),
+                        rev.user,
+                        rev.comment,
+                        rev.wikitext,
+                    ]
+                    for rev in enc.article(title).revisions
+                ],
+            ]
+            for title in enc.titles()
+        ]
+        snapshots = [
+            [
+                url,
+                [
+                    [
+                        repr(snap.captured_at.days),
+                        snap.initial_status,
+                        snap.redirect_location,
+                        snap.final_status,
+                        snap.final_url,
+                        list(snap.sketch),
+                    ]
+                    for snap in world.store.snapshots(url, include_failed=True)
+                ],
+            ]
+            for url in world.store.all_urls()
+        ]
+        crawler = world.crawler
+        return {
+            "articles_sha": cls._sha(articles),
+            "snapshots_sha": cls._sha(snapshots),
+            "snapshot_count": len(world.store),
+            "capture_attempts": crawler.capture_attempts,
+            "capture_failures": crawler.capture_failures,
+            "robots_denied": crawler.robots_denied,
+            "bot_stats": dataclasses.asdict(world.bot.stats),
+            "summary": world.summary(),
+        }
+
+    def section(self, name: str, world) -> dict:
+        """The recorded digest ``name``. Under
+        ``REPRO_UPDATE_WORLD_GOLDEN=1`` it is first re-recorded from
+        ``world``."""
+        golden = (
+            json.loads(self.path.read_text()) if self.path.exists() else {}
+        )
+        if os.environ.get("REPRO_UPDATE_WORLD_GOLDEN"):
+            golden[name] = self.digest(world)
+            self.path.write_text(
+                json.dumps(golden, indent=2, sort_keys=True) + "\n"
+            )
+        return golden[name]
+
+
+@pytest.fixture(scope="session")
+def world_golden() -> WorldGolden:
+    return WorldGolden()

@@ -19,7 +19,7 @@ from repro.wiki.templates import IABOT_USERNAME
 
 
 class TestWorldGeneration:
-    def test_world_is_deterministic(self, small_world):
+    def test_world_is_deterministic(self, small_world, world_golden):
         from repro.dataset.worldgen import WorldConfig, generate_world
 
         again = generate_world(
@@ -30,6 +30,22 @@ class TestWorldGeneration:
             small_world.bot.stats.marked_permadead
         )
         assert sorted(again.truth) == sorted(small_world.truth)
+        assert world_golden.digest(again) == world_golden.digest(small_world)
+
+    def test_world_matches_golden(self, small_world, world_golden):
+        assert world_golden.digest(small_world) == world_golden.section(
+            "small_world_1300_seed42", small_world
+        )
+
+    def test_pipeline_world_matches_golden(self, world_golden):
+        from repro.dataset.worldgen import WorldConfig, generate_world
+
+        world = generate_world(
+            WorldConfig(n_links=300, target_sample=300, seed=11)
+        )
+        assert world_golden.digest(world) == world_golden.section(
+            "world_300_seed11", world
+        )
 
     def test_bot_did_substantial_work(self, small_world):
         stats = small_world.bot.stats
