@@ -153,6 +153,10 @@ class RevisionError(WikiError):
     """Raised for invalid edit-history operations."""
 
 
+class EventLogError(WikiError):
+    """Raised when the link event log's URL index disagrees with the log."""
+
+
 class DatasetError(ReproError):
     """Raised when dataset collection or sampling cannot proceed."""
 

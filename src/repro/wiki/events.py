@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..clock import SimTime
+from ..errors import EventLogError
 
 __all__ = [
     "EventLog",
@@ -98,8 +99,10 @@ class EventLog:
         """Record one event and index it by URL."""
         position = len(self._events)
         self._events.append(event)
-        self._by_url.setdefault(event.url, []).append(position)
-        assert self._events[self._by_url[event.url][-1]] is event
+        positions = self._by_url.setdefault(event.url, [])
+        positions.append(position)
+        if self._events[positions[-1]] is not event:
+            raise EventLogError(f"index for {event.url!r} missed position {position}")
 
     def events(self) -> tuple[LinkEvent, ...]:
         """All events in emission order."""
@@ -139,15 +142,24 @@ class EventLog:
         return len(self._events)
 
     def verify_index(self) -> None:
-        """Assert the URL index agrees with a full-log scan."""
+        """Check the URL index agrees with a full-log scan.
+
+        Raises :class:`~repro.errors.EventLogError` on any disagreement
+        (a typed error, not an ``assert``, so the check also runs under
+        ``python -O``).
+        """
         scanned: dict[str, list[int]] = {}
         for position, event in enumerate(self._events):
             scanned.setdefault(event.url, []).append(position)
-        assert scanned == self._by_url, "EventLog URL index out of sync"
+        if scanned != self._by_url:
+            raise EventLogError("EventLog URL index out of sync")
         for url in scanned:
-            assert self.events_for(url) == tuple(
+            if self.events_for(url) != tuple(
                 event for event in self._events if event.url == url
-            ), f"indexed answer for {url!r} disagrees with scan"
+            ):
+                raise EventLogError(
+                    f"indexed answer for {url!r} disagrees with scan"
+                )
 
     def __len__(self) -> int:
         return len(self._events)

@@ -189,6 +189,22 @@ def test_apply_delta_refuses_wrong_base_and_corruption(reconfig_run):
     assert issubclass(ReconfigError, ReproError)
 
 
+def test_apply_delta_refuses_a_url_upserted_twice(reconfig_run):
+    _, generations = reconfig_run
+    g0, g1, _ = generations
+    delta = GenerationDelta.between(g0.index, g1.index)
+    assert delta.upserts
+    twice = GenerationDelta(
+        from_version=delta.from_version,
+        to_version=delta.to_version,
+        upserts=delta.upserts + delta.upserts[:1],
+        removals=delta.removals,
+        gap_days=delta.gap_days,
+    )
+    with pytest.raises(ReconfigError, match="upserted twice"):
+        apply_delta(g0.index, twice)
+
+
 def test_publisher_build_delta_and_metrics(reconfig_run):
     publisher, generations = reconfig_run
     g0, g1, g2 = generations
@@ -693,6 +709,7 @@ def test_plan_rebalance_on_shard_remove_moves_only_its_keys(keys, shards):
 
 
 def test_event_log_verify_index_fails_on_corruption():
+    from repro.errors import EventLogError
     from repro.wiki.events import EventLog, LinkPostedEvent
 
     log = EventLog()
@@ -703,19 +720,19 @@ def test_event_log_verify_index_fails_on_corruption():
     log.verify_index()
     # A dropped posting: the index disagrees with a full scan.
     dropped = log._by_url["http://u0.test/"].pop()
-    with pytest.raises(AssertionError, match="out of sync"):
+    with pytest.raises(EventLogError, match="out of sync"):
         log.verify_index()
     log._by_url["http://u0.test/"].append(dropped)
     log.verify_index()  # restored — sanity before the next corruption
     # A phantom URL key fails the same dict comparison.
     log._by_url["http://ghost.test/"] = [1]
-    with pytest.raises(AssertionError, match="out of sync"):
+    with pytest.raises(EventLogError, match="out of sync"):
         log.verify_index()
     del log._by_url["http://ghost.test/"]
     # Positions out of emission order break the per-URL ordering check
     # even when the key sets agree.
     log._by_url["http://u0.test/"].reverse()
-    with pytest.raises(AssertionError):
+    with pytest.raises(EventLogError, match="out of sync"):
         log.verify_index()
 
 

@@ -304,3 +304,68 @@ class TestTemplateBuilders:
     def test_make_template_hyphenates(self):
         t = make_template("x", fix_attempted="yes")
         assert t.get("fix-attempted") == "yes"
+
+
+class TestRevisionParsing:
+    def test_wikitext_is_parsed_once_and_copies_returned(self, monkeypatch):
+        import repro.wiki.article as article_module
+
+        calls = []
+        real = article_module.extract_link_refs
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(article_module, "extract_link_refs", counting)
+        article = Article(title="A")
+        revision = article.edit(T2016, "U", "* " + cite_web(URL, "S").render())
+        first = revision.link_refs()
+        first.clear()
+        second = revision.link_refs()
+        assert [ref.url for ref in second] == [URL]
+        assert second is not revision.link_refs()
+        assert len(calls) == 1
+
+    def test_memo_is_invisible_to_equality(self):
+        one = Article(title="A").edit(T2016, "U", "* [" + URL + "]")
+        two = Article(title="A").edit(T2016, "U", "* [" + URL + "]")
+        one.link_refs()
+        assert one == two and hash(one) == hash(two)
+        assert "_refs" not in repr(one)
+
+
+_CORRUPT_EVENT_LOG_SCRIPT = """
+from repro.clock import SimTime
+from repro.errors import EventLogError
+from repro.wiki.events import EventLog, LinkPostedEvent
+
+log = EventLog()
+for i in range(4):
+    log.append(LinkPostedEvent(f"http://u{i % 2}.test/", "A", SimTime(float(i))))
+log._by_url["http://u0.test/"].pop()
+try:
+    log.verify_index()
+except EventLogError as error:
+    print(type(error).__name__)
+else:
+    print("passed")
+"""
+
+
+def test_event_log_corruption_detected_under_optimize():
+    """``verify_index`` must not vanish under ``python -O``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_EVENT_LOG_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["EventLogError"]
