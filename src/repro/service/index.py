@@ -16,6 +16,14 @@ is reproducible for as long as the version string it was served under
 is. Entries are frozen dataclasses, collections are tuples, and the
 lookup tables are :class:`types.MappingProxyType` views — mutation
 raises instead of corrupting.
+
+One entry per URL is the other half of the contract. Point lookups,
+bucket counts, ECDFs and the content hash would disagree about a URL
+studied twice (a lookup sees one entry, the aggregates count both), so
+an index refuses duplicate URLs with :class:`DuplicateEntryError`.
+Every producer already emits each URL once: the collector and the
+incremental study dedupe across articles, and ``apply_delta`` rejects
+a delta that upserts one URL twice.
 """
 
 from __future__ import annotations
@@ -25,10 +33,15 @@ import json
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from ..errors import ReproError
 from ..net.status import FIGURE4_ORDER
 from ..reporting.cdf import Ecdf, ecdf
 
-__all__ = ["LinkStatusEntry", "LinkStatusIndex"]
+__all__ = ["DuplicateEntryError", "LinkStatusEntry", "LinkStatusIndex"]
+
+
+class DuplicateEntryError(ReproError, ValueError):
+    """Raised when an index would hold two entries for one URL."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,8 +157,13 @@ class LinkStatusIndex:
         self._entries = entries
         self._gap_days = tuple(gap_days)
         by_url: dict[str, LinkStatusEntry] = {}
-        for entry in entries:
-            by_url.setdefault(entry.url, entry)
+        for position, entry in enumerate(entries):
+            if entry.url in by_url:
+                raise DuplicateEntryError(
+                    f"url {entry.url!r} appears twice (again at entry "
+                    f"{position}); an index holds one entry per URL"
+                )
+            by_url[entry.url] = entry
         by_domain = group_by(entries, "domain")
         by_bucket = group_by(entries, "bucket")
         self._by_url = MappingProxyType(by_url)

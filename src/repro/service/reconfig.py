@@ -293,6 +293,10 @@ def apply_delta(
         )
     removed = set(delta.removals)
     upserted = {entry.url for _, entry in delta.upserts}
+    if len(upserted) != len(delta.upserts):
+        raise ReconfigError(
+            f"corrupt delta {delta.delta_id}: a URL is upserted twice"
+        )
     survivors = [
         entry
         for entry in base.entries

@@ -239,6 +239,15 @@ def live_run():
     return world, publisher, generations, results
 
 
+def test_incremental_builds_emit_each_url_once(live_run):
+    # The index refuses duplicate URLs; every incremental generation
+    # must therefore sample each URL once (cross-article dedup).
+    _, _, generations, results = live_run
+    for result, generation in zip(results, generations):
+        urls = [outcome.record.url for outcome in result.report.outcomes]
+        assert len(urls) == len(set(urls)) == len(generation.index)
+
+
 def test_wiki_feed_cursor_pages_partition_exactly(live_run):
     world, _, _, _ = live_run
     api = WikiApi(world.encyclopedia)

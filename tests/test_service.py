@@ -147,6 +147,29 @@ def test_index_requires_outcomes(small_report):
 # -- index: aggregate endpoints byte-match the batch report ----------------------
 
 
+def test_index_holds_one_entry_per_url(small_report, service_index):
+    # The producer dedupes across articles, so every view — lookup,
+    # bucket counts, ECDFs, version — counts each URL exactly once.
+    urls = [outcome.record.url for outcome in small_report.outcomes]
+    assert len(urls) == len(set(urls)) == len(service_index)
+    for entry in service_index.entries:
+        assert service_index.lookup(entry.url) is entry
+
+
+def test_index_refuses_duplicate_urls(small_report, service_index):
+    from repro.service.index import DuplicateEntryError
+
+    entries = service_index.entries
+    with pytest.raises(DuplicateEntryError, match="appears twice"):
+        LinkStatusIndex(entries=entries + entries[:1])
+    doubled = dataclasses.replace(
+        small_report, outcomes=small_report.outcomes + small_report.outcomes[-1:]
+    )
+    with pytest.raises(DuplicateEntryError, match=f"entry {len(entries)}"):
+        LinkStatusIndex.build(doubled)
+    assert issubclass(DuplicateEntryError, ValueError)
+
+
 def test_bucket_counts_byte_match_batch_report(small_report, service_index):
     batch = {outcome.value: n for outcome, n in small_report.counts.items()}
     assert service_index.bucket_counts() == batch
