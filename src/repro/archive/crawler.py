@@ -24,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..clock import SimTime, EVENTSTREAM_START, WNRT_START
+from ..errors import UrlError
 from ..net.fetch import Fetcher
 from ..rng import Stream
 from ..textsim.shingles import minhash_sketch
+from ..urls.parse import ParsedUrl, QueryArgs, UrlMemo, parse_url
+from ..web.robots import RobotsRules, parse_robots
 from .snapshot import Snapshot
 from .store import SnapshotStore
 
@@ -47,9 +50,6 @@ class CrawlPolicy:
 
     def crawlable(self, url: str) -> bool:
         """Whether the frontier accepts ``url``."""
-        from ..errors import UrlError
-        from ..urls.parse import QueryArgs, parse_url
-
         try:
             parsed = parse_url(url)
         except UrlError:
@@ -68,6 +68,13 @@ class BodySketcher:
     O(1) after the first. The lost token perturbs the true sketch
     negligibly (4 shingles out of hundreds).
 
+    A stem is several kilobytes, so slicing and hashing it on every
+    capture would cost more than the rest of the lookup. Known stems
+    are therefore also indexed by a fingerprint (stem length and its
+    last :data:`FINGERPRINT_CHARS` characters); a fingerprint hit is
+    confirmed by comparing the stored stem with the body's prefix, so
+    the answer and ``misses`` are exactly those of a lookup by stem.
+
     Sketching runs on whichever numeric backend
     :mod:`repro.numerics` selected — the numpy kernels when the
     ``repro[numpy]`` extra is installed, value-identical pure-stdlib
@@ -75,18 +82,32 @@ class BodySketcher:
     (``tests/test_install_smoke.py`` pins this).
     """
 
+    FINGERPRINT_CHARS = 32
+
     def __init__(self) -> None:
         self._cache: dict[str, tuple[int, ...]] = {}
+        #: ``(len(stem), stem tail) -> stem`` for every cached stem.
+        self._stems: dict[tuple[int, str], str] = {}
         self.misses = 0
 
     def sketch(self, body: str) -> tuple[int, ...]:
         """MinHash sketch of ``body`` (cached on its stable stem)."""
-        stem = body.rsplit(" ", 1)[0] if " " in body else body
+        cut = body.rfind(" ")
+        if cut < 0:
+            stem = body
+        else:
+            key = (cut, body[max(0, cut - self.FINGERPRINT_CHARS): cut])
+            known = self._stems.get(key)
+            if known is not None and body.startswith(known):
+                return self._cache[known]
+            stem = body[:cut]
         cached = self._cache.get(stem)
         if cached is None:
             self.misses += 1
             cached = minhash_sketch(stem)
             self._cache[stem] = cached
+        if cut >= 0:
+            self._stems[key] = stem
         return cached
 
 
@@ -113,7 +134,8 @@ class ArchiveCrawler:
         self._store = store
         self._sketcher = BodySketcher()
         self._honor_robots = honor_robots
-        self._robots_cache: dict[str, tuple[float, "RobotsRules"]] = {}
+        self._robots_cache: dict[str, tuple[float, RobotsRules]] = {}
+        self._urls = UrlMemo()
         self.capture_attempts = 0
         self.capture_failures = 0
         self.robots_denied = 0
@@ -127,23 +149,30 @@ class ArchiveCrawler:
         in the archive, exactly like the real Wayback Machine.
         """
         self.capture_attempts += 1
-        if self._honor_robots and not self._robots_allow(url, at):
+        try:
+            target = self._urls.parse(url)
+        except UrlError:
+            target = None
+        if self._honor_robots and (
+            target is None or not self._robots_allow_parsed(target, at)
+        ):
             self.robots_denied += 1
             return None
-        result = self._fetcher.fetch(url, at)
-        if not result.chain:
+        result = self._fetcher.fetch(url if target is None else target, at)
+        chain = result.chain
+        if not chain:
             self.capture_failures += 1
             return None
-        initial = result.chain[0]
-        final = result.chain[-1]
+        initial = chain[0]
+        final = chain[-1]
         snapshot = Snapshot(
-            url=url,
-            captured_at=at,
-            initial_status=initial.status,
-            redirect_location=initial.location if initial.is_redirect else None,
-            final_status=final.status,
-            final_url=final.url,
-            sketch=self._sketcher.sketch(final.body),
+            url,
+            at,
+            initial.status,
+            initial.location if initial.is_redirect else None,
+            final.status,
+            final.url,
+            self._sketcher.sketch(final.body),
         )
         self._store.add(snapshot)
         return snapshot
@@ -154,15 +183,15 @@ class ArchiveCrawler:
 
     def _robots_allow(self, url: str, at: SimTime) -> bool:
         """Consult the host's (cached) robots.txt for ``url``."""
-        from ..errors import UrlError
-        from ..urls.parse import parse_url
-        from ..web.robots import RobotsRules, parse_robots
-
         try:
-            parsed = parse_url(url)
+            parsed = self._urls.parse(url)
         except UrlError:
             return False
-        if parsed.path == "/robots.txt":
+        return self._robots_allow_parsed(parsed, at)
+
+    def _robots_allow_parsed(self, parsed: ParsedUrl, at: SimTime) -> bool:
+        path = parsed.path
+        if path == "/robots.txt":
             return True
         host = parsed.host_lower
         cached = self._robots_cache.get(host)
@@ -176,9 +205,8 @@ class ArchiveCrawler:
                 # Unreachable or missing robots: everything allowed
                 # (the capture itself will fail if the host is gone).
                 rules = RobotsRules()
-            self._robots_cache[host] = (at.days, rules)
-            cached = self._robots_cache[host]
-        return cached[1].allows(parsed.path)
+            cached = self._robots_cache[host] = (at.days, rules)
+        return cached[1].allows(path)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,16 +227,29 @@ class OrganicCrawlPlanner:
         rng: Stream,
     ) -> list[SimTime]:
         """Capture instants for one URL."""
+        return [
+            SimTime(days)
+            for days in self.plan_days(available_from, rate_per_year, rng)
+        ]
+
+    def plan_days(
+        self,
+        available_from: SimTime,
+        rate_per_year: float,
+        rng: Stream,
+    ) -> list[float]:
+        """:meth:`plan`'s instants as day numbers (``SimTime.days``)."""
         if rate_per_year <= 0:
             return []
-        times: list[SimTime] = []
-        mean_gap_days = 365.2425 / rate_per_year
+        days: list[float] = []
+        rate = 1.0 / (365.2425 / rate_per_year)
+        horizon = self.horizon.days
         cursor = available_from.days
         while True:
-            cursor += rng.expovariate(1.0 / mean_gap_days)
-            if cursor >= self.horizon.days:
-                return times
-            times.append(SimTime(cursor))
+            cursor += rng.expovariate(rate)
+            if cursor >= horizon:
+                return days
+            days.append(cursor)
 
 
 @dataclass(frozen=True, slots=True)

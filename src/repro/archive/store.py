@@ -45,7 +45,12 @@ class SnapshotStore:
             self._by_host.setdefault(parsed.host_lower, set()).add(snapshot.url)
             domain = default_psl().registrable_domain(parsed.host_lower)
             self._by_domain.setdefault(domain, set()).add(snapshot.url)
-        insort(per_url, snapshot, key=lambda s: s.captured_at.days)
+        if per_url and per_url[-1].captured_at.days > snapshot.captured_at.days:
+            insort(per_url, snapshot, key=lambda s: s.captured_at.days)
+        else:
+            # Captures arrive in time order during replay; appending is
+            # exactly insort's placement (after every equal timestamp).
+            per_url.append(snapshot)
         self._count += 1
 
     # -- per-URL reads ------------------------------------------------------------

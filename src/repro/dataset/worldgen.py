@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..archive.availability import AvailabilityApi, AvailabilityPolicy
 from ..archive.cdx import CdxApi
@@ -316,8 +317,9 @@ def generate_world(config: WorldConfig | None = None) -> World:
 # -- event assembly ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Event:
+class _Event(NamedTuple):
+    """One replay event; tuple order is the replay order."""
+
     days: float
     kind: _EventKind
     seq: int
@@ -340,7 +342,7 @@ def _assemble_events(
     def push(days: float, kind: _EventKind, payload: tuple) -> None:
         """Append one replay event with a stable sequence number."""
         nonlocal seq
-        events.append(_Event(days=days, kind=kind, seq=seq, payload=payload))
+        events.append(_Event(days, kind, seq, payload))
         seq += 1
 
     # Wiki edits: group links into articles, one creation edit plus one
@@ -370,10 +372,10 @@ def _assemble_events(
     for seed in built.seeds:
         if not config.crawl_policy.crawlable(seed.url):
             continue
-        for instant in organic.plan(
+        for days in organic.plan_days(
             seed.available_from, seed.rate_per_year, crawl_rng
         ):
-            push(instant.days, _EventKind.CAPTURE, (seed.url,))
+            push(days, _EventKind.CAPTURE, (seed.url,))
 
     # Profile-scheduled capture attempts for the wiki-linked URLs.
     for url, instant in built.fixed_captures:
@@ -415,7 +417,9 @@ def _assemble_events(
     for index, sweep_at in enumerate(config.sweep_times):
         push(sweep_at.days, _EventKind.SWEEP, (index % config.sweep_shards,))
 
-    events.sort(key=_Event.sort_key)
+    # Sequence numbers are unique, so tuple order is sort_key order and
+    # payloads are never compared.
+    events.sort()
     return events
 
 
@@ -466,37 +470,39 @@ def _replay(
     bot: InternetArchiveBot,
     shards: int,
 ) -> None:
-    for event in events:
-        at = SimTime(event.days)
-        if event.kind is _EventKind.CREATE_ARTICLE:
-            title, link, as_cite = event.payload
+    shard_of: dict[str, int] = {}
+    for days, kind, _, payload in events:
+        at = SimTime(days)
+        if kind is _EventKind.CAPTURE:
+            crawler.capture(payload[0], at)
+        elif kind is _EventKind.CREATE_ARTICLE:
+            title, link, as_cite = payload
             body = (
                 f"'''{title}''' is a subject with external references.\n\n"
                 "== References ==\n"
                 f"* {_ref_text(link, as_cite)}\n"
             )
             encyclopedia.create_article(title, at, _editor_name(link), body)
-        elif event.kind is _EventKind.ADD_LINK:
-            title, link, as_cite = event.payload
+        elif kind is _EventKind.ADD_LINK:
+            title, link, as_cite = payload
             body = encyclopedia.article(title).wikitext
             body += f"* {_ref_text(link, as_cite)}\n"
             encyclopedia.edit_article(
                 title, at, _editor_name(link), body, comment="added reference"
             )
-        elif event.kind is _EventKind.CAPTURE:
-            (url,) = event.payload
-            crawler.capture(url, at)
-        elif event.kind is _EventKind.HUMAN_MARK:
-            title, url = event.payload
+        elif kind is _EventKind.HUMAN_MARK:
+            title, url = payload
             _human_mark(encyclopedia, title, url, at)
         else:
-            (shard,) = event.payload
-            titles = tuple(
-                title
-                for title in encyclopedia.titles()
-                if _sweep_shard(title, shards) == shard
-            )
-            bot.run_sweep(at, titles=titles)
+            (shard,) = payload
+            titles = []
+            for title in encyclopedia.titles():
+                title_shard = shard_of.get(title)
+                if title_shard is None:
+                    title_shard = shard_of[title] = _sweep_shard(title, shards)
+                if title_shard == shard:
+                    titles.append(title)
+            bot.run_sweep(at, titles=tuple(titles))
 
 
 def _ref_text(link: LinkPlan, as_cite: bool) -> str:

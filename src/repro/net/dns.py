@@ -32,9 +32,10 @@ class DnsRecord:
 
     def active_at(self, at: SimTime) -> bool:
         """Whether the registration interval covers instant ``at``."""
-        if at < self.registered_at:
+        days = at.days
+        if days < self.registered_at.days:
             return False
-        return self.expires_at is None or at < self.expires_at
+        return self.expires_at is None or days < self.expires_at.days
 
 
 @dataclass

@@ -16,7 +16,7 @@ from ..clock import SimTime
 from ..errors import ConnectionTimeout, DnsError, UrlError
 from ..obs.trace import Tracer
 from ..retry import RetryCounters, RetryPolicy
-from ..urls.parse import ParsedUrl, parse_url
+from ..urls.parse import ParsedUrl, UrlMemo
 from .dns import DnsTable
 from .http import HttpRequest, HttpResponse
 from .status import Outcome, classify_final_status
@@ -126,22 +126,29 @@ class Fetcher:
         self._retry_policy = retry_policy
         self._tracer = tracer
         self._fetch_count = 0
+        self._urls = UrlMemo()
         self.retry_counters = RetryCounters()
         # The two transport legs ride the shared retry layer; both pool
         # into this fetcher's RetryCounters, so retry/giveup/backoff
-        # accounting spans DNS and connect together.
-        self._resolve = RetryLayer(
-            Op("dns.resolve", lambda req: self._dns.resolve(req[0], req[1])),
-            policy=retry_policy,
-            key_fn=lambda req: f"dns:{req[0]}",
-            counters=self.retry_counters,
-        )
-        self._connect = RetryLayer(
-            Op("origin.handle", lambda req: self._origin.handle(*req)),
-            policy=retry_policy,
-            key_fn=lambda req: f"connect:{req[1].url}",
-            counters=self.retry_counters,
-        )
+        # accounting spans DNS and connect together. Without an enabled
+        # policy the layer's own path is "call once, propagate
+        # everything", so the legs call DNS and the origin directly.
+        self._legs: tuple[RetryLayer, RetryLayer] | None = None
+        if retry_policy is not None and retry_policy.enabled:
+            self._legs = (
+                RetryLayer(
+                    Op("dns.resolve", lambda req: self._dns.resolve(*req)),
+                    policy=retry_policy,
+                    key_fn=lambda req: f"dns:{req[0]}",
+                    counters=self.retry_counters,
+                ),
+                RetryLayer(
+                    Op("origin.handle", lambda req: self._origin.handle(*req)),
+                    policy=retry_policy,
+                    key_fn=lambda req: f"connect:{req[1].url}",
+                    counters=self.retry_counters,
+                ),
+            )
 
     @property
     def fetch_count(self) -> int:
@@ -186,7 +193,7 @@ class Fetcher:
     def _fetch(self, url: str | ParsedUrl, at: SimTime) -> FetchResult:
         self._fetch_count += 1
         try:
-            current = parse_url(url) if isinstance(url, str) else url
+            current = self._urls.parse(url) if isinstance(url, str) else url
         except UrlError as exc:
             return FetchResult(
                 url=str(url), outcome=Outcome.DNS_FAILURE, error=str(exc)
@@ -194,10 +201,14 @@ class Fetcher:
         requested = str(current)
         chain: list[HttpResponse] = []
         seen: set[str] = set()
+        legs = self._legs
         for _ in range(self._max_redirects + 1):
             host = current.host_lower
             try:
-                record = self._resolve.call((host, at))
+                if legs is None:
+                    record = self._dns.resolve(host, at)
+                else:
+                    record = legs[0].call((host, at))
             except DnsError as exc:
                 if chain:
                     # A redirect pointed at a dead hostname; the final
@@ -212,9 +223,12 @@ class Fetcher:
                 return FetchResult(
                     url=requested, outcome=Outcome.DNS_FAILURE, error=str(exc)
                 )
-            request = HttpRequest(url=current)
+            request = HttpRequest(current)
             try:
-                response = self._connect.call((record.address, request, at))
+                if legs is None:
+                    response = self._origin.handle(record.address, request, at)
+                else:
+                    response = legs[1].call((record.address, request, at))
             except ConnectionTimeout as exc:
                 if chain:
                     return FetchResult(
@@ -229,12 +243,9 @@ class Fetcher:
             chain.append(response)
             if not response.is_redirect:
                 return FetchResult(
-                    url=requested,
-                    outcome=classify_final_status(response.status),
-                    chain=tuple(chain),
+                    requested, classify_final_status(response.status), tuple(chain)
                 )
             target = response.location
-            assert target is not None
             if target in seen or target == str(current):
                 # Redirect loop: surface what we have as OTHER.
                 return FetchResult(
@@ -245,7 +256,7 @@ class Fetcher:
                 )
             seen.add(str(current))
             try:
-                current = parse_url(target)
+                current = self._urls.parse(target)
             except UrlError as exc:
                 return FetchResult(
                     url=requested,

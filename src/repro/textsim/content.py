@@ -61,18 +61,21 @@ _LOGIN_TEMPLATE = (
 BOILERPLATE_WORDS = 900
 
 
+#: ``byte -> byte % len(_VOCAB)``, for ``bytes.translate``.
+_BYTE_TO_WORD = bytes(byte % len(_VOCAB) for byte in range(256))
+
+
 def _words_from_digest(seed: str, count: int) -> list[str]:
-    """Deterministically expand ``seed`` into ``count`` vocabulary words."""
-    words: list[str] = []
-    counter = 0
-    while len(words) < count:
-        digest = hashlib.sha256(f"{seed}:{counter}".encode("utf-8")).digest()
-        for byte in digest:
-            words.append(_VOCAB[byte % len(_VOCAB)])
-            if len(words) == count:
-                break
-        counter += 1
-    return words
+    """Deterministically expand ``seed`` into ``count`` vocabulary words.
+
+    Word ``i`` is ``_VOCAB[b % len(_VOCAB)]`` for byte ``i`` of the
+    concatenated digests ``sha256(f"{seed}:{counter}")``, counter 0, 1, ….
+    """
+    digests = b"".join(
+        hashlib.sha256(f"{seed}:{counter}".encode("utf-8")).digest()
+        for counter in range(-(-count // 32))
+    )
+    return list(map(_VOCAB.__getitem__, digests[:count].translate(_BYTE_TO_WORD)))
 
 
 @dataclass(frozen=True, slots=True)

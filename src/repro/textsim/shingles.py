@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import zlib
+from array import array
 
 from ..numerics import get_numpy
 
@@ -131,6 +132,11 @@ _token_hash_cache: dict[str, int] = {}
 def _token_hashes(tokens: list[str]) -> list[int]:
     """Stable crc32 per token, memoised in a bounded cache."""
     cache = _token_hash_cache
+    values = list(map(cache.get, tokens))
+    if None not in values:
+        # Every token seen before: page text draws from a small
+        # vocabulary, so this is the common case.
+        return values
     if len(cache) >= TOKEN_CACHE_MAX:
         cache.clear()
     values = []
@@ -164,23 +170,51 @@ def shingle_hash_values(tokens: list[str], k: int) -> list[int]:
     return out
 
 
+#: numpy forms of the hash-family constants, built on first use (numpy
+#: may not be installed, and importing this module must stay cheap):
+#: the rotation shifts, the permutation columns, and the shingle
+#: multipliers grown alongside :data:`_SHINGLE_MULTIPLIERS`.
+_np_constants: list = []
+_np_shingle_multipliers: list = []
+
+
+def _numpy_constants(np, k: int) -> tuple:
+    """``(7, 57, multiplier column, xor column, shingle multipliers)``."""
+    if not _np_constants:
+        _np_constants.extend((
+            np.uint64(7),
+            np.uint64(57),
+            np.asarray(PERMUTE_MULTIPLIERS, dtype=np.uint64)[:, None],
+            np.asarray(PERMUTE_XORS, dtype=np.uint64)[:, None],
+        ))
+    mults = _shingle_multipliers(k)
+    while len(_np_shingle_multipliers) < len(mults):
+        _np_shingle_multipliers.append(
+            np.uint64(mults[len(_np_shingle_multipliers)])
+        )
+    return (*_np_constants, _np_shingle_multipliers)
+
+
 def shingle_hash_vector(tokens: list[str], k: int):
     """Vector of 64-bit hashes, one per k-shingle of ``tokens`` (numpy).
 
     Only callable on the numpy backend; stdlib callers use
-    :func:`shingle_hash_values`.
+    :func:`shingle_hash_values`. Array integer arithmetic wraps modulo
+    2**64 without overflow checks, which is the masking the pure path
+    spells out.
     """
     np = get_numpy()
-    hashes = np.asarray(_token_hashes(tokens), dtype=np.uint64)
+    hashes = np.frombuffer(array("Q", _token_hashes(tokens)), dtype=np.uint64)
     if len(tokens) < k:
         k = len(tokens)
-    mixed = np.zeros(len(tokens) - k + 1, dtype=np.uint64)
-    mults = _shingle_multipliers(k)
-    with np.errstate(over="ignore"):
-        for offset in range(k):
-            lane = hashes[offset: len(hashes) - k + 1 + offset]
-            mixed ^= lane * np.uint64(mults[offset])
-            mixed = (mixed << np.uint64(7)) | (mixed >> np.uint64(57))
+    seven, fifty_seven, _, _, mults = _numpy_constants(np, k)
+    width = len(tokens) - k + 1
+    mixed = np.zeros(width, dtype=np.uint64)
+    for offset in range(k):
+        mixed ^= hashes[offset: width + offset] * mults[offset]
+        carry = mixed >> fifty_seven
+        mixed <<= seven
+        mixed |= carry
     return mixed
 
 
@@ -194,13 +228,15 @@ def _minhash_py(tokens: list[str], k: int) -> tuple[int, ...]:
 
 
 def _minhash_np(np, tokens: list[str], k: int) -> tuple[int, ...]:
-    """Vectorised MinHash over the unique shingle hashes."""
-    shingle_hashes = np.unique(shingle_hash_vector(tokens, k))
-    mults = np.asarray(PERMUTE_MULTIPLIERS, dtype=np.uint64)[:, None]
-    xors = np.asarray(PERMUTE_XORS, dtype=np.uint64)[:, None]
-    with np.errstate(over="ignore"):
-        permuted = (shingle_hashes[None, :] ^ xors) * mults
-    return tuple(int(value) for value in permuted.min(axis=1))
+    """Vectorised MinHash over the shingle hashes.
+
+    Repeated shingles are not removed first: a minimum over a multiset
+    equals the minimum over its set, so the sketch is the same.
+    """
+    shingle_hashes = shingle_hash_vector(tokens, k)
+    _, _, mults, xors, _ = _numpy_constants(np, k)
+    permuted = (shingle_hashes[None, :] ^ xors) * mults
+    return tuple(permuted.min(axis=1).tolist())
 
 
 def minhash_sketch(text: str, k: int = DEFAULT_K) -> tuple[int, ...]:

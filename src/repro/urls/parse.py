@@ -31,12 +31,16 @@ class ParsedUrl:
         path: from the first ``/`` up to but excluding ``?``; always
             begins with ``/``.
         query: everything after the first ``?`` (empty if none).
+        host_lower: hostname lowercased, port stripped — for DNS and
+            PSL lookups (derived, computed once at construction).
     """
 
     scheme: str
     hostname: str
     path: str = "/"
     query: str = ""
+    host_lower: str = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEMES:
@@ -45,14 +49,14 @@ class ParsedUrl:
             raise UrlError("empty hostname")
         if not self.path.startswith("/"):
             raise UrlError(f"path must start with '/', got {self.path!r}")
-
-    @property
-    def host_lower(self) -> str:
-        """Hostname lowercased, port stripped — for DNS and PSL lookups."""
         host = self.hostname.lower()
         if ":" in host:
             host = host.split(":", 1)[0]
-        return host
+        object.__setattr__(self, "host_lower", host)
+        text = f"{self.scheme}://{self.hostname}{self.path}"
+        if self.query:
+            text += f"?{self.query}"
+        object.__setattr__(self, "_text", text)
 
     @property
     def directory(self) -> str:
@@ -98,10 +102,7 @@ class ParsedUrl:
         )
 
     def __str__(self) -> str:
-        url = f"{self.scheme}://{self.hostname}{self.path}"
-        if self.query:
-            url += f"?{self.query}"
-        return url
+        return self._text
 
 
 def parse_url(url: str) -> ParsedUrl:
@@ -136,6 +137,43 @@ def parse_url(url: str) -> ParsedUrl:
     else:
         path, query = path_and_query, ""
     return ParsedUrl(scheme=scheme, hostname=hostname, path=path, query=query)
+
+
+#: Entry bound of a :class:`UrlMemo`. A world's replay sees a few
+#: thousand distinct URLs per thousand links, so the bound is rarely
+#: reached; it exists so that a long-lived owner fed unknown URLs
+#: cannot grow the memo without limit. Parsing is pure, so clearing
+#: the memo never changes a result.
+URL_MEMO_MAX = 1 << 16
+
+
+class UrlMemo:
+    """:func:`parse_url` memoised per URL string, for one owner.
+
+    The crawler and the fetcher see the same few thousand URLs tens of
+    thousands of times over a world's replay; each keeps one of these
+    so a URL string is parsed once. Malformed URLs are not memoised:
+    they raise :class:`~repro.errors.UrlError` on every call, exactly
+    as :func:`parse_url` does.
+    """
+
+    __slots__ = ("_parsed",)
+
+    def __init__(self) -> None:
+        self._parsed: dict[str, ParsedUrl] = {}
+
+    def parse(self, url: str) -> ParsedUrl:
+        """``parse_url(url)``, parsed at most once per memo fill."""
+        parsed = self._parsed.get(url)
+        if parsed is None:
+            parsed = parse_url(url)
+            if len(self._parsed) >= URL_MEMO_MAX:
+                self._parsed.clear()
+            self._parsed[url] = parsed
+        return parsed
+
+    def __len__(self) -> int:
+        return len(self._parsed)
 
 
 def hostname_of(url: str) -> str:

@@ -96,7 +96,7 @@ class SiteState:
 
     def parked_at(self, at: SimTime) -> bool:
         """Whether the squatter's lander is up at instant ``at``."""
-        return self.parked_from is not None and not at < self.parked_from
+        return self.parked_from is not None and at.days >= self.parked_from.days
 
     def geo_active_at(self, at: SimTime) -> bool:
         """Whether the geo-block affects the vantage at ``at``."""
@@ -104,8 +104,11 @@ class SiteState:
             return False
         if self.geo_from is None:
             return True
-        return not at < self.geo_from
+        return at.days >= self.geo_from.days
 
     def outage_at(self, at: SimTime) -> bool:
         """Whether any outage window covers instant ``at``."""
-        return any(window.covers(at) for window in self.outages)
+        for window in self.outages:
+            if window.covers(at):
+                return True
+        return False

@@ -102,26 +102,31 @@ class Page:
 
     def status_at(self, at: SimTime) -> PageStatus:
         """The page's behaviour at instant ``at``."""
-        if self.fate is PageFate.NEVER_EXISTED:
+        fate = self.fate
+        if fate is PageFate.NEVER_EXISTED:
             return PageStatus.MISSING
-        if at < self.created_at:
+        days = at.days
+        if days < self.created_at.days:
             return PageStatus.MISSING
-        if self.fate is PageFate.ALIVE:
+        if fate is PageFate.ALIVE:
             return PageStatus.SERVES
-        assert self.died_at is not None
-        if at < self.died_at:
+        # DELETED and MOVED pages always have died_at (__post_init__).
+        if days < self.died_at.days:
             return PageStatus.SERVES
         if (
-            self.fate is PageFate.MOVED
+            fate is PageFate.MOVED
             and self.redirect_added_at is not None
-            and not at < self.redirect_added_at
-            and (self.redirect_removed_at is None or at < self.redirect_removed_at)
+            and days >= self.redirect_added_at.days
+            and (
+                self.redirect_removed_at is None
+                or days < self.redirect_removed_at.days
+            )
         ):
             return PageStatus.REDIRECTS
         if (
-            self.fate is PageFate.DELETED
+            fate is PageFate.DELETED
             and self.revived_at is not None
-            and not at < self.revived_at
+            and days >= self.revived_at.days
         ):
             return PageStatus.SERVES
         return PageStatus.MISSING

@@ -19,6 +19,7 @@ from ..clock import SimTime
 from ..errors import ConnectionTimeout
 from ..net.http import HttpRequest, HttpResponse
 from ..textsim.content import ContentGenerator
+from ..urls.parse import QueryArgs
 from .behaviors import GeoPolicy, MissingPagePolicy, SiteState
 from .page import Page, PageStatus
 from .robots import RobotsRules
@@ -35,8 +36,6 @@ def _canonical_path_query(path_query: str) -> str:
     query as well as their exact string. This is what makes the §5.2
     reordered-parameter recovery meaningful.
     """
-    from ..urls.parse import QueryArgs
-
     if "?" not in path_query:
         return path_query
     path, query = path_query.split("?", 1)
@@ -101,8 +100,9 @@ class Site:
     def missing_policy_at(self, at: SimTime) -> MissingPagePolicy:
         """The missing-page policy in force at instant ``at``."""
         policy = self.missing_policy
+        days = at.days
         for change_at, changed in self.policy_changes:
-            if at < change_at:
+            if days < change_at.days:
                 break
             policy = changed
         return policy
@@ -149,42 +149,44 @@ class Site:
         silently geo-blocked conditions; returns an
         :class:`~repro.net.http.HttpResponse` otherwise.
         """
-        url = str(request.url)
-        path_query = request.url.path + (
-            f"?{request.url.query}" if request.url.query else ""
-        )
+        target = request.url
+        url = str(target)
+        state = self.state
 
-        if self.state.geo_active_at(at):
-            if self.state.geo is GeoPolicy.BLOCKED_TIMEOUT:
+        if state.geo_active_at(at):
+            if state.geo is GeoPolicy.BLOCKED_TIMEOUT:
                 raise ConnectionTimeout(self.hostname)
             return HttpResponse(url=url, status=403, body="access denied")
 
-        if self.state.parked_at(at):
+        if state.parked_at(at):
             return HttpResponse(
                 url=url, status=200, body=self._content.parked_page(nonce).body
             )
 
-        if self.state.outage_at(at):
+        if state.outage_at(at):
             return HttpResponse(url=url, status=503, body="service unavailable")
 
-        if self.state.timeout_probability > 0.0:
+        if state.timeout_probability > 0.0:
             draw = _hash_unit(f"{self.seed}:timeout:{url}:{int(at.days)}")
-            if draw < self.state.timeout_probability:
+            if draw < state.timeout_probability:
                 raise ConnectionTimeout(self.hostname)
 
-        if request.url.path == "/" and not request.url.query:
+        path = target.path
+        query = target.query
+        if path == "/" and not query:
             return HttpResponse(
                 url=url, status=200, body=self._content.homepage(nonce).body
             )
-        if request.url.path == ROBOTS_PATH:
+        if path == ROBOTS_PATH:
             return HttpResponse(url=url, status=200, body=self.robots.render())
-        if request.url.path == LOGIN_PATH:
+        if path == LOGIN_PATH:
             return HttpResponse(
                 url=url, status=200, body=self._content.login_page(nonce).body
             )
 
+        path_query = f"{path}?{query}" if query else path
         page = self._pages.get(path_query)
-        if page is None and request.url.query:
+        if page is None and query:
             # Servers resolve reordered query parameters identically.
             page = self._canonical_pages.get(_canonical_path_query(path_query))
         if page is not None:
@@ -198,7 +200,7 @@ class Site:
                     body=self._content.article(page.path_query, nonce).body,
                 )
             if status is PageStatus.REDIRECTS:
-                assert page.moved_to is not None
+                # A MOVED page always has moved_to (Page.__post_init__).
                 return HttpResponse(url=url, status=301, location=page.moved_to)
         return self._missing(url, nonce, at)
 

@@ -76,31 +76,28 @@ def parse_templates(text: str) -> list[Template]:
     which is what the link-reference extractor needs).
     """
     templates: list[Template] = []
-    index = 0
-    length = len(text)
-    while index < length - 1:
-        if text[index: index + 2] != "{{":
-            index += 1
-            continue
+    index = text.find("{{")
+    while index != -1:
+        # Walk brace pairs from the opening one; text between pairs
+        # cannot change the depth, so jump straight to the next pair.
         depth = 0
         end = index
-        while end < length - 1:
-            pair = text[end: end + 2]
-            if pair == "{{":
+        while True:
+            closing = text.find("}}", end)
+            if closing == -1:
+                raise WikiError(f"unbalanced template braces at offset {index}")
+            opening = text.find("{{", end)
+            if opening != -1 and opening < closing:
                 depth += 1
-                end += 2
-            elif pair == "}}":
+                end = opening + 2
+            else:
                 depth -= 1
-                end += 2
+                end = closing + 2
                 if depth == 0:
                     break
-            else:
-                end += 1
-        if depth != 0:
-            raise WikiError(f"unbalanced template braces at offset {index}")
         body = text[index + 2: end - 2]
         templates.append(_parse_template_body(body, index, end))
-        index = end
+        index = text.find("{{", end)
     return templates
 
 
@@ -121,6 +118,8 @@ def _parse_template_body(body: str, start: int, end: int) -> Template:
 
 def _split_top_level(body: str, separator: str) -> list[str]:
     """Split on ``separator`` outside nested ``{{ }}`` groups."""
+    if "{{" not in body and "}}" not in body:
+        return body.split(separator)
     parts: list[str] = []
     depth = 0
     current: list[str] = []
