@@ -166,13 +166,13 @@ class ArchiveCrawler:
         initial = chain[0]
         final = chain[-1]
         snapshot = Snapshot(
-            url,
-            at,
-            initial.status,
-            initial.location if initial.is_redirect else None,
-            final.status,
-            final.url,
-            self._sketcher.sketch(final.body),
+            url=url,
+            captured_at=at,
+            initial_status=initial.status,
+            redirect_location=initial.location if initial.is_redirect else None,
+            final_status=final.status,
+            final_url=final.url,
+            sketch=self._sketcher.sketch(final.body),
         )
         self._store.add(snapshot)
         return snapshot

@@ -223,7 +223,7 @@ class Fetcher:
                 return FetchResult(
                     url=requested, outcome=Outcome.DNS_FAILURE, error=str(exc)
                 )
-            request = HttpRequest(current)
+            request = HttpRequest(url=current)
             try:
                 if legs is None:
                     response = self._origin.handle(record.address, request, at)
@@ -243,7 +243,9 @@ class Fetcher:
             chain.append(response)
             if not response.is_redirect:
                 return FetchResult(
-                    requested, classify_final_status(response.status), tuple(chain)
+                    url=requested,
+                    outcome=classify_final_status(response.status),
+                    chain=tuple(chain),
                 )
             target = response.location
             if target in seen or target == str(current):

@@ -10,6 +10,7 @@ differ slightly (timestamps, ads, request ids).
 
 from __future__ import annotations
 
+import functools
 import re
 import zlib
 from array import array
@@ -170,29 +171,21 @@ def shingle_hash_values(tokens: list[str], k: int) -> list[int]:
     return out
 
 
-#: numpy forms of the hash-family constants, built on first use (numpy
-#: may not be installed, and importing this module must stay cheap):
-#: the rotation shifts, the permutation columns, and the shingle
-#: multipliers grown alongside :data:`_SHINGLE_MULTIPLIERS`.
-_np_constants: list = []
-_np_shingle_multipliers: list = []
+@functools.cache
+def _numpy_family(np, k: int) -> tuple:
+    """numpy forms of the hash-family constants for ``k``-shingles:
+    ``(7, 57, shingle multipliers, permutation multipliers, xors)``.
 
-
-def _numpy_constants(np, k: int) -> tuple:
-    """``(7, 57, multiplier column, xor column, shingle multipliers)``."""
-    if not _np_constants:
-        _np_constants.extend((
-            np.uint64(7),
-            np.uint64(57),
-            np.asarray(PERMUTE_MULTIPLIERS, dtype=np.uint64)[:, None],
-            np.asarray(PERMUTE_XORS, dtype=np.uint64)[:, None],
-        ))
-    mults = _shingle_multipliers(k)
-    while len(_np_shingle_multipliers) < len(mults):
-        _np_shingle_multipliers.append(
-            np.uint64(mults[len(_np_shingle_multipliers)])
-        )
-    return (*_np_constants, _np_shingle_multipliers)
+    Built on first use, not at import (numpy may be absent, and import
+    time is start-up time); one entry per ``k`` in use.
+    """
+    return (
+        np.uint64(7),
+        np.uint64(57),
+        tuple(np.uint64(m) for m in _shingle_multipliers(k)[:k]),
+        np.asarray(PERMUTE_MULTIPLIERS, dtype=np.uint64)[:, None],
+        np.asarray(PERMUTE_XORS, dtype=np.uint64)[:, None],
+    )
 
 
 def shingle_hash_vector(tokens: list[str], k: int):
@@ -207,7 +200,7 @@ def shingle_hash_vector(tokens: list[str], k: int):
     hashes = np.frombuffer(array("Q", _token_hashes(tokens)), dtype=np.uint64)
     if len(tokens) < k:
         k = len(tokens)
-    seven, fifty_seven, _, _, mults = _numpy_constants(np, k)
+    seven, fifty_seven, mults, _, _ = _numpy_family(np, k)
     width = len(tokens) - k + 1
     mixed = np.zeros(width, dtype=np.uint64)
     for offset in range(k):
@@ -234,7 +227,7 @@ def _minhash_np(np, tokens: list[str], k: int) -> tuple[int, ...]:
     equals the minimum over its set, so the sketch is the same.
     """
     shingle_hashes = shingle_hash_vector(tokens, k)
-    _, _, mults, xors, _ = _numpy_constants(np, k)
+    _, _, _, mults, xors = _numpy_family(np, k)
     permuted = (shingle_hashes[None, :] ^ xors) * mults
     return tuple(permuted.min(axis=1).tolist())
 
