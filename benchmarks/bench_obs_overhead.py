@@ -23,15 +23,6 @@ per-request audit records + exemplar-carrying latency histograms).
 The off run's wire bytes must be identical either way, and the
 observed run must stay within the same 5% bar.
 
-The service arm's overhead is the **median of per-pair ratios**: each
-round serves off and on back to back (the first side alternating
-between rounds) in process CPU time, and the pair's ratio is taken
-before anything is pooled. On a shared VM the CPU's speed changes
-every few hundred milliseconds; two adjacent serves usually share a
-speed, so their ratio cancels it, while the two variants' separate
-minima can come from different speeds (min-of-7 swung by ±20% from
-run to run). The walls recorded are still each variant's minimum.
-
 Writes ``BENCH_obs.json`` at the repo root with both arms' wall
 times, overhead fractions, and volumes, so the numbers are auditable
 from the working tree (EXPERIMENTS.md quotes them).
@@ -46,7 +37,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import statistics
 import time
 
 import pytest
@@ -79,10 +69,6 @@ SERVICE_REQUESTS = int(
 #: neighbor, a GC storm) cannot inflate either side, so the overhead
 #: fraction is stable enough to assert a tight bar on directly.
 ROUNDS = int(os.environ.get("REPRO_BENCH_OBS_ROUNDS", "7"))
-
-#: Service-arm off/on pairs. More than the study arm's rounds: a toy
-#: serve lasts tens of milliseconds, and the 5% bar is asserted here.
-SERVICE_ROUNDS = int(os.environ.get("REPRO_BENCH_OBS_SERVICE_ROUNDS", "15"))
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +191,9 @@ def test_service_obs_overhead(benchmark, service_workload, bench_out):
             audit=audit,
         )
         gc.collect()  # start every round from the same heap state
-        start = time.process_time()
+        start = time.perf_counter()
         result = service.serve(workload)
-        wall = time.process_time() - start
+        wall = time.perf_counter() - start
         # Everything below is off the measured wall — including span
         # and audit materialization, which by design happens on first
         # read, not inside serve().
@@ -219,34 +205,30 @@ def test_service_obs_overhead(benchmark, service_workload, bench_out):
             len(audit) if audit else 0,
         )
 
-    def run() -> tuple[float, float, float, int, int]:
+    def run() -> tuple[float, float, int, int]:
         off_walls: list[float] = []
         on_walls: list[float] = []
         spans = audited = 0
-        off_wire, _, _, _ = serve(False)
-        for index in range(SERVICE_ROUNDS):
-            for observed in (True, False) if index % 2 else (False, True):
-                wire, wall, round_spans, round_audited = serve(observed)
-                assert wire == off_wire, "observability changed the wire bytes"
-                if observed:
-                    on_walls.append(wall)
-                    spans, audited = round_spans, round_audited
-                else:
-                    off_walls.append(wall)
-        ratio = statistics.median(
-            on / max(off, 1e-9) for off, on in zip(off_walls, on_walls)
-        )
-        return min(off_walls), min(on_walls), ratio, spans, audited
+        off_wire = None
+        for _ in range(ROUNDS):
+            wire, wall, _, _ = serve(False)
+            if off_wire is None:
+                off_wire = wire
+            off_walls.append(wall)
+            wire, wall, spans, audited = serve(True)
+            assert wire == off_wire, "observability changed the wire bytes"
+            on_walls.append(wall)
+        return min(off_walls), min(on_walls), spans, audited
 
-    off_wall, on_wall, ratio, spans, audited = benchmark.pedantic(
+    off_wall, on_wall, spans, audited = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-    overhead = ratio - 1.0
+    overhead = on_wall / max(off_wall, 1e-9) - 1.0
 
     print()
     print(
-        f"-- service arm: {len(workload)} requests, median on/off ratio "
-        f"of {SERVICE_ROUNDS} interleaved pairs (CPU time) --"
+        f"-- service arm: {len(workload)} requests, "
+        f"min of {ROUNDS} interleaved rounds --"
     )
     print(
         f"off: {off_wall:.3f}s, on: {on_wall:.3f}s "
@@ -257,8 +239,7 @@ def test_service_obs_overhead(benchmark, service_workload, bench_out):
     payload = json.loads(out.read_text()) if out.exists() else {}
     payload["service"] = {
         "requests": len(workload),
-        "rounds": SERVICE_ROUNDS,
-        "estimator": "median of paired on/off CPU-time ratios",
+        "rounds": ROUNDS,
         "off_seconds": round(off_wall, 4),
         "on_seconds": round(on_wall, 4),
         "overhead_frac": round(overhead, 4),

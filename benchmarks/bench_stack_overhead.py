@@ -17,15 +17,8 @@ identical backend work; the difference is pure middleware plumbing.
 
 A single ~20us fetch swings tens of percent under scheduler/GC noise,
 and the machine drifts over a session — so the variants run in
-*interleaved* rounds, timed in process CPU time, with the first
-variant alternating between rounds. The overhead is the **median of
-per-round ratios**: on a shared VM the CPU's speed changes every few
-hundred milliseconds, and two adjacent timings usually share a speed
-that their ratio cancels, while the variants' separate minima can come
-from different speeds (best-of-9 swung by ±20% from run to run). Every
-round makes at least :data:`ROUND_CALLS` fetches (a small world
-repeats its URL list with a fresh memo per pass, so every call is
-still a miss): a round of a hundred calls lasts about a millisecond.
+*interleaved* rounds and each reports its best round (the minimum is
+the run least polluted by the machine).
 
 Writes ``BENCH_stack.json`` at the repo root with both wall times and
 the overhead fraction, so the number is auditable from the working
@@ -39,7 +32,6 @@ from __future__ import annotations
 
 import gc
 import json
-import statistics
 import time
 
 from repro.analysis.study import Study
@@ -51,11 +43,8 @@ from repro.retry import RetryCounters, call_with_retry
 #: dominate constants, small enough for many rounds per session.
 SLICE = 4000
 
-#: Fetches per timed round, whatever the world size (see module doc).
-ROUND_CALLS = 4000
-
-#: Interleaved timed rounds per variant.
-ROUNDS = 15
+#: Interleaved timed rounds per variant; each reports its minimum.
+ROUNDS = 9
 
 #: The PR's acceptance bar on the recorded overhead.
 MAX_OVERHEAD = 0.05
@@ -107,40 +96,28 @@ def test_stack_overhead(benchmark, world, bench_out):
     hand_responses = [_HandwrittenMemo(fetcher).fetch(url, at) for url in urls]
     stack_responses = [FetchBackend(fetcher).fetch(url, at) for url in urls]
 
-    passes = -(-ROUND_CALLS // max(len(urls), 1))
-
     def one_round(factory) -> float:
-        # Fresh memo per pass: every URL is distinct, so each call is
+        # Fresh memo per round: every URL is distinct, so each call is
         # a miss — the worst case (full walk + store) for both variants.
-        calls = [factory(fetcher).fetch for _ in range(passes)]
         gc.collect()  # level the allocator field between variants
-        start = time.process_time()
-        for call in calls:
-            for url in urls:
-                call(url, at)
-        return time.process_time() - start
+        call = factory(fetcher).fetch
+        start = time.perf_counter()
+        for url in urls:
+            call(url, at)
+        return time.perf_counter() - start
 
     def run() -> dict[str, float]:
         # Warmup both (first-construction and allocator effects), then
-        # alternate so session-scale machine drift hits both equally,
-        # swapping which variant goes first in every other round.
+        # alternate so session-scale machine drift hits both equally.
         one_round(_HandwrittenMemo)
         one_round(FetchBackend)
         hand_rounds, stack_rounds = [], []
-        for index in range(ROUNDS):
-            if index % 2:
-                stack_rounds.append(one_round(FetchBackend))
-                hand_rounds.append(one_round(_HandwrittenMemo))
-            else:
-                hand_rounds.append(one_round(_HandwrittenMemo))
-                stack_rounds.append(one_round(FetchBackend))
+        for _ in range(ROUNDS):
+            hand_rounds.append(one_round(_HandwrittenMemo))
+            stack_rounds.append(one_round(FetchBackend))
         return {
             "handwritten": min(hand_rounds),
             "stacked": min(stack_rounds),
-            "ratio": statistics.median(
-                stack / max(hand, 1e-9)
-                for hand, stack in zip(hand_rounds, stack_rounds)
-            ),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -149,22 +126,19 @@ def test_stack_overhead(benchmark, world, bench_out):
 
     print()
     for name, wall in (("handwritten", hand_wall), ("stacked", stack_wall)):
-        per_call_us = wall / max(len(urls) * passes, 1) * 1e6
+        per_call_us = wall / max(len(urls), 1) * 1e6
         print(
-            f"-- {name}, {len(urls)} distinct URLs x {passes} passes, "
-            f"best of {ROUNDS}: {wall:.4f}s CPU ({per_call_us:.1f}us/fetch)"
+            f"-- {name}, {len(urls)} distinct URLs, best of {ROUNDS}: "
+            f"{wall:.4f}s ({per_call_us:.1f}us/fetch)"
         )
 
     assert stack_responses == hand_responses, (
         "the stack changed the measurement"
     )
-    overhead = results["ratio"] - 1.0
+    overhead = stack_wall / max(hand_wall, 1e-9) - 1.0
     payload = {
         "urls": len(urls),
-        "passes": passes,
         "rounds": ROUNDS,
-        "clock": "process_time",
-        "estimator": "median of paired round ratios",
         "handwritten_seconds": round(hand_wall, 4),
         "stacked_seconds": round(stack_wall, 4),
         "overhead_frac": round(overhead, 4),
