@@ -21,6 +21,7 @@ measurable rather than baked in.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -180,9 +181,10 @@ class WorldConfig:
         if not self.sweep_until < self.study_time:
             raise WorldGenError("sweeps must end before the study begins")
 
-    @property
+    @functools.cached_property
     def sweep_times(self) -> tuple[SimTime, ...]:
-        """IABot sweep instants, first to last."""
+        """IABot sweep instants, first to last (computed once; the
+        builder reads them for every link)."""
         times = []
         cursor = self.first_sweep
         while cursor < self.sweep_until or cursor.days == self.sweep_until.days:

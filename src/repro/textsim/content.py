@@ -113,19 +113,19 @@ class ContentGenerator:
         # them keeps per-request rendering cheap when the same page is
         # fetched many times (bot sweeps, archive captures, probes).
         self._core_cache: dict[str, str] = {}
+        self._article_cores: dict[str, str] = {}
 
     # -- core text per page kind ---------------------------------------------
 
     def article_core(self, path: str) -> str:
         """The stable text of a real page at ``path``."""
-        key = f"article:{path}"
-        core = self._core_cache.get(key)
+        core = self._article_cores.get(path)
         if core is None:
             words = _words_from_digest(
                 f"{self.site_seed}:{path}", self.ARTICLE_WORDS
             )
             core = " ".join(words)
-            self._core_cache[key] = core
+            self._article_cores[path] = core
         return core
 
     def homepage_core(self) -> str:
