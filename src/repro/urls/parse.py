@@ -172,9 +172,6 @@ class UrlMemo:
             self._parsed[url] = parsed
         return parsed
 
-    def __len__(self) -> int:
-        return len(self._parsed)
-
 
 def hostname_of(url: str) -> str:
     """The paper's hostname extraction, lowercased and without a port."""

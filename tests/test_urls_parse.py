@@ -137,3 +137,35 @@ class TestQueryArgs:
     def test_duplicates_preserved(self):
         args = QueryArgs.parse("a=1&a=2")
         assert len(args) == 2
+
+
+class TestUrlMemo:
+    def test_parses_each_string_once(self, monkeypatch):
+        import repro.urls.parse as parse_module
+
+        calls = []
+        real = parse_module.parse_url
+        monkeypatch.setattr(
+            parse_module, "parse_url", lambda url: calls.append(url) or real(url)
+        )
+        memo = parse_module.UrlMemo()
+        first = memo.parse("http://Example.com:8080/a/b?x=1")
+        assert memo.parse("http://Example.com:8080/a/b?x=1") is first
+        assert calls == ["http://Example.com:8080/a/b?x=1"]
+        assert first == real("http://Example.com:8080/a/b?x=1")
+        assert first.host_lower == "example.com"
+        assert str(first) == "http://Example.com:8080/a/b?x=1"
+
+    def test_bounded_and_never_memoises_errors(self, monkeypatch):
+        import repro.urls.parse as parse_module
+
+        monkeypatch.setattr(parse_module, "URL_MEMO_MAX", 2)
+        memo = parse_module.UrlMemo()
+        first = memo.parse("http://a.test/")
+        memo.parse("http://b.test/")
+        memo.parse("http://c.test/")  # full: the memo starts over
+        again = memo.parse("http://a.test/")
+        assert again == first and again is not first
+        for _ in range(2):
+            with pytest.raises(UrlError):
+                memo.parse("ftp://a.test/")
