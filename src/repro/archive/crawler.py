@@ -16,7 +16,10 @@ actually discovers Wikipedia's external links (§5.1):
 
 :class:`ArchiveCrawler` executes a capture: it fetches the URL through
 the simulated web and records what it saw — including 404s and
-redirects, which the real Wayback Machine also stores.
+redirects, which the real Wayback Machine also stores. While the web's
+last answer for a URL is still fresh (see
+:attr:`~repro.net.fetch.FetchResult.fresh_until`), the crawler records
+that answer again instead of fetching.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 from ..clock import SimTime, EVENTSTREAM_START, WNRT_START
 from ..errors import UrlError
-from ..net.fetch import Fetcher
+from ..net.fetch import Fetcher, FetchResult
 from ..rng import Stream
 from ..textsim.shingles import minhash_sketch
 from ..urls.parse import ParsedUrl, QueryArgs, UrlMemo, parse_url
@@ -115,6 +118,12 @@ class BodySketcher:
 ROBOTS_CACHE_DAYS = 365.0
 
 
+#: What a capture records of one fetch: ``(initial_status,
+#: redirect_location, final_status, final_url, sketch)``, or ``None``
+#: when the fetch failed at the transport level.
+Observation = tuple[int, str | None, int, str, tuple[int, ...]] | None
+
+
 class ArchiveCrawler:
     """Fetch-and-record: the archive's capture executor.
 
@@ -122,6 +131,16 @@ class ArchiveCrawler:
     (and caches) the host's ``/robots.txt`` and skips disallowed paths
     — one of the real-world reasons a URL can be "never archived"
     while its site is otherwise covered.
+
+    Keeps, per URL, its last observation and the window
+    ``[observed_at, fresh_until)`` over which the web is sure to answer
+    the same (the fetch's freshness horizon). A capture inside that
+    window records the stored observation instead of fetching; the
+    robots check, the counters, snapshot validation and the store
+    still run on every capture. The memo holds one entry per URL the
+    crawler has fetched, for the crawler's lifetime, which is why the
+    web must not change once crawling starts: horizons describe the
+    web as it was when they were stamped.
     """
 
     def __init__(
@@ -135,6 +154,8 @@ class ArchiveCrawler:
         self._sketcher = BodySketcher()
         self._honor_robots = honor_robots
         self._robots_cache: dict[str, tuple[float, RobotsRules]] = {}
+        #: ``url -> (observed_at, fresh_until, observation)`` in days.
+        self._observed: dict[str, tuple[float, float, Observation]] = {}
         self._urls = UrlMemo()
         self.capture_attempts = 0
         self.capture_failures = 0
@@ -158,24 +179,47 @@ class ArchiveCrawler:
         ):
             self.robots_denied += 1
             return None
-        result = self._fetcher.fetch(url if target is None else target, at)
-        chain = result.chain
-        if not chain:
+        days = at.days
+        last = self._observed.get(url)
+        if last is not None and last[0] <= days < last[1]:
+            observation = last[2]
+        else:
+            result = self._fetcher.fetch(url if target is None else target, at)
+            observation = self._observe(result)
+            until = result.fresh_until
+            self._observed[url] = (
+                days, days if until is None else until, observation
+            )
+        if observation is None:
             self.capture_failures += 1
             return None
-        initial = chain[0]
-        final = chain[-1]
+        initial_status, location, final_status, final_url, sketch = observation
         snapshot = Snapshot(
             url=url,
             captured_at=at,
-            initial_status=initial.status,
-            redirect_location=initial.location if initial.is_redirect else None,
-            final_status=final.status,
-            final_url=final.url,
-            sketch=self._sketcher.sketch(final.body),
+            initial_status=initial_status,
+            redirect_location=location,
+            final_status=final_status,
+            final_url=final_url,
+            sketch=sketch,
         )
         self._store.add(snapshot)
         return snapshot
+
+    def _observe(self, result: FetchResult) -> Observation:
+        """What a capture records of ``result``."""
+        chain = result.chain
+        if not chain:
+            return None
+        initial = chain[0]
+        final = chain[-1]
+        return (
+            initial.status,
+            initial.location if initial.is_redirect else None,
+            final.status,
+            final.url,
+            self._sketcher.sketch(final.body),
+        )
 
     def robots_allows(self, url: str, at: SimTime) -> bool:
         """Public robots check (used by Save Page Now before queueing)."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import functools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ClockError
@@ -109,6 +111,20 @@ class SimTime:
 
     def __repr__(self) -> str:
         return f"SimTime({self.days:.3f}, {self.isoformat()})"
+
+
+def first_after(at: SimTime, instants: Iterable[SimTime | None]) -> float:
+    """Day number of the earliest of ``instants`` strictly after ``at``.
+
+    ``None`` entries are skipped; ``math.inf`` when none is later. The
+    web model's freshness horizons are built from this.
+    """
+    days = at.days
+    until = math.inf
+    for instant in instants:
+        if instant is not None and days < instant.days < until:
+            until = instant.days
+    return until
 
 
 #: Convenient aliases used throughout the simulation.

@@ -63,11 +63,18 @@ class DnsServfail(DnsError):
 
 
 class ConnectionTimeout(NetworkSimError):
-    """Raised when TCP/TLS connection setup to a host times out."""
+    """Raised when TCP/TLS connection setup to a host times out.
 
-    def __init__(self, hostname: str) -> None:
+    ``fresh_until`` is the freshness horizon of the timeout, as on
+    :class:`~repro.net.http.HttpResponse`: the day number before which
+    the same request is sure to time out again, or ``None`` when
+    nothing vouches for that (an injected fault, a scripted origin).
+    """
+
+    def __init__(self, hostname: str, fresh_until: float | None = None) -> None:
         super().__init__(f"connection to {hostname!r} timed out")
         self.hostname = hostname
+        self.fresh_until = fresh_until
 
 
 class TransientConnectionTimeout(ConnectionTimeout):

@@ -28,6 +28,7 @@ identical across process topologies.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 from ..archive.availability import AvailabilityApi, AvailabilityResult
 from ..archive.cdx import CdxApi, CdxQuery
@@ -38,6 +39,7 @@ from ..errors import (
     ArchiveTimeout,
     ArchiveUnavailable,
     CdxRateLimited,
+    ConnectionTimeout,
     DnsServfail,
     TransientConnectionTimeout,
 )
@@ -104,7 +106,8 @@ class FaultyDns:
     Fault keys are the hostname being resolved, so every URL on a
     flagged host shares the blip — like a real resolver cache entry
     going bad — and the decision replays identically wherever the
-    first lookup happens.
+    first lookup happens. It is not a :class:`DnsTable`, so fetches
+    through it carry no freshness beyond their own instant.
     """
 
     def __init__(self, inner: DnsTable, plan: FaultPlan) -> None:
@@ -159,8 +162,18 @@ class FaultyOrigin:
     def handle(
         self, address: str, request: HttpRequest, at: SimTime
     ) -> HttpResponse:
-        """Serve like the wrapped fabric, unless sabotaged."""
-        return self._stack.call((address, request, at))
+        """Serve like the wrapped fabric, unless sabotaged.
+
+        The wrapped fabric's freshness horizons are dropped: the next
+        attempt at a key may be faulted differently, so this wrapper
+        vouches for no answer beyond its own instant.
+        """
+        try:
+            response = self._stack.call((address, request, at))
+        except ConnectionTimeout as exc:
+            exc.fresh_until = None
+            raise
+        return replace(response, fresh_until=None)
 
 
 def _cdx_fault_key(req: tuple[str, CdxQuery]) -> str:

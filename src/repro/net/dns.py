@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 
-from ..clock import SimTime
+from ..clock import SimTime, first_after
 from ..errors import DnsError
 
 
@@ -79,6 +79,18 @@ class DnsTable:
             if record.active_at(at):
                 return record
         raise DnsError(host, "NXDOMAIN (registration lapsed)")
+
+    def next_change(self, hostname: str, at: SimTime) -> float:
+        """Day number of ``hostname``'s first registration boundary after ``at``.
+
+        :meth:`resolve` gives the same answer for ``hostname`` from
+        ``at`` up to, but excluding, that instant. ``math.inf`` when no
+        boundary follows, which covers a hostname never registered.
+        """
+        instants = []
+        for record in self._records.get(hostname.lower(), ()):
+            instants += (record.registered_at, record.expires_at)
+        return first_after(at, instants)
 
     def hostnames(self) -> list[str]:
         """All hostnames ever registered, sorted."""

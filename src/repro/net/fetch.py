@@ -8,6 +8,7 @@ response chain plus the Figure-4 outcome classification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -28,7 +29,10 @@ class OriginServer(Protocol):
     """Anything that can answer a GET for a resolved address.
 
     Implementations may raise :class:`~repro.errors.ConnectionTimeout`
-    to model unreachable-but-registered hosts.
+    to model unreachable-but-registered hosts. An answer may carry a
+    freshness horizon (``fresh_until`` on the response or the timeout);
+    a wrapper that can answer differently from what it wraps must not
+    forward it.
     """
 
     def handle(
@@ -48,12 +52,20 @@ class FetchResult:
         chain: every HTTP response hop, in order (empty when DNS failed
             or the connection timed out).
         error: transport-level error description, if any.
+        fresh_until: the freshness horizon of the whole fetch, as a day
+            number: the earliest horizon of any hop, including a
+            failing last hop and each hop's DNS answer. A fetch at any
+            instant from this one's up to, but excluding, it gives the
+            same chain apart from the bodies' noise tokens. ``None``
+            (not fetched by a :class:`Fetcher`) vouches for nothing;
+            like the hops' stamps it is left out of equality.
     """
 
     url: str
     outcome: Outcome
     chain: tuple[HttpResponse, ...] = field(default_factory=tuple)
     error: str | None = None
+    fresh_until: float | None = field(default=None, compare=False)
 
     @property
     def initial_status(self) -> int | None:
@@ -110,6 +122,12 @@ class Fetcher:
             the URL, outcome, hop count, and any virtual backoff spent
             on transient retries. ``None`` (the default) leaves the
             hot path untouched.
+
+    Every result is stamped with ``fresh_until``. Only a plain
+    :class:`~repro.net.dns.DnsTable` vouches for its DNS answers; over
+    any other resolver (a fault wrapper, say) a hop's horizon is the
+    fetch instant itself, and so is that of an unstamped response or
+    timeout, so such a result is never fresh beyond its own instant.
     """
 
     def __init__(
@@ -126,6 +144,9 @@ class Fetcher:
         self._retry_policy = retry_policy
         self._tracer = tracer
         self._fetch_count = 0
+        self._dns_next_change = (
+            dns.next_change if isinstance(dns, DnsTable) else None
+        )
         self._urls = UrlMemo()
         self.retry_counters = RetryCounters()
         # The two transport legs ride the shared retry layer; both pool
@@ -195,33 +216,48 @@ class Fetcher:
         try:
             current = self._urls.parse(url) if isinstance(url, str) else url
         except UrlError as exc:
+            # Unparseable now means unparseable forever.
             return FetchResult(
-                url=str(url), outcome=Outcome.DNS_FAILURE, error=str(exc)
+                url=str(url),
+                outcome=Outcome.DNS_FAILURE,
+                error=str(exc),
+                fresh_until=math.inf,
             )
         requested = str(current)
         chain: list[HttpResponse] = []
         seen: set[str] = set()
         legs = self._legs
+        dns_next_change = self._dns_next_change
+        # Folded over every hop: the earliest instant any answer so far
+        # can change. An unstamped answer pins it to ``at`` itself.
+        now = at.days
+        until = math.inf
+
+        def done(outcome: Outcome, error: str | None = None) -> FetchResult:
+            return FetchResult(
+                url=requested,
+                outcome=outcome,
+                chain=tuple(chain),
+                error=error,
+                fresh_until=until,
+            )
+
         for _ in range(self._max_redirects + 1):
             host = current.host_lower
+            if dns_next_change is None:
+                until = now
+            else:
+                until = min(until, dns_next_change(host, at))
             try:
                 if legs is None:
                     record = self._dns.resolve(host, at)
                 else:
                     record = legs[0].call((host, at))
             except DnsError as exc:
-                if chain:
-                    # A redirect pointed at a dead hostname; the final
-                    # observable state is the redirect chain so far,
-                    # which did not end in 200/404.
-                    return FetchResult(
-                        url=requested,
-                        outcome=Outcome.OTHER,
-                        chain=tuple(chain),
-                        error=str(exc),
-                    )
-                return FetchResult(
-                    url=requested, outcome=Outcome.DNS_FAILURE, error=str(exc)
+                # After a redirect, a dead hostname leaves the chain so
+                # far as the final observable state: neither 200 nor 404.
+                return done(
+                    Outcome.OTHER if chain else Outcome.DNS_FAILURE, str(exc)
                 )
             request = HttpRequest(url=current)
             try:
@@ -230,45 +266,21 @@ class Fetcher:
                 else:
                     response = legs[1].call((record.address, request, at))
             except ConnectionTimeout as exc:
-                if chain:
-                    return FetchResult(
-                        url=requested,
-                        outcome=Outcome.OTHER,
-                        chain=tuple(chain),
-                        error=str(exc),
-                    )
-                return FetchResult(
-                    url=requested, outcome=Outcome.TIMEOUT, error=str(exc)
-                )
+                stamp = exc.fresh_until
+                until = now if stamp is None else min(until, stamp)
+                return done(Outcome.OTHER if chain else Outcome.TIMEOUT, str(exc))
+            stamp = response.fresh_until
+            until = now if stamp is None else min(until, stamp)
             chain.append(response)
             if not response.is_redirect:
-                return FetchResult(
-                    url=requested,
-                    outcome=classify_final_status(response.status),
-                    chain=tuple(chain),
-                )
+                return done(classify_final_status(response.status))
             target = response.location
             if target in seen or target == str(current):
                 # Redirect loop: surface what we have as OTHER.
-                return FetchResult(
-                    url=requested,
-                    outcome=Outcome.OTHER,
-                    chain=tuple(chain),
-                    error="redirect loop",
-                )
+                return done(Outcome.OTHER, "redirect loop")
             seen.add(str(current))
             try:
                 current = self._urls.parse(target)
             except UrlError as exc:
-                return FetchResult(
-                    url=requested,
-                    outcome=Outcome.OTHER,
-                    chain=tuple(chain),
-                    error=f"bad redirect target: {exc}",
-                )
-        return FetchResult(
-            url=requested,
-            outcome=Outcome.OTHER,
-            chain=tuple(chain),
-            error=f"more than {self._max_redirects} redirects",
-        )
+                return done(Outcome.OTHER, f"bad redirect target: {exc}")
+        return done(Outcome.OTHER, f"more than {self._max_redirects} redirects")

@@ -9,7 +9,7 @@ realistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..urls.parse import ParsedUrl, parse_url
 
@@ -38,6 +38,14 @@ class HttpResponse:
         body: response body text (empty for redirects).
         location: redirect target for 3xx responses, else ``None``.
         latency_ms: simulated time-to-first-byte for this hop.
+        fresh_until: the freshness horizon, as a day number
+            (``SimTime.days``): the origin gives the same answer for
+            this URL at every instant from the request's up to, but
+            excluding, this one, apart from the body's trailing
+            per-request noise token. ``math.inf`` means the answer
+            never changes. ``None`` (unstamped) vouches for nothing,
+            so the answer is never reused. The stamp is metadata about
+            the answer, not part of it, so it is left out of equality.
     """
 
     url: str
@@ -45,6 +53,7 @@ class HttpResponse:
     body: str = ""
     location: str | None = None
     latency_ms: float = 50.0
+    fresh_until: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not 100 <= self.status <= 599:

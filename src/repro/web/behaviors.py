@@ -14,9 +14,10 @@ Two orthogonal knobs shape what a broken URL looks like from outside:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
-from ..clock import SimTime
+from ..clock import SimTime, first_after
 
 
 class MissingPagePolicy(enum.Enum):
@@ -112,3 +113,18 @@ class SiteState:
             if window.covers(at):
                 return True
         return False
+
+    def next_change(self, at: SimTime) -> float:
+        """Day number of the first instant after ``at`` the state can change.
+
+        The instants are ``parked_from``, ``geo_from``, each outage's
+        start and end and, on a flaky site, the next integer day, when
+        the timeout draw changes. ``math.inf`` when none follows.
+        """
+        instants = [self.parked_from, self.geo_from]
+        for window in self.outages:
+            instants += (window.start, window.end)
+        until = first_after(at, instants)
+        if self.timeout_probability > 0.0:
+            until = min(until, math.floor(at.days) + 1.0)
+        return until

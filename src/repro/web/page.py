@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..clock import SimTime
+from ..clock import SimTime, first_after
 
 
 class PageFate(enum.Enum):
@@ -130,6 +130,23 @@ class Page:
         ):
             return PageStatus.SERVES
         return PageStatus.MISSING
+
+    def next_change(self, at: SimTime) -> float:
+        """Day number of the first lifecycle instant after ``at``.
+
+        :meth:`status_at` is constant from ``at`` up to, but excluding,
+        that instant; ``math.inf`` when no lifecycle instant follows.
+        """
+        return first_after(
+            at,
+            (
+                self.created_at,
+                self.died_at,
+                self.redirect_added_at,
+                self.redirect_removed_at,
+                self.revived_at,
+            ),
+        )
 
     def alive_at(self, at: SimTime) -> bool:
         """Whether a GET at ``at`` would serve the original content."""

@@ -8,6 +8,15 @@ Timeout draws are hash-based on (site seed, URL, day) rather than
 consuming a shared RNG, so a given probe is reproducible regardless of
 how many other requests the simulation has served — and, as on the
 real web, retrying the same flaky URL on a different day can succeed.
+
+Every answer carries a freshness horizon (``fresh_until``): the first
+instant after the request at which the answer for that path can
+differ, apart from the body's per-request noise token. It is the
+earliest of the site's state instants (``parked_from``, ``geo_from``,
+outage starts and ends), the matched page's lifecycle instants, the
+next ``policy_changes`` instant when the missing-page policy shapes
+the answer, and, on a flaky site, the next integer day, when the
+timeout draw changes.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ..clock import SimTime
-from ..errors import ConnectionTimeout
+from ..clock import SimTime, first_after
+from ..errors import ConnectionTimeout, NetworkSimError
 from ..net.http import HttpRequest, HttpResponse
 from ..textsim.content import ContentGenerator
 from ..urls.parse import QueryArgs
@@ -147,42 +156,49 @@ class Site:
 
         Raises :class:`~repro.errors.ConnectionTimeout` for flaky or
         silently geo-blocked conditions; returns an
-        :class:`~repro.net.http.HttpResponse` otherwise.
+        :class:`~repro.net.http.HttpResponse` otherwise. Both carry the
+        answer's freshness horizon as ``fresh_until``.
         """
         target = request.url
         url = str(target)
         state = self.state
+        until = state.next_change(at)
+
+        def reply(
+            status: int, body: str = "", location: str | None = None
+        ) -> HttpResponse:
+            return HttpResponse(
+                url=url,
+                status=status,
+                body=body,
+                location=location,
+                fresh_until=until,
+            )
 
         if state.geo_active_at(at):
             if state.geo is GeoPolicy.BLOCKED_TIMEOUT:
-                raise ConnectionTimeout(self.hostname)
-            return HttpResponse(url=url, status=403, body="access denied")
+                raise ConnectionTimeout(self.hostname, fresh_until=until)
+            return reply(403, "access denied")
 
         if state.parked_at(at):
-            return HttpResponse(
-                url=url, status=200, body=self._content.parked_page(nonce).body
-            )
+            return reply(200, self._content.parked_page(nonce).body)
 
         if state.outage_at(at):
-            return HttpResponse(url=url, status=503, body="service unavailable")
+            return reply(503, "service unavailable")
 
         if state.timeout_probability > 0.0:
             draw = _hash_unit(f"{self.seed}:timeout:{url}:{int(at.days)}")
             if draw < state.timeout_probability:
-                raise ConnectionTimeout(self.hostname)
+                raise ConnectionTimeout(self.hostname, fresh_until=until)
 
         path = target.path
         query = target.query
         if path == "/" and not query:
-            return HttpResponse(
-                url=url, status=200, body=self._content.homepage(nonce).body
-            )
+            return reply(200, self._content.homepage(nonce).body)
         if path == ROBOTS_PATH:
-            return HttpResponse(url=url, status=200, body=self.robots.render())
+            return reply(200, self.robots.render())
         if path == LOGIN_PATH:
-            return HttpResponse(
-                url=url, status=200, body=self._content.login_page(nonce).body
-            )
+            return reply(200, self._content.login_page(nonce).body)
 
         path_query = f"{path}?{query}" if query else path
         page = self._pages.get(path_query)
@@ -190,36 +206,32 @@ class Site:
             # Servers resolve reordered query parameters identically.
             page = self._canonical_pages.get(_canonical_path_query(path_query))
         if page is not None:
+            until = min(until, page.next_change(at))
             status = page.status_at(at)
             if status is PageStatus.SERVES:
                 # Content keyed by the page's canonical path, so every
                 # parameter ordering serves identical bytes.
-                return HttpResponse(
-                    url=url,
-                    status=200,
-                    body=self._content.article(page.path_query, nonce).body,
+                return reply(
+                    200, self._content.article(page.path_query, nonce).body
                 )
             if status is PageStatus.REDIRECTS:
                 # A MOVED page always has moved_to (Page.__post_init__).
-                return HttpResponse(url=url, status=301, location=page.moved_to)
-        return self._missing(url, nonce, at)
+                return reply(301, location=page.moved_to)
 
-    def _missing(self, url: str, nonce: int, at: SimTime) -> HttpResponse:
+        # From here on the answer comes from the missing-page policy.
+        policy_days = first_after(at, (t for t, _ in self.policy_changes))
+        until = min(until, policy_days)
         policy = self.missing_policy_at(at)
         if policy is MissingPagePolicy.HARD_404:
-            return HttpResponse(
-                url=url, status=404, body=self._content.error_page(nonce).body
-            )
+            return reply(404, self._content.error_page(nonce).body)
         if policy is MissingPagePolicy.SOFT_404:
-            return HttpResponse(
-                url=url, status=200, body=self._content.error_page(nonce).body
-            )
+            return reply(200, self._content.error_page(nonce).body)
         if policy is MissingPagePolicy.REDIRECT_HOME:
-            return HttpResponse(url=url, status=302, location=self.root_url)
+            return reply(302, location=self.root_url)
         if policy is MissingPagePolicy.REDIRECT_LOGIN:
-            return HttpResponse(url=url, status=302, location=self.login_url)
-        assert policy is MissingPagePolicy.REDIRECT_OFFSITE
-        assert self.offsite_redirect_target is not None
-        return HttpResponse(
-            url=url, status=302, location=self.offsite_redirect_target
+            return reply(302, location=self.login_url)
+        if policy is MissingPagePolicy.REDIRECT_OFFSITE:
+            return reply(302, location=self.offsite_redirect_target)
+        raise NetworkSimError(
+            f"{self.hostname}: unknown missing-page policy {policy!r}"
         )

@@ -6,6 +6,12 @@ protocol, owns the :class:`~repro.net.dns.DnsTable`, and hands out
 — the study's probes, IABot's checks, the archive's crawlers — observe
 the web exclusively through fetches, never by peeking at ``Site``
 internals, which keeps the measurement honest.
+
+The web is fixed once crawling starts: sites, pages and DNS records
+are all registered before the first fetch, and nothing edits them
+afterwards. The freshness horizons that responses carry (and that
+:class:`~repro.archive.crawler.ArchiveCrawler` reuses answers by)
+rely on it.
 """
 
 from __future__ import annotations
@@ -107,7 +113,9 @@ class LiveWeb:
         fetch is a pure function of ``(url, at)`` — the property the
         executor's fetch memo and sharded workers both rely on. Fetches
         of *different* URLs (or on different days) still get distinct
-        noise tokens, which is all the soft-404 machinery needs.
+        noise tokens, which is all the soft-404 machinery needs. The
+        site stamps the response (or its timeout) with the answer's
+        freshness horizon, ``fresh_until``.
         """
         site = self._sites.get(address)
         if site is None:

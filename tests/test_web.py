@@ -1,5 +1,10 @@
 """Tests for repro.web — pages, behaviours, sites, the live web."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.clock import SimTime
@@ -222,6 +227,40 @@ class TestSiteResponses:
                 created_at=T2005,
                 missing_policy=MissingPagePolicy.REDIRECT_OFFSITE,
             )
+
+    def test_unknown_policy_raises_under_optimize(self):
+        # ``python -O`` strips asserts, so the unknown-policy check must
+        # be a real raise, or the policy turns silently into an
+        # offsite 302.
+        script = (
+            "from repro.clock import SimTime\n"
+            "from repro.errors import NetworkSimError\n"
+            "from repro.net.http import HttpRequest\n"
+            "from repro.web.site import Site\n"
+            "site = Site(hostname='s.example.org', seed='x',\n"
+            "            missing_policy='gone_fishing',\n"
+            "            offsite_redirect_target='http://agg.example.net/')\n"
+            "try:\n"
+            "    site.respond(HttpRequest.get('http://s.example.org/nope'),\n"
+            "                 SimTime.from_ymd(2010, 1, 1), 1)\n"
+            "except NetworkSimError as exc:\n"
+            "    print('raised:', exc)\n"
+            "else:\n"
+            "    print('served')\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised:"), proc.stdout
+        assert "gone_fishing" in proc.stdout
 
     def test_policy_timeline(self):
         site = Site(
