@@ -30,10 +30,9 @@ from ..clock import SimTime, EVENTSTREAM_START, WNRT_START
 from ..errors import UrlError
 from ..net.fetch import Fetcher, FetchResult
 from ..rng import Stream
-from ..textsim.shingles import minhash_sketch
 from ..urls.parse import ParsedUrl, QueryArgs, UrlMemo, parse_url
 from ..web.robots import RobotsRules, parse_robots
-from .snapshot import Snapshot
+from .snapshot import PendingSketch, Snapshot
 from .store import SnapshotStore
 
 
@@ -71,6 +70,12 @@ class BodySketcher:
     O(1) after the first. The lost token perturbs the true sketch
     negligibly (4 shingles out of hundreds).
 
+    :meth:`pending` gives every body of one stem the same
+    :class:`~repro.archive.snapshot.PendingSketch`, so MinHash runs
+    only when some reader first asks for a sketch of that stem;
+    :meth:`sketch` resolves it at once. ``misses`` counts distinct
+    stems either way.
+
     A stem is several kilobytes, so slicing and hashing it on every
     capture would cost more than the rest of the lookup. Known stems
     are therefore also indexed by a fingerprint (stem length and its
@@ -88,30 +93,33 @@ class BodySketcher:
     FINGERPRINT_CHARS = 32
 
     def __init__(self) -> None:
-        self._cache: dict[str, tuple[int, ...]] = {}
-        #: ``(len(stem), stem tail) -> stem`` for every cached stem.
-        self._stems: dict[tuple[int, str], str] = {}
+        self._cache: dict[str, PendingSketch] = {}
+        #: ``(len(stem), stem tail) -> pending sketch`` for every stem.
+        self._stems: dict[tuple[int, str], PendingSketch] = {}
         self.misses = 0
 
-    def sketch(self, body: str) -> tuple[int, ...]:
-        """MinHash sketch of ``body`` (cached on its stable stem)."""
+    def pending(self, body: str) -> PendingSketch:
+        """The shared pending sketch of ``body``'s stable stem."""
         cut = body.rfind(" ")
         if cut < 0:
             stem = body
         else:
             key = (cut, body[max(0, cut - self.FINGERPRINT_CHARS): cut])
             known = self._stems.get(key)
-            if known is not None and body.startswith(known):
-                return self._cache[known]
+            if known is not None and body.startswith(known.stem):
+                return known
             stem = body[:cut]
         cached = self._cache.get(stem)
         if cached is None:
             self.misses += 1
-            cached = minhash_sketch(stem)
-            self._cache[stem] = cached
+            cached = self._cache[stem] = PendingSketch(stem)
         if cut >= 0:
-            self._stems[key] = stem
+            self._stems[key] = cached
         return cached
+
+    def sketch(self, body: str) -> tuple[int, ...]:
+        """MinHash sketch of ``body`` (cached on its stable stem)."""
+        return self.pending(body).resolve()
 
 
 #: How long a fetched robots.txt stays cached before re-checking.
@@ -121,7 +129,7 @@ ROBOTS_CACHE_DAYS = 365.0
 #: What a capture records of one fetch: ``(initial_status,
 #: redirect_location, final_status, final_url, sketch)``, or ``None``
 #: when the fetch failed at the transport level.
-Observation = tuple[int, str | None, int, str, tuple[int, ...]] | None
+Observation = tuple[int, str | None, int, str, PendingSketch] | None
 
 
 class ArchiveCrawler:
@@ -130,14 +138,17 @@ class ArchiveCrawler:
     Honours robots.txt: before capturing a URL, the crawler fetches
     (and caches) the host's ``/robots.txt`` and skips disallowed paths
     — one of the real-world reasons a URL can be "never archived"
-    while its site is otherwise covered.
+    while its site is otherwise covered. A host's entry is refreshed
+    :data:`ROBOTS_CACHE_DAYS` after it was cached; a refresh inside the
+    freshness window of the last fetch of the same robots URL reuses
+    that fetch's rules instead of fetching again.
 
     Keeps, per URL, its last observation and the window
     ``[observed_at, fresh_until)`` over which the web is sure to answer
     the same (the fetch's freshness horizon). A capture inside that
     window records the stored observation instead of fetching; the
     robots check, the counters, snapshot validation and the store
-    still run on every capture. The memo holds one entry per URL the
+    still run on every capture. Both memos hold one entry per URL the
     crawler has fetched, for the crawler's lifetime, which is why the
     web must not change once crawling starts: horizons describe the
     web as it was when they were stamped.
@@ -153,7 +164,11 @@ class ArchiveCrawler:
         self._store = store
         self._sketcher = BodySketcher()
         self._honor_robots = honor_robots
+        #: ``host_lower -> (cached_at, rules)``, refreshed after
+        #: :data:`ROBOTS_CACHE_DAYS`.
         self._robots_cache: dict[str, tuple[float, RobotsRules]] = {}
+        #: ``robots URL -> (fetched_at, fresh_until, rules)`` in days.
+        self._robots_fetched: dict[str, tuple[float, float, RobotsRules]] = {}
         #: ``url -> (observed_at, fresh_until, observation)`` in days.
         self._observed: dict[str, tuple[float, float, Observation]] = {}
         self._urls = UrlMemo()
@@ -218,7 +233,7 @@ class ArchiveCrawler:
             initial.location if initial.is_redirect else None,
             final.status,
             final.url,
-            self._sketcher.sketch(final.body),
+            self._sketcher.pending(final.body),
         )
 
     def robots_allows(self, url: str, at: SimTime) -> bool:
@@ -238,18 +253,28 @@ class ArchiveCrawler:
         if path == "/robots.txt":
             return True
         host = parsed.host_lower
+        days = at.days
         cached = self._robots_cache.get(host)
-        if cached is None or at.days - cached[0] > ROBOTS_CACHE_DAYS:
-            result = self._fetcher.fetch(
-                f"{parsed.scheme}://{parsed.hostname}/robots.txt", at
-            )
-            if result.final_status == 200:
-                rules = parse_robots(result.body)
+        if cached is None or days - cached[0] > ROBOTS_CACHE_DAYS:
+            # Keyed by the URL as written: a flaky site's timeout draw
+            # hashes it, so two spellings of a host may answer apart.
+            robots_url = f"{parsed.scheme}://{parsed.hostname}/robots.txt"
+            fetched = self._robots_fetched.get(robots_url)
+            if fetched is not None and fetched[0] <= days < fetched[1]:
+                rules = fetched[2]
             else:
-                # Unreachable or missing robots: everything allowed
-                # (the capture itself will fail if the host is gone).
-                rules = RobotsRules()
-            cached = self._robots_cache[host] = (at.days, rules)
+                result = self._fetcher.fetch(robots_url, at)
+                if result.final_status == 200:
+                    rules = parse_robots(result.body)
+                else:
+                    # Unreachable or missing robots: everything allowed
+                    # (the capture itself will fail if the host is gone).
+                    rules = RobotsRules()
+                until = result.fresh_until
+                self._robots_fetched[robots_url] = (
+                    days, days if until is None else until, rules
+                )
+            cached = self._robots_cache[host] = (days, rules)
         return cached[1].allows(path)
 
 

@@ -13,14 +13,48 @@ needed for §4.2.
 Full bodies are not retained (the real Wayback stores them, but our
 analyses only ever compare content similarity, for which the sketch
 suffices at a tiny fraction of the memory).
+
+Only the archived-copy boilerplate check ever reads a sketch, so a
+capture records a :class:`PendingSketch` and MinHash runs the first
+time :attr:`Snapshot.sketch` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..clock import SimTime
 from ..net.status import is_redirect, is_success
+from ..textsim.shingles import minhash_sketch
+
+
+class PendingSketch:
+    """The MinHash sketch of one body stem, computed when first read.
+
+    The crawler's sketcher hands every capture of a stem the same
+    instance, so MinHash runs at most once per stem however many
+    snapshots carry it. An unresolved instance pickles as its stem
+    (a pickle never runs MinHash and never carries the sketcher's
+    memo); a resolved one pickles as its tuple.
+    """
+
+    __slots__ = ("stem", "_value")
+
+    def __init__(self, stem: str) -> None:
+        self.stem = stem
+        self._value: tuple[int, ...] | None = None
+
+    def resolve(self) -> tuple[int, ...]:
+        """The sketch, computed on the first call."""
+        value = self._value
+        if value is None:
+            value = self._value = minhash_sketch(self.stem)
+        return value
+
+    def __reduce__(self):
+        if self._value is not None:
+            return tuple, (self._value,)
+        return PendingSketch, (self.stem,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +74,10 @@ class Snapshot:
         final_status: status after the crawler followed redirects
             (equals ``initial_status`` when there was no redirect).
         final_url: URL of the final response.
-        sketch: MinHash sketch of the final response body.
+        sketch: MinHash sketch of the final response body. The
+            constructor also takes a :class:`PendingSketch`; reading
+            the attribute resolves it and keeps the tuple in its place,
+            so equality, hashing and ``repr`` see the resolved value.
     """
 
     url: str
@@ -57,6 +94,14 @@ class Snapshot:
                 raise ValueError(
                     f"3xx snapshot of {self.url!r} needs redirect_location"
                 )
+
+    def __getstate__(self) -> tuple:
+        # The raw slots: a pending sketch is pickled unresolved.
+        return tuple(slot.__get__(self) for slot in _SLOTS)
+
+    def __setstate__(self, state: tuple) -> None:
+        for slot, value in zip(_SLOTS, state):
+            slot.__set__(self, value)
 
     @property
     def failed(self) -> bool:
@@ -96,3 +141,31 @@ class Snapshot:
         if self.initial_redirected:
             return f"{stamp} {self.initial_status} -> {self.redirect_location}"
         return f"{stamp} {self.initial_status}"
+
+
+#: Each field's own slot descriptor, in field order. Pickling goes
+#: through these, so it never resolves a pending sketch.
+_SLOTS = tuple(Snapshot.__dict__[field.name] for field in fields(Snapshot))
+#: The ``sketch`` slot's descriptor, which :class:`_SketchOnRead` wraps.
+_SKETCH_SLOT = Snapshot.__dict__["sketch"]
+
+
+class _SketchOnRead:
+    """``Snapshot.sketch``: resolves a pending sketch when it is read."""
+
+    __slots__ = ()
+
+    def __get__(self, snapshot, owner=None):
+        if snapshot is None:
+            return self
+        value = _SKETCH_SLOT.__get__(snapshot, owner)
+        if type(value) is PendingSketch:
+            value = value.resolve()
+            _SKETCH_SLOT.__set__(snapshot, value)
+        return value
+
+    def __set__(self, snapshot, value) -> None:
+        _SKETCH_SLOT.__set__(snapshot, value)
+
+
+Snapshot.sketch = _SketchOnRead()

@@ -7,21 +7,28 @@
 2. **build** — the live web with page lifecycles and the archive's
    organic crawl seeds (:mod:`repro.dataset.builder`);
 3. **replay** — every event in strict time order: human edits post
-   links to articles, the archive's organic and event-triggered
-   crawlers capture URLs, occasional humans annotate dead links, and
+   links to articles, occasional humans annotate dead links, and
    InternetArchiveBot sweeps the wiki, patching what it can and
-   marking the rest permanently dead.
+   marking the rest permanently dead. The archive's organic and
+   event-triggered captures run in their own time order beside these
+   events: each sweep is preceded by every capture due at or before
+   its instant.
 
 Because the replay is chronological, nothing ever observes the future:
 a 2016 bot sweep sees only the snapshots captured by 2016, which is
 what makes the paper's §4.1 "copies existed before marking" analysis
-measurable rather than baked in.
+measurable rather than baked in. Only sweeps read the archive, and
+captures read nothing but the web, so running a capture at any point
+before the first sweep that could see it stores the same archive.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -223,8 +230,7 @@ class _EventKind(enum.IntEnum):
     CREATE_ARTICLE = 0
     ADD_LINK = 1
     HUMAN_MARK = 2
-    CAPTURE = 3
-    SWEEP = 4
+    SWEEP = 3
 
 
 @dataclass
@@ -277,7 +283,7 @@ def generate_world(config: WorldConfig | None = None) -> World:
     built = WebBuilder(config, rngs).build(plans)
     all_links = [link for plan in plans for link in plan.links]
 
-    events = _assemble_events(config, rngs, built, all_links)
+    events, captures = _assemble_events(config, rngs, built, all_links)
 
     encyclopedia = Encyclopedia()
     store = SnapshotStore()
@@ -300,7 +306,7 @@ def generate_world(config: WorldConfig | None = None) -> World:
         ),
     )
 
-    _replay(events, encyclopedia, crawler, bot, config.sweep_shards)
+    _replay(events, captures, encyclopedia, crawler, bot, config.sweep_shards)
 
     return World(
         config=config,
@@ -332,20 +338,29 @@ class _Event(NamedTuple):
         return (self.days, int(self.kind), self.seq)
 
 
+#: One planned capture: ``(days, seq, url)``, ordered like the tuple.
+_Capture = tuple[float, int, str]
+
+
 def _assemble_events(
     config: WorldConfig,
     rngs: RngRegistry,
     built: BuiltWeb,
     all_links: list[LinkPlan],
-) -> list[_Event]:
+) -> tuple[list[_Event], list[_Capture]]:
+    """The wiki, human-mark and sweep events, and the captures, each
+    sorted. Both draw sequence numbers from one counter, in plan order."""
     events: list[_Event] = []
-    seq = 0
+    captures: list[_Capture] = []
+    seq = itertools.count()
 
     def push(days: float, kind: _EventKind, payload: tuple) -> None:
         """Append one replay event with a stable sequence number."""
-        nonlocal seq
-        events.append(_Event(days, kind, seq, payload))
-        seq += 1
+        events.append(_Event(days, kind, next(seq), payload))
+
+    def push_capture(days: float, url: str) -> None:
+        """Append one capture with a stable sequence number."""
+        captures.append((days, next(seq), url))
 
     # Wiki edits: group links into articles, one creation edit plus one
     # edit per later link.
@@ -377,12 +392,12 @@ def _assemble_events(
         for days in organic.plan_days(
             seed.available_from, seed.rate_per_year, crawl_rng
         ):
-            push(days, _EventKind.CAPTURE, (seed.url,))
+            push_capture(days, seed.url)
 
     # Profile-scheduled capture attempts for the wiki-linked URLs.
     for url, instant in built.fixed_captures:
         if instant < config.study_time:
-            push(instant.days, _EventKind.CAPTURE, (url,))
+            push_capture(instant.days, url)
 
     # Event-triggered captures (WNRT / EventStream).
     trigger = TriggeredArchiver(config.trigger_eras(), rngs.stream("crawl.trigger"))
@@ -391,7 +406,7 @@ def _assemble_events(
             continue
         instant = trigger.capture_time_for(link.posted_at)
         if instant is not None and instant < config.study_time:
-            push(instant.days, _EventKind.CAPTURE, (link.url,))
+            push_capture(instant.days, link.url)
 
     # Occasional human dead-link annotations.
     human_rng = rngs.stream("wiki.humanmark")
@@ -420,9 +435,10 @@ def _assemble_events(
         push(sweep_at.days, _EventKind.SWEEP, (index % config.sweep_shards,))
 
     # Sequence numbers are unique, so tuple order is sort_key order and
-    # payloads are never compared.
+    # payloads and URLs are never compared.
     events.sort()
-    return events
+    captures.sort()
+    return events, captures
 
 
 def _plan_articles(
@@ -465,19 +481,32 @@ def _sweep_shard(title: str, shards: int) -> int:
     return derive_seed(0, f"shard:{title}") % shards
 
 
+def _run_captures(
+    crawler: ArchiveCrawler, captures: list[_Capture], start: int, until: float
+) -> int:
+    """Run ``captures[start:]`` due at or before ``until``; return the
+    index of the first capture left."""
+    stop = bisect_right(captures, (until, math.inf), lo=start)
+    capture = crawler.capture
+    for index in range(start, stop):
+        days, _, url = captures[index]
+        capture(url, SimTime(days))
+    return stop
+
+
 def _replay(
     events: list[_Event],
+    captures: list[_Capture],
     encyclopedia: Encyclopedia,
     crawler: ArchiveCrawler,
     bot: InternetArchiveBot,
     shards: int,
 ) -> None:
     shard_of: dict[str, int] = {}
+    done = 0
     for days, kind, _, payload in events:
         at = SimTime(days)
-        if kind is _EventKind.CAPTURE:
-            crawler.capture(payload[0], at)
-        elif kind is _EventKind.CREATE_ARTICLE:
+        if kind is _EventKind.CREATE_ARTICLE:
             title, link, as_cite = payload
             body = (
                 f"'''{title}''' is a subject with external references.\n\n"
@@ -496,6 +525,9 @@ def _replay(
             title, url = payload
             _human_mark(encyclopedia, title, url, at)
         else:
+            # A sweep reads the archive, so first store every capture
+            # due at or before its instant.
+            done = _run_captures(crawler, captures, done, days)
             (shard,) = payload
             titles = []
             for title in encyclopedia.titles():
@@ -505,6 +537,7 @@ def _replay(
                 if title_shard == shard:
                     titles.append(title)
             bot.run_sweep(at, titles=tuple(titles))
+    _run_captures(crawler, captures, done, math.inf)
 
 
 def _ref_text(link: LinkPlan, as_cite: bool) -> str:

@@ -1,5 +1,8 @@
 """Tests for repro.archive — snapshots, store, availability, CDX, crawlers."""
 
+import pickle
+import sys
+
 import pytest
 
 from repro.archive.availability import AvailabilityApi, AvailabilityPolicy
@@ -13,11 +16,16 @@ from repro.archive.crawler import (
     TriggerEra,
     default_trigger_eras,
 )
-from repro.archive.snapshot import Snapshot
+from repro.archive.snapshot import PendingSketch, Snapshot
 from repro.archive.store import SnapshotStore
 from repro.clock import SimTime
+from repro.dataset.worldgen import WorldConfig, generate_world
 from repro.errors import ArchiveTimeout
+from repro.faults.inject import FaultyOrigin
+from repro.faults.plan import FaultPlan
+from repro.net.fetch import Fetcher
 from repro.rng import Stream
+from repro.textsim import shingles
 
 T2008 = SimTime.from_ymd(2008, 1, 1)
 T2010 = SimTime.from_ymd(2010, 1, 1)
@@ -372,6 +380,96 @@ class TestArchiveCrawler:
         sketcher.sketch("same core text here req1111")
         sketcher.sketch("same core text here req2222")
         assert sketcher.misses == 1
+
+
+@pytest.fixture
+def minhash_calls(monkeypatch):
+    """The stems MinHash ran on, counted wherever ``repro`` bound it."""
+    original = shingles.minhash_sketch
+    calls: list[str] = []
+
+    def counting(text, *args, **kwargs):
+        calls.append(text)
+        return original(text, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, "minhash_sketch", None) is original
+        ):
+            monkeypatch.setattr(module, "minhash_sketch", counting)
+    return calls
+
+
+ALIVE = "http://news.example.com/stays/alive.html"
+
+
+class TestLazySketch:
+    """A capture records a pending sketch; MinHash runs when it is read."""
+
+    STEM = "same core text here and a little more"
+
+    def _snapshot(self, sketch):
+        return Snapshot(
+            url=URL, captured_at=T2010, initial_status=200,
+            final_status=200, final_url=URL, sketch=sketch,
+        )
+
+    def test_pending_equals_hashes_and_prints_as_resolved(self):
+        resolved = self._snapshot(shingles.minhash_sketch(self.STEM))
+        assert self._snapshot(PendingSketch(self.STEM)) == resolved
+        assert resolved == self._snapshot(PendingSketch(self.STEM))
+        assert hash(self._snapshot(PendingSketch(self.STEM))) == hash(resolved)
+        assert repr(self._snapshot(PendingSketch(self.STEM))) == repr(resolved)
+        pending = self._snapshot(PendingSketch(self.STEM))
+        assert type(pending.sketch) is tuple
+        assert pending.sketch == resolved.sketch
+
+    def test_pickle_round_trip_runs_no_minhash(self, micro_web, minhash_calls):
+        crawler = ArchiveCrawler(micro_web.fetcher(), SnapshotStore())
+        snapshot = crawler.capture(ALIVE, T2010)
+        other = crawler.capture(
+            "http://news.example.com/new/late-target.html", T2014
+        )
+        data = pickle.dumps(snapshot)
+        copy = pickle.loads(data)
+        assert minhash_calls == []
+        # The pickle carries this snapshot's stem, not the sketcher's memo.
+        other_stem = other.__getstate__()[-1].stem
+        assert other_stem.encode() not in data
+        assert copy.sketch == snapshot.sketch
+        assert copy.sketch == shingles.minhash_sketch(minhash_calls[0])
+        # A resolved sketch pickles as its tuple.
+        calls = len(minhash_calls)
+        again = pickle.loads(pickle.dumps(snapshot))
+        assert type(again.__getstate__()[-1]) is tuple
+        assert again == snapshot
+        assert len(minhash_calls) == calls
+
+    def test_one_stem_runs_minhash_once(self, micro_web, minhash_calls):
+        # An unstamped origin: every capture fetches a body with its own
+        # noise token, all of one stem.
+        fetcher = Fetcher(
+            micro_web.dns, FaultyOrigin(micro_web, FaultPlan(seed=3))
+        )
+        store = SnapshotStore()
+        crawler = ArchiveCrawler(fetcher, store, honor_robots=False)
+        captured = [
+            crawler.capture(ALIVE, T2010.plus_days(3.0 * n)) for n in range(30)
+        ]
+        assert fetcher.fetch_count == 30
+        assert crawler._sketcher.misses == 1
+        stored = store.snapshots(ALIVE)
+        assert len(stored) == 30 and minhash_calls == []
+        assert len({snap.sketch for snap in (*captured, *stored)}) == 1
+        assert len(minhash_calls) == 1
+
+    def test_generate_world_runs_no_minhash(self, minhash_calls):
+        world = generate_world(WorldConfig(n_links=60, target_sample=60, seed=5))
+        assert world.crawler._sketcher.misses > 0
+        assert minhash_calls == []
+        first = world.store.snapshots(world.store.all_urls()[0])[0]
+        assert len(first.sketch) > 0
+        assert len(minhash_calls) == 1
 
 
 class TestOrganicCrawlPlanner:

@@ -11,7 +11,9 @@ is fresh. These tests pin down that the reuse is exact:
 - every time-valued field of the web model must feed the horizon
   (a guard for fields added later);
 - answers that nothing vouches for (fault wrappers, scripted origins)
-  are fetched again on every capture.
+  are fetched again on every capture;
+- a robots.txt refresh that reuses the last fetch of the same robots
+  URL decides exactly as a fetch at every refresh would.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 
 import pytest
 
-from repro.archive.crawler import ArchiveCrawler, BodySketcher
+from repro.archive.crawler import ROBOTS_CACHE_DAYS, ArchiveCrawler, BodySketcher
 from repro.archive.snapshot import Snapshot
 from repro.archive.store import SnapshotStore
 from repro.clock import SimTime
@@ -39,6 +41,7 @@ from repro.web.behaviors import (
     SiteState,
 )
 from repro.web.page import Page, PageFate
+from repro.web.robots import RobotsRules
 from repro.web.site import Site
 from repro.web.world import LiveWeb
 
@@ -516,3 +519,185 @@ def test_unstamped_fetch_result_is_refetched():
     first, second = _capture_twice(fetcher)
     assert fetcher.calls == 2
     assert first.initial_status == second.initial_status == 200
+
+
+# -- robots answers reuse freshness --------------------------------------------------
+
+PRIVATE = RobotsRules(disallow=("/private",))
+
+
+class _RobotsCounter:
+    """Counts the robots.txt fetches of the fetcher it wraps."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.robots = 0
+
+    def fetch(self, url, at):
+        if str(url).endswith("/robots.txt"):
+            self.robots += 1
+        return self._inner.fetch(url, at)
+
+
+def _robots_site(hostname: str, **kwargs) -> Site:
+    return _site(
+        hostname, _alive("/a.html"), _alive("/private/b.html"),
+        robots=PRIVATE, **kwargs,
+    )
+
+
+def _robots_web() -> LiveWeb:
+    """Robots answers that change at every kind of site boundary."""
+    web = LiveWeb()
+    web.add_site(_robots_site("stable.example"))
+    lapsing = _robots_site("lapse.example", dns_dies_at=_d(2010))
+    web.add_site(lapsing)
+    web.add_parked_successor(
+        lapsing,
+        Site(
+            hostname="lapse.example",
+            seed="squatter",
+            created_at=_d(2011),
+            robots=PRIVATE,
+            state=SiteState(parked_from=_d(2013)),
+        ),
+    )
+    web.add_site(
+        _robots_site(
+            "outage.example",
+            state=SiteState(outages=(OutageWindow(_d(2009, 3), _d(2011, 6)),)),
+        )
+    )
+    web.add_site(
+        _robots_site(
+            "geo403.example",
+            state=SiteState(geo=GeoPolicy.BLOCKED_403, geo_from=_d(2012)),
+        )
+    )
+    web.add_site(
+        _robots_site(
+            "geotimeout.example",
+            state=SiteState(geo=GeoPolicy.BLOCKED_TIMEOUT, geo_from=_d(2014)),
+        )
+    )
+    web.add_site(
+        _robots_site("flaky.example", state=SiteState(timeout_probability=0.5))
+    )
+    return web
+
+
+#: Hosts whose robots answer changes; the flaky and stable sites are
+#: also captured under a second spelling of the same ``host_lower``.
+ROBOTS_BOUNDARY_HOSTS = (
+    "lapse.example", "outage.example", "geo403.example",
+    "geotimeout.example", "flaky.example", "Flaky.Example",
+)
+ROBOTS_URLS = tuple(
+    f"http://{host}{path}"
+    for host in (*ROBOTS_BOUNDARY_HOSTS, "stable.example", "STABLE.example")
+    for path in ("/a.html", "/private/b.html")
+)
+
+
+def _robots_times() -> list[SimTime]:
+    """Every 29 days over 14 years: many refreshes, at shifting phases."""
+    return [_d(2006).plus_days(29.0 * step) for step in range(177)]
+
+
+def test_robots_reuse_equals_a_fetch_at_every_refresh():
+    web = _robots_web()
+    reuse_fetcher = _RobotsCounter(web.fetcher())
+    reuse = ArchiveCrawler(reuse_fetcher, SnapshotStore())
+    # An unstamped origin: every refresh fetches robots.txt again.
+    fresh_fetcher = _RobotsCounter(
+        Fetcher(web.dns, FaultyOrigin(web, FaultPlan(seed=3)))
+    )
+    fresh = ArchiveCrawler(fresh_fetcher, SnapshotStore())
+    allowed: dict[str, set[bool]] = {url: set() for url in ROBOTS_URLS}
+    for at in _robots_times():
+        for url in ROBOTS_URLS:
+            denied = fresh.robots_denied
+            expected = fresh.capture(url, at)
+            assert reuse.capture(url, at) == expected, (url, at)
+            assert reuse.robots_denied == fresh.robots_denied, (url, at)
+            allowed[url].add(fresh.robots_denied == denied)
+    assert reuse.capture_attempts == fresh.capture_attempts
+    # Every boundary flipped some refresh's decision for a private path.
+    for host in ROBOTS_BOUNDARY_HOSTS:
+        assert allowed[f"http://{host}/private/b.html"] == {True, False}, host
+    assert allowed["http://stable.example/private/b.html"] == {False}
+    # Six hosts, each refreshed every 13th instant (377 days): 14
+    # refreshes apiece, and most of them answered without a fetch.
+    assert fresh_fetcher.robots == 6 * 14
+    assert reuse_fetcher.robots < fresh_fetcher.robots // 2
+
+
+class _SpellingOrigin:
+    """Robots answers that differ by the URL as written and never change."""
+
+    RULES = {
+        "http://mixed.example/robots.txt": PRIVATE,
+        "http://MIXED.example/robots.txt": RobotsRules(),
+        "https://mixed.example/robots.txt": RobotsRules(),
+    }
+
+    def __init__(self, stamped: bool) -> None:
+        self._until = math.inf if stamped else None
+
+    def handle(self, address, request, at):
+        url = str(request.url)
+        rules = self.RULES.get(url)
+        body = "x y" if rules is None else rules.render()
+        return HttpResponse(url=url, status=200, body=body, fresh_until=self._until)
+
+
+@pytest.mark.parametrize("stamped", [True, False])
+def test_robots_reuse_is_keyed_by_the_url_as_written(stamped):
+    dns = DnsTable()
+    dns.register(DnsRecord("mixed.example", "scripted", T_SITES))
+    fetcher = _RobotsCounter(Fetcher(dns, _SpellingOrigin(stamped)))
+    crawler = ArchiveCrawler(fetcher, SnapshotStore())
+    step = ROBOTS_CACHE_DAYS + 1.0
+    decisions = []
+    for index, base in enumerate((
+        "http://mixed.example",
+        "http://MIXED.example",
+        "http://mixed.example",
+        "https://mixed.example",
+        "http://MIXED.example",
+    )):
+        denied = crawler.robots_denied
+        crawler.capture(f"{base}/private/x.html", T1.plus_days(step * index))
+        decisions.append(crawler.robots_denied == denied)
+    assert decisions == [False, True, False, True, True]
+    # Every capture refreshed the host's entry; a stamped answer is
+    # reused for its own URL only, an unstamped one never.
+    assert fetcher.robots == (3 if stamped else 5)
+
+
+class _RobotsFlipFetcher:
+    """A fetcher stand-in whose robots answer changes on every fetch and
+    carries no freshness stamp."""
+
+    def __init__(self) -> None:
+        self.robots = 0
+
+    def fetch(self, url, at):
+        url = str(url)
+        body = "x y"
+        if url.endswith("/robots.txt"):
+            self.robots += 1
+            body = (PRIVATE if self.robots % 2 else RobotsRules()).render()
+        hop = HttpResponse(url=url, status=200, body=body)
+        return FetchResult(url=url, outcome=Outcome.HTTP_200, chain=(hop,))
+
+
+def test_unstamped_robots_result_is_refetched():
+    fetcher = _RobotsFlipFetcher()
+    crawler = ArchiveCrawler(fetcher, SnapshotStore())
+    step = ROBOTS_CACHE_DAYS + 1.0
+    for index in range(4):
+        at = T1.plus_days(step * index)
+        crawler.capture("http://g.example/private/x.html", at)
+    assert fetcher.robots == 4
+    assert crawler.robots_denied == 2
