@@ -68,7 +68,7 @@ def _body_is_boilerplate(snapshot: Snapshot, cdx: CdxApi) -> bool:
     examined = 0
     candidates: list[tuple[int, ...]] = []
     for row in rows:
-        if not row.sketch or row.final_status != 200:
+        if row.final_status != 200 or not row.sketch:
             continue
         # A redirect *landing* on the same final URL as this capture is
         # not independent evidence (it is the same landing page).

@@ -95,14 +95,6 @@ class Snapshot:
                     f"3xx snapshot of {self.url!r} needs redirect_location"
                 )
 
-    def __getstate__(self) -> tuple:
-        # The raw slots: a pending sketch is pickled unresolved.
-        return tuple(slot.__get__(self) for slot in _SLOTS)
-
-    def __setstate__(self, state: tuple) -> None:
-        for slot, value in zip(_SLOTS, state):
-            slot.__set__(self, value)
-
     @property
     def failed(self) -> bool:
         """True when the capture never got an HTTP response."""
@@ -168,4 +160,20 @@ class _SketchOnRead:
         _SKETCH_SLOT.__set__(snapshot, value)
 
 
+def _getstate(snapshot: Snapshot) -> tuple:
+    # The raw slots: a pending sketch is pickled unresolved.
+    return tuple(slot.__get__(snapshot) for slot in _SLOTS)
+
+
+def _setstate(snapshot: Snapshot, state: tuple) -> None:
+    for slot, value in zip(_SLOTS, state):
+        slot.__set__(snapshot, value)
+
+
 Snapshot.sketch = _SketchOnRead()
+# Attached after the decorator: on Python 3.10 and early 3.11 releases,
+# ``dataclass(frozen=True, slots=True)`` replaces a class's own pickle
+# methods with ones that read every field through ``getattr``, which
+# would resolve the sketch.
+Snapshot.__getstate__ = _getstate
+Snapshot.__setstate__ = _setstate
