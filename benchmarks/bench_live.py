@@ -42,6 +42,7 @@ from repro.live import (
     reference_study,
 )
 from repro.service import (
+    GenerationSwap,
     LinkStatusIndex,
     LinkStatusService,
     WorkloadConfig,
@@ -208,7 +209,10 @@ def test_generation_swap_latency(benchmark, bench_out, pipeline):
     )
     horizon = max(r.arrival_ms for r in requests)
     swaps = [
-        (horizon * (i + 1) / len(generations), generation.index)
+        GenerationSwap(
+            at_ms=horizon * (i + 1) / len(generations),
+            index=generation.index,
+        )
         for i, generation in enumerate(generations[1:])
     ]
 

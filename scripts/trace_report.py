@@ -2,10 +2,10 @@
 
 Usage::
 
-    python scripts/full_run.py 2600 11 --trace /tmp/run.jsonl
+    python -m repro study --links 2600 --seed 11 --trace /tmp/run.jsonl
     python scripts/trace_report.py /tmp/run.jsonl [--top N]
 
-Reads the span log ``full_run.py --trace`` appends (one finished span
+Reads the span log ``repro study --trace`` appends (one finished span
 per line; see :mod:`repro.obs.trace`) and prints:
 
 - span counts by kind — how much the run was instrumented;
@@ -19,9 +19,9 @@ per line; see :mod:`repro.obs.trace`) and prints:
 - per-phase latency histograms over the individually-timed work items
   (record stages and backend calls).
 
-Service-tier traces (``serve_demo.py --trace`` / ``repro serve
---trace``) additionally get the cluster geometry: per-replica request
-counts (carriers vs coalesced riders, shard membership, virtual
+Service-tier traces (``repro serve --trace``) additionally get the
+cluster geometry: per-replica request counts (carriers vs coalesced
+riders, shard membership, virtual
 latency booked) and forced re-dispatch counts per (replica, fault
 channel) — the trace-side mirror of the audit log's blame trail.
 
@@ -50,7 +50,7 @@ BAR_WIDTH = 40
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(
-        description="Summarize a study trace written by full_run.py --trace."
+        description="Summarize a trace written by repro study/serve --trace."
     )
     parser.add_argument("trace", type=Path, help="JSONL span log to read")
     parser.add_argument(

@@ -2,8 +2,11 @@
 
 Subcommands:
 
-    python -m repro study [--links N] [--seed S]      run the full study
-    python -m repro calibrate [--links N] [--seed S]  paper-vs-measured table
+    python -m repro study [--links N] [--seed S]      run the full study: every
+                    [--workers W] [--markdown P]      ... figure and the headline
+                                                      ... table (or a Markdown report)
+    python -m repro calibrate [--links N] [--seed S]  the headline table alone
+                    [--workers W]                     ... (exit 1 if a row is off)
     python -m repro medic [--links N] [--seed S]      WaybackMedic rescue run
     python -m repro serve [--requests M] [--rps R]    replay traffic at the service
                     [--shards N] [--replicas R]       ... through the sharded cluster
@@ -18,11 +21,15 @@ Subcommands:
                     [--requests M] [--json P]         ... and replay traffic
                     [--drain] [--full-snapshots]      ... across delta swaps
                                                       ... (rolling when draining)
+                    [--chaos [--rebalance]]           ... on a crashing 2x2 cluster
     python -m repro generations --url U [--last N]    one URL's status across
                     [--generations G]                 ... the retained index
                     [--interval-days D]               ... generations
 
-Also installed as the ``repro`` console script.
+``study`` and ``calibrate`` also take the fault, retry and observability
+flags of :class:`~repro.backends.StackConfig`. Lines starting with ``#``
+carry timings and run metadata; every other line is a deterministic
+function of the flags. Also installed as the ``repro`` console script.
 """
 
 from __future__ import annotations
@@ -37,39 +44,50 @@ from .analysis.study import Study
 from .backends import StackConfig
 from .dataset.worldgen import WorldConfig, generate_world
 from .iabot.medic import WaybackMedic
-from .net.status import Outcome
-from .reporting.figures import render_bar_chart
-from .reporting.summary import ComparisonTable
+from .exec import StudyExecutor
+from .reporting.cdf import ecdf
+from .reporting.figures import render_bar_chart, render_cdf
+from .reporting.headlines import headline_table
 from .wiki.encyclopedia import PERMADEAD_CATEGORY
 
 
-def _build_world(args) -> "tuple":
-    print(f"generating world: {args.links} links, seed {args.seed} ...")
+def _build_world(args):
     start = time.time()
     world = generate_world(
         WorldConfig(n_links=args.links, target_sample=args.links, seed=args.seed)
     )
-    print(f"  {world.summary()}  ({time.time() - start:.1f}s)")
+    print(f"# world: {world.summary()}")
+    print(f"# generation {time.time() - start:.2f}s")
     return world
 
 
 def _run_study(args, world):
-    """Run the study under the subcommand's stack flags."""
+    """Run the study under the subcommand's stack and worker flags,
+    printing its ``#`` stats header."""
     config = StackConfig.from_args(args)
+    faults = config.build_faults()
     tracer = config.build_tracer()
     report = Study.from_world(
         world,
-        faults=config.build_faults(),
+        faults=faults,
         retry_policy=config.build_retry_policy(),
-    ).run(tracer=tracer)
+    ).run(executor=StudyExecutor(workers=args.workers), tracer=tracer)
     if tracer is not None:
         tracer.write_jsonl(config.trace)
-        print(f"trace: {len(tracer.spans)} spans -> {config.trace}")
+        print(f"# trace: {len(tracer.spans)} spans -> {config.trace}")
     if config.metrics_json is not None:
         config.metrics_json.write_text(
             json.dumps(report.stats.as_dict(), indent=2, sort_keys=True) + "\n"
         )
-        print(f"metrics: {config.metrics_json}")
+        print(f"# metrics: {config.metrics_json}")
+    if faults is not None:
+        print(f"# faults: {faults.describe()}")
+        print(
+            f"# retry budget: {config.retries} "
+            f"(plan needs {faults.required_retries()} to mask fully)"
+        )
+    for line in report.stats.summary().splitlines():
+        print(f"# {line}")
     return report
 
 
@@ -89,39 +107,60 @@ def _cmd_study(args) -> int:
             handle.write(document)
         print(f"wrote {args.markdown}")
         return 0
-    print()
-    print(
-        render_bar_chart(
-            {o.value: c for o, c in report.counts.items()},
-            title="Figure 4: live-web outcomes",
-        )
-    )
+    ds = report.dataset
+    spatial = report.spatial
     print()
     print(report.summary())
+    print()
+    print(
+        f"dataset: {len(ds.domains())} domains, {len(ds.hostnames())} "
+        "hostnames (paper: 3,521 / 3,940)"
+    )
+    figures = [
+        render_cdf(
+            {"our dataset": ecdf(list(ds.domains().values()))},
+            "Figure 3(a): URLs per domain", "urls/domain", log_x=True,
+        ),
+        render_cdf(
+            {"our dataset": ecdf(ds.rankings())},
+            "Figure 3(b): site ranking", "rank",
+        ),
+        render_cdf(
+            {"our dataset": ecdf(ds.posting_years())},
+            "Figure 3(c): posting year", "year",
+        ),
+        render_bar_chart(
+            {o.value: c for o, c in report.counts.items()},
+            f"Figure 4: live-web outcomes (n={report.sample_size})",
+        ),
+        render_cdf(
+            {"gap": ecdf([max(g, 0.5) for g in report.temporal.gaps_days])},
+            "Figure 5: posting-to-first-capture gap (days)",
+            "days", log_x=True,
+        ),
+        render_cdf(
+            {
+                "directory": ecdf(
+                    [max(c, 0.5) for c in spatial.directory_counts]
+                ),
+                "hostname": ecdf(
+                    [max(c, 0.5) for c in spatial.hostname_counts]
+                ),
+            },
+            "Figure 6: archived neighbors of never-archived links",
+            "neighbors", log_x=True,
+        ),
+        headline_table(report).render(),
+    ]
+    for figure in figures:
+        print()
+        print(figure)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     world = _build_world(args)
-    report = _run_study(args, world)
-    n = report.sample_size
-    counts = report.counts
-    table = ComparisonTable(title="paper vs measured")
-    table.add("fig4 DNS %", 28.0, 100 * counts[Outcome.DNS_FAILURE] / n)
-    table.add("fig4 404 %", 44.0, 100 * counts[Outcome.HTTP_404] / n)
-    table.add("fig4 200 %", 16.5, 100 * counts[Outcome.HTTP_200] / n)
-    table.add("alive %", 3.05, 100 * report.frac_genuinely_alive, tolerance=0.8)
-    table.add("pre-marking 200 %", 10.8, 100 * report.frac_pre_marking_200)
-    table.add(
-        "3xx of rest %",
-        42.3,
-        100 * report.n_rest_with_pre_3xx / max(report.n_rest, 1),
-    )
-    table.add(
-        "never archived of rest %",
-        22.2,
-        100 * report.n_never_archived / max(report.n_rest, 1),
-    )
+    table = headline_table(_run_study(args, world))
     print()
     print(table.render())
     return 0 if table.all_within_band else 1
@@ -221,6 +260,11 @@ def _cmd_serve(args) -> int:
         f"{len(result.unavailable_ids)} gave up (503), "
         f"{len(result.fault_events)} replica fault events"
     )
+    digest = result.replica_digest()
+    for replica_id in result.replica_ids:
+        ok = digest[replica_id].get("service.requests.ok", 0)
+        lookups = digest[replica_id].get("service.index.lookups", 0)
+        print(f"  {replica_id}: {int(ok)} ok, {int(lookups)} lookups")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(result.as_dict(), handle, indent=2)
@@ -325,13 +369,21 @@ def _cmd_live(args) -> int:
         events_from_generations,
         events_from_reconfigs,
     )
+    from .faults import FaultSpec
     from .service import (
+        ClusterConfig,
+        ClusterService,
         DeltaApply,
         GenerationSwap,
         LinkStatusService,
+        RebalancePlan,
+        ServerConfig,
+        ServiceFaultPlan,
         WorkloadConfig,
         generate_workload,
+        snapshot_wire_bytes,
     )
+    from .service.router import rendezvous_owner, routing_key
 
     baseline_dead = None
 
@@ -400,11 +452,49 @@ def _cmd_live(args) -> int:
                 ))
             else:
                 delta = publisher.build_delta(lineage[i], generation)
-                print(f"  {delta.summary()}")
+                full = snapshot_wire_bytes(generation.index)
+                print(
+                    f"  {delta.summary()} "
+                    f"({100 * delta.wire_bytes() / full:.1f}% of the "
+                    f"{full}-byte snapshot)"
+                )
                 swaps.append(DeltaApply(
                     at_ms=at_ms, drain=args.drain, delta=delta,
                 ))
-        result = LinkStatusService(first.index).serve(workload, swaps=swaps)
+        schedule = list(swaps)
+        if args.chaos:
+            service = ClusterService(
+                first.index,
+                ServerConfig(),
+                ClusterConfig(n_shards=2, replicas_per_shard=2),
+                faults=ServiceFaultPlan(
+                    seed=args.seed,
+                    replica_crash=FaultSpec(rate=0.5),
+                    crash_horizon_ms=horizon,
+                ),
+            )
+            if args.rebalance:
+                # Move the hottest routing key to another shard
+                # mid-replay, through the same reconfiguration plane.
+                heat: dict[str, int] = {}
+                for request in workload:
+                    key = routing_key(request.kind, request.target)
+                    heat[key] = heat.get(key, 0) + 1
+                hottest = max(heat, key=lambda k: (heat[k], k))
+                owner = rendezvous_owner(hottest, service.shard_ids)
+                target = next(
+                    shard for shard in service.shard_ids if shard != owner
+                )
+                schedule.append(RebalancePlan(
+                    at_ms=0.47 * horizon, moves=((hottest, target),),
+                ))
+                print(
+                    f"  rebalance: {hottest!r} ({heat[hottest]} requests) "
+                    f"{owner} -> {target} at {0.47 * horizon:.0f}ms"
+                )
+        else:
+            service = LinkStatusService(first.index)
+        result = service.serve(workload, swaps=schedule)
         served: dict[str, int] = {}
         for response in result.responses:
             served[response.index_version] = served.get(
@@ -412,6 +502,12 @@ def _cmd_live(args) -> int:
             ) + 1
         print()
         print(result.summary())
+        if args.chaos:
+            print(
+                f"chaos: 2 shards x 2 replicas; "
+                f"{len(result.fault_events)} replica fault events, "
+                f"{len(result.unavailable_ids)} gave up (503)"
+            )
         discipline = "drained" if args.drain else "atomic"
         print(
             f"zero-downtime swaps: {len(swaps)} ({discipline}, "
@@ -423,7 +519,8 @@ def _cmd_live(args) -> int:
             print(
                 f"  reconfig {event.kind} at {event.scheduled_ms:.1f}ms "
                 f"-> {event.to_version} (lag {event.lag_ms:.2f}ms, "
-                f"{event.drained_batches} drained batches)"
+                f"{event.drained_batches} drained batches, "
+                f"{event.moved_keys} keys moved)"
             )
         reconfig_slo = evaluate(
             events_from_reconfigs(result.reconfig_events),
@@ -504,6 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, handler in (
         ("study", _cmd_study),
         ("calibrate", _cmd_calibrate),
@@ -513,11 +611,17 @@ def main(argv: list[str] | None = None) -> int:
         ("live", _cmd_live),
         ("generations", _cmd_generations),
     ):
-        cmd = sub.add_parser(name)
+        cmd = commands[name] = sub.add_parser(name)
         cmd.add_argument("--links", type=int, default=3000)
         cmd.add_argument("--seed", type=int, default=2022)
         if name in ("study", "calibrate"):
             StackConfig.add_stack_args(cmd)
+            cmd.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help="worker processes for the study's sharded stage",
+            )
         if name == "study":
             cmd.add_argument(
                 "--markdown",
@@ -664,6 +768,22 @@ def main(argv: list[str] | None = None) -> int:
                     "generation deltas"
                 ),
             )
+            cmd.add_argument(
+                "--chaos",
+                action="store_true",
+                help=(
+                    "serve the replay from a 2x2 cluster whose replicas "
+                    "crash at rate 0.5 over the replay"
+                ),
+            )
+            cmd.add_argument(
+                "--rebalance",
+                action="store_true",
+                help=(
+                    "(with --chaos) move the hottest routing key to "
+                    "another shard mid-replay"
+                ),
+            )
         if name == "generations":
             cmd.add_argument(
                 "--url",
@@ -699,6 +819,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         cmd.set_defaults(handler=handler)
     args = parser.parse_args(argv)
+    if args.command == "live" and args.rebalance and not args.chaos:
+        commands["live"].error("--rebalance requires --chaos")
     return args.handler(args)
 
 

@@ -1,15 +1,14 @@
 """One resilience/observability configuration for every entry point.
 
-``scripts/full_run.py``, ``python -m repro``, and the benchmark
-fixtures used to each re-declare the same six knobs (fault plan, fault
-rate, fault seed, retry budget, trace path, metrics path) with their
-own argparse blocks and env fallbacks. :class:`StackConfig` is the
-single home: one frozen dataclass, one ``add_stack_args`` /
-``from_args`` pair for CLIs, one ``from_env`` for fixture-style
-consumers, and builders that turn the knobs into the live objects
+Six knobs shape a study's backends: fault plan, fault rate, fault
+seed, retry budget, trace path and metrics path. :class:`StackConfig`
+is their single home: one frozen dataclass, one ``add_stack_args`` /
+``from_args`` pair for the ``python -m repro`` subcommands (flags read
+only argv), one ``from_env`` for the benchmark fixtures (the
+``REPRO_FAULT_*`` and ``REPRO_RETRIES`` variables), and builders that
+turn the knobs into the live objects
 (:class:`~repro.faults.plan.FaultPlan`,
-:class:`~repro.retry.RetryPolicy`, :class:`~repro.obs.trace.Tracer`,
-a :class:`~repro.backends.stacks.BackendStack`).
+:class:`~repro.retry.RetryPolicy`, :class:`~repro.obs.trace.Tracer`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Mapping
 from ..faults.plan import FaultPlan
 from ..obs.trace import Tracer
 from ..retry import DEFAULT_MASKING_POLICY, RetryPolicy
-from .stacks import BackendStack
 
 __all__ = ["StackConfig", "PLAN_FACTORIES"]
 
@@ -56,34 +54,33 @@ class StackConfig:
 
     @staticmethod
     def add_stack_args(parser: argparse.ArgumentParser) -> None:
-        """Register the shared flags (with env-var defaults) on ``parser``."""
-        env = os.environ
+        """Register the shared flags on ``parser``."""
+        defaults = StackConfig()
         parser.add_argument(
             "--fault-plan",
             choices=sorted(PLAN_FACTORIES),
-            default=env.get("REPRO_FAULT_PLAN", "everywhere"),
+            default=defaults.fault_plan,
             help="which transient fault channels to activate "
-            "(with --fault-rate; REPRO_FAULT_PLAN)",
+            "(with --fault-rate)",
         )
         parser.add_argument(
             "--fault-rate",
             type=float,
-            default=float(env.get("REPRO_FAULT_RATE", "0.0")),
-            help="per-key fault probability; 0 disables injection "
-            "(REPRO_FAULT_RATE)",
+            default=defaults.fault_rate,
+            help="per-key fault probability; 0 disables injection",
         )
         parser.add_argument(
             "--fault-seed",
             type=int,
-            default=int(env.get("REPRO_FAULT_SEED", "0")),
-            help="fault plan seed (replayable chaos; REPRO_FAULT_SEED)",
+            default=defaults.fault_seed,
+            help="fault plan seed (replayable chaos)",
         )
         parser.add_argument(
             "--retries",
             type=int,
-            default=int(env.get("REPRO_RETRIES", "0")),
+            default=defaults.retries,
             help="retry budget per operation; 0 reproduces the paper's "
-            "no-retry clients exactly (REPRO_RETRIES)",
+            "no-retry clients exactly",
         )
         parser.add_argument(
             "--trace",
@@ -155,10 +152,3 @@ class StackConfig:
     def build_tracer(self) -> Tracer | None:
         """A tracer when a trace path was requested, else ``None``."""
         return Tracer() if self.trace is not None else None
-
-    def build_stack(self) -> BackendStack:
-        """The deterministic backend-stack builder for this config."""
-        return BackendStack(
-            faults=self.build_faults(),
-            retry_policy=self.build_retry_policy(),
-        )

@@ -6,13 +6,13 @@ and CDX queries the analyses asked for, how many of those the memo
 caches absorbed, and how the work was sharded. Every run of
 :meth:`Study.run <repro.analysis.study.Study.run>` attaches one to its
 report, which is what makes the perf trajectory measurable from PR to
-PR (``scripts/full_run.py`` and the benchmark suite both print it).
+PR (``python -m repro study`` and the benchmark suite both print it).
 
 Since the observability PR, ``StudyStats`` is a thin *view* over a
 :class:`~repro.obs.metrics.MetricsRegistry`: every counter it exposes
 is a named registry instrument, so worker shards can buffer their own
 registries and the executor folds them in exactly (the same motion the
-retry-counter deltas use), and ``scripts/full_run.py --metrics-json``
+retry-counter deltas use), and ``python -m repro study --metrics-json``
 can dump the whole registry machine-readably. The public attribute
 surface (``fetches``, ``phase_seconds``, ``summary()`` …) is
 unchanged.
@@ -313,7 +313,7 @@ class StudyStats:
         }
 
     def summary(self) -> str:
-        """Multi-line digest for logs, full_run, and benchmarks."""
+        """Multi-line digest for logs, ``repro study``, and benchmarks."""
         phases = "; ".join(
             f"{name} {seconds:.2f}s"
             for name, seconds in self.phase_seconds.items()

@@ -30,7 +30,8 @@ The service tier adds three more, still deterministic end to end:
   exposition of any registry, with exact snapshot diffing.
 
 ``scripts/trace_report.py`` (over :mod:`repro.obs.traceview`) answers
-the audit questions from the JSONL alone: top-N most expensive URLs,
+the audit questions from the JSONL that ``python -m repro study
+--trace`` or ``python -m repro serve --trace`` writes, alone: top-N most expensive URLs,
 failure attribution by bucket, per-phase latency histograms, and the
 cluster's shard/replica/redispatch geometry. ``scripts/slo_report.py``
 joins the audit log, trace, and metrics snapshot into SLO verdicts.

@@ -3,11 +3,13 @@
 The benchmark harness uses these to print the same rows and series the
 paper reports — Figure 3's dataset CDFs, Figure 4's outcome counts,
 Figure 5's gap CDF, Figure 6's coverage CDFs, and the headline-number
-tables — alongside the paper's values for comparison.
+table — alongside the paper's values for comparison. The paper's
+headline values live once, in :mod:`.headlines`.
 """
 
 from .cdf import Ecdf, ecdf
 from .figures import render_bar_chart, render_cdf
+from .headlines import HEADLINES, Headline, headline_table
 from .plot import ascii_cdf_plot
 from .report import render_markdown_report
 from .summary import ComparisonRow, ComparisonTable
@@ -17,8 +19,11 @@ __all__ = [
     "ComparisonRow",
     "ComparisonTable",
     "Ecdf",
+    "HEADLINES",
+    "Headline",
     "ascii_cdf_plot",
     "ecdf",
+    "headline_table",
     "render_markdown_report",
     "render_bar_chart",
     "render_cdf",

@@ -6,7 +6,7 @@ snapshot at :data:`GOLDEN_RELPATH`. Any change that moves a measured
 number, reorders a section, or reformats a figure shows up as a diff of
 the golden file — intentional changes regenerate it with::
 
-    python scripts/full_run.py --update-golden
+    REPRO_UPDATE_GOLDENS=1 pytest tests/test_golden_report.py
 
 The pinned world is deliberately small (the same shape the exec tests
 use) so the snapshot test stays in tier-1.

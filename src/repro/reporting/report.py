@@ -9,20 +9,24 @@ or attaching to a run.
 
 from __future__ import annotations
 
-from ..net.status import Outcome
 from .cdf import ecdf
 from .figures import render_bar_chart
+from .headlines import comparison_table
 from .plot import ascii_cdf_plot
-from .summary import ComparisonTable
 
-#: Paper values for the comparison section (quantity, paper, getter).
-_PAPER_FIG4 = {
-    Outcome.DNS_FAILURE: 28.0,
-    Outcome.TIMEOUT: 6.0,
-    Outcome.HTTP_404: 44.0,
-    Outcome.HTTP_200: 16.5,
-    Outcome.OTHER: 5.5,
-}
+#: The comparison section's rows: its own label, then the headline
+#: whose paper value and measurement it shows.
+_COMPARISON_ROWS = (
+    ("fig4 DNS Failure %", "fig4 DNS failure %"),
+    ("fig4 Timeout %", "fig4 timeout %"),
+    ("fig4 404 %", "fig4 404 %"),
+    ("fig4 200 %", "fig4 200 %"),
+    ("fig4 Other %", "fig4 other %"),
+    ("genuinely alive %", "s3 genuinely alive %"),
+    ("pre-marking 200 %", "s4.1 pre-marking 200 copies %"),
+    ("3xx of rest %", "s4.2 3xx copies, % of rest"),
+    ("never archived of rest %", "s5 never archived, % of rest"),
+)
 
 
 def render_markdown_report(report, title: str = "Study report") -> str:
@@ -152,22 +156,5 @@ def _section5(report) -> str:
 
 
 def _comparison_section(report) -> str:
-    n = max(report.sample_size, 1)
-    table = ComparisonTable(title="")
-    for outcome, paper in _PAPER_FIG4.items():
-        table.add(
-            f"fig4 {outcome.value} %", paper, 100.0 * report.counts[outcome] / n
-        )
-    table.add("genuinely alive %", 3.05, 100.0 * report.frac_genuinely_alive)
-    table.add("pre-marking 200 %", 10.8, 100.0 * report.frac_pre_marking_200)
-    table.add(
-        "3xx of rest %",
-        42.3,
-        100.0 * report.n_rest_with_pre_3xx / max(report.n_rest, 1),
-    )
-    table.add(
-        "never archived of rest %",
-        22.2,
-        100.0 * report.n_never_archived / max(report.n_rest, 1),
-    )
+    table = comparison_table(report, _COMPARISON_ROWS)
     return "## Paper vs measured\n\n" + _code(table.render())

@@ -406,8 +406,7 @@ class ClusterService:
         ``"serial"`` (the only execution mode; the parameter stays
         for callers that name it).
 
-        ``swaps`` — optional reconfiguration schedule: legacy
-        ``(at_ms, index)`` tuples or
+        ``swaps`` — optional reconfiguration schedule of
         :class:`~repro.service.reconfig.Reconfiguration` instances
         (``GenerationSwap``, ``DeltaApply``, ``RebalancePlan``),
         validated up front by

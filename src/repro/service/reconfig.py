@@ -32,10 +32,10 @@ Every instance supports two application disciplines:
   it. Drains are bounded by the batcher's ``max_wait_ms``.
 
 :func:`normalize_schedule` is the single validation choke point for
-``swaps=`` schedules on both serving tiers: it accepts legacy
-``(at_ms, index)`` pairs and typed reconfigurations, and rejects
-malformed schedules **up front** with :class:`ReconfigError` (a
-``ValueError``) instead of failing mid-replay — duplicate ``at_ms``,
+``swaps=`` schedules on both serving tiers: it accepts typed
+reconfigurations only, and rejects malformed schedules **up front**
+with :class:`ReconfigError` instead of failing mid-replay — any entry
+that is not a :class:`Reconfiguration`, duplicate ``at_ms``,
 non-monotonic target versions (a swap that re-installs the generation
 already serving), empty indexes, and broken delta chains.
 
@@ -78,13 +78,8 @@ RECONFIG_LAG_BOUNDS_MS: tuple[float, ...] = (
 )
 
 
-class ReconfigError(ReproError, ValueError):
-    """A malformed or inapplicable reconfiguration.
-
-    Subclasses :class:`ValueError` so callers that guarded the legacy
-    ``swaps=`` validation (`"must be strictly increasing"`) keep
-    working unchanged.
-    """
+class ReconfigError(ReproError):
+    """A malformed or inapplicable reconfiguration."""
 
 
 # -- wire accounting --------------------------------------------------------------
@@ -473,12 +468,14 @@ def normalize_schedule(
 ) -> list[Reconfiguration]:
     """Validate a ``swaps=`` schedule up front; return typed ops.
 
-    Accepts legacy ``(at_ms, index)`` pairs (converted to atomic
-    :class:`GenerationSwap` ops) and :class:`Reconfiguration`
-    instances, sorted by schedule time. Raises :class:`ReconfigError`
-    — *before* the replay starts — for every malformation that used
-    to surface as a mid-replay assertion or silent corruption:
+    Accepts :class:`Reconfiguration` instances and returns them
+    sorted by schedule time. Raises :class:`ReconfigError` — *before*
+    the replay starts — for every malformation that used to surface
+    as a mid-replay assertion or silent corruption:
 
+    - an entry that is not a :class:`Reconfiguration` (an
+      ``(at_ms, index)`` pair included: wrap it in
+      :class:`GenerationSwap`);
     - duplicate ``at_ms`` (two reconfigurations cannot share an
       instant; the tie would be resolved by list order, which callers
       do not control after sorting);
@@ -495,19 +492,13 @@ def normalize_schedule(
     """
     if not swaps:
         return []
-    ops: list[Reconfiguration] = []
-    for item in swaps:
-        if isinstance(item, Reconfiguration):
-            ops.append(item)
-        else:
-            try:
-                at_ms, index = item
-            except (TypeError, ValueError):
-                raise ReconfigError(
-                    f"schedule entries must be (at_ms, index) pairs or "
-                    f"Reconfiguration instances, got {item!r}"
-                ) from None
-            ops.append(GenerationSwap(at_ms=float(at_ms), index=index))
+    ops: list[Reconfiguration] = list(swaps)
+    for op in ops:
+        if not isinstance(op, Reconfiguration):
+            raise ReconfigError(
+                f"schedule entries must be Reconfiguration instances "
+                f"(GenerationSwap, DeltaApply, RebalancePlan), got {op!r}"
+            )
     ops.sort(key=lambda op: op.at_ms)
     for earlier, later in zip(ops, ops[1:]):
         if later.at_ms <= earlier.at_ms:

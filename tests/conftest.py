@@ -165,7 +165,42 @@ def artifact_dir(tmp_path):
     return path
 
 
-class ServeGolden:
+#: ``REPRO_UPDATE_GOLDENS=1 pytest <files>`` re-records every golden the
+#: selected tests compare against (only for a deliberate behaviour
+#: change); without it the goldens are read-only.
+UPDATE_GOLDENS = bool(os.environ.get("REPRO_UPDATE_GOLDENS"))
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="session")
+def update_goldens() -> bool:
+    """Whether this run re-records the goldens it compares against."""
+    return UPDATE_GOLDENS
+
+
+class JsonGolden:
+    """A committed JSON golden: named sections of recorded digests."""
+
+    def __init__(self, filename: str) -> None:
+        self.path = GOLDEN_DIR / filename
+
+    def section(self, name: str, record):
+        """The recorded section ``name``. Under
+        ``REPRO_UPDATE_GOLDENS=1`` it is first re-recorded as
+        ``record()``."""
+        golden = (
+            json.loads(self.path.read_text()) if self.path.exists() else {}
+        )
+        if UPDATE_GOLDENS:
+            golden[name] = record()
+            self.path.write_text(
+                json.dumps(golden, indent=2, sort_keys=True) + "\n"
+            )
+        return golden[name]
+
+
+class ServeGolden(JsonGolden):
     """The recorded single-node serving output.
 
     ``tests/golden/single_node_serve.json`` holds digests of what the
@@ -175,13 +210,10 @@ class ServeGolden:
     that loop was folded into the one serving engine (a 1×1 cluster).
     The differential tests compare the engine against it, so a match
     *is* the proof that the fold changed no answer and no latency.
-
-    Re-record (only for a deliberate behaviour change) with
-    ``REPRO_UPDATE_SERVE_GOLDEN=1 pytest tests/test_cluster.py
-    tests/test_live.py``.
     """
 
-    path = Path(__file__).parent / "golden" / "single_node_serve.json"
+    def __init__(self) -> None:
+        super().__init__("single_node_serve.json")
 
     @staticmethod
     def responses_sha(responses) -> str:
@@ -200,27 +232,13 @@ class ServeGolden:
             b"".join(r.to_wire() for r in responses)
         ).hexdigest()
 
-    def section(self, name: str, record) -> dict:
-        """The recorded section ``name``. Under
-        ``REPRO_UPDATE_SERVE_GOLDEN=1`` it is first re-recorded as
-        ``record()`` — a digest of what the single node serves now."""
-        golden = (
-            json.loads(self.path.read_text()) if self.path.exists() else {}
-        )
-        if os.environ.get("REPRO_UPDATE_SERVE_GOLDEN"):
-            golden[name] = record()
-            self.path.write_text(
-                json.dumps(golden, indent=2, sort_keys=True) + "\n"
-            )
-        return golden[name]
-
 
 @pytest.fixture(scope="session")
 def serve_golden() -> ServeGolden:
     return ServeGolden()
 
 
-class WorldGolden:
+class WorldGolden(JsonGolden):
     """The recorded digest of generated worlds.
 
     ``tests/golden/world_digest.json`` holds, per named world, sha256
@@ -229,12 +247,10 @@ class WorldGolden:
     in URL and time order, the crawler's counters, the bot's stats and
     ``World.summary()``. A match proves a change to the replay left
     the generated world byte-identical.
-
-    Re-record (only for a deliberate behaviour change) with
-    ``REPRO_UPDATE_WORLD_GOLDEN=1 pytest tests/test_integration_world.py``.
     """
 
-    path = Path(__file__).parent / "golden" / "world_digest.json"
+    def __init__(self) -> None:
+        super().__init__("world_digest.json")
 
     @staticmethod
     def _sha(payload) -> str:
@@ -291,20 +307,18 @@ class WorldGolden:
         }
 
     def section(self, name: str, world) -> dict:
-        """The recorded digest ``name``. Under
-        ``REPRO_UPDATE_WORLD_GOLDEN=1`` it is first re-recorded from
-        ``world``."""
-        golden = (
-            json.loads(self.path.read_text()) if self.path.exists() else {}
-        )
-        if os.environ.get("REPRO_UPDATE_WORLD_GOLDEN"):
-            golden[name] = self.digest(world)
-            self.path.write_text(
-                json.dumps(golden, indent=2, sort_keys=True) + "\n"
-            )
-        return golden[name]
+        """The recorded digest ``name`` (re-recorded from ``world``
+        under ``REPRO_UPDATE_GOLDENS=1``)."""
+        return super().section(name, lambda: self.digest(world))
 
 
 @pytest.fixture(scope="session")
 def world_golden() -> WorldGolden:
     return WorldGolden()
+
+
+@pytest.fixture(scope="session")
+def stack_golden() -> JsonGolden:
+    """``tests/golden/stack_differential.json``: one report digest per
+    backend-stack scenario (see ``tests/test_backends.py``)."""
+    return JsonGolden("stack_differential.json")

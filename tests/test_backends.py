@@ -12,14 +12,14 @@ Three families of guarantees pin :mod:`repro.backends`:
 3. **The differential refactor proof**: every scenario digest in
    ``tests/golden/stack_differential.json`` — committed from the
    pre-refactor wrappers — is recomputed through the composed stacks
-   and must match byte-for-byte.
+   and must match byte-for-byte (re-recorded, only for a deliberate
+   behaviour change, by ``REPRO_UPDATE_GOLDENS=1 pytest
+   tests/test_backends.py``).
 """
 
 from __future__ import annotations
 
-import importlib.util
-import json
-from pathlib import Path
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -40,14 +40,17 @@ from repro.backends import (
     layer_names,
     validate_stack_order,
 )
+from repro.analysis.study import Study
+from repro.dataset.worldgen import generate_world
 from repro.errors import DnsServfail
+from repro.exec import StudyExecutor
 from repro.faults.inject import FaultChannel
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.retry import RetryCounters, RetryPolicy
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.reporting.golden import GOLDEN_CONFIG
+from repro.reporting.report import render_markdown_report
+from repro.retry import DEFAULT_MASKING_POLICY, RetryCounters, RetryPolicy
 
 #: Fast, ample retry budget: masks any transient depth the tests draw.
 MASKING = RetryPolicy(
@@ -308,18 +311,46 @@ class TestConcreteStackShapes:
 # -- the differential refactor proof -------------------------------------------
 
 
-def _load_goldens_script():
-    path = REPO_ROOT / "scripts" / "stack_goldens.py"
-    spec = importlib.util.spec_from_file_location("stack_goldens", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def stack_scenarios() -> dict[str, tuple[FaultPlan | None, object, int]]:
+    """Differential scenarios: name -> (fault plan, retry policy, workers).
+
+    The masked pairs prove fault+retry layering is inert; the parallel
+    pairs prove the sharded stack merges byte-identically; the
+    unretried net scenario pins the *degraded* report too (confinement
+    is covered by the chaos tier, byte-stability by this digest).
+    """
+    masked_plan = FaultPlan.transient_everywhere(rate=0.2, seed=5)
+    return {
+        "clean-serial": (None, None, 1),
+        "clean-parallel": (None, None, 3),
+        "masked-serial": (masked_plan, DEFAULT_MASKING_POLICY, 1),
+        "masked-parallel": (masked_plan, DEFAULT_MASKING_POLICY, 3),
+        "net-unretried-serial": (
+            FaultPlan.transient_net(rate=0.2, seed=5), None, 1
+        ),
+    }
 
 
-def test_stack_differential_digests_match_pre_refactor_goldens():
+def stack_digests() -> dict[str, str]:
+    """Render every scenario's report of the golden world; sha256 each."""
+    world = generate_world(GOLDEN_CONFIG)
+    digests: dict[str, str] = {}
+    for name, (faults, retry_policy, workers) in stack_scenarios().items():
+        report = Study.from_world(
+            world, faults=faults, retry_policy=retry_policy
+        ).run(executor=StudyExecutor(workers=workers))
+        rendered = render_markdown_report(report, title=f"stack golden: {name}")
+        digests[name] = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_stack_differential_digests_match_pre_refactor_goldens(stack_golden):
     """Every scenario (clean/masked x serial/parallel, plus unretried
     net faults) renders a report whose digest matches the goldens
     committed from the pre-refactor wrapper implementations."""
-    goldens = _load_goldens_script()
-    committed = json.loads(goldens.golden_path(REPO_ROOT).read_text())
-    assert goldens.compute_digests() == committed
+    digests = stack_digests()
+    committed = {
+        name: stack_golden.section(name, lambda digest=digest: digest)
+        for name, digest in digests.items()
+    }
+    assert committed == digests

@@ -3,6 +3,27 @@
 import pytest
 
 from repro.__main__ import main
+from repro.reporting.headlines import HEADLINE_TITLE, HEADLINES
+
+WORLD = ["--links", "400", "--seed", "6"]
+
+
+def run(argv, capsys) -> tuple[int, str]:
+    """Exit code and stdout of one CLI invocation."""
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def measured_lines(out: str) -> list[str]:
+    """Every line but the ``#`` timing and metadata header."""
+    return [line for line in out.splitlines() if not line.startswith("#")]
+
+
+def headline_block(out: str) -> str:
+    """The headline table as printed: title, header, rule, one row each."""
+    lines = out.splitlines()
+    start = lines.index(HEADLINE_TITLE)
+    return "\n".join(lines[start:start + 3 + len(HEADLINES)])
 
 
 class TestCli:
@@ -64,6 +85,67 @@ class TestCli:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["fault_events"] > 0
+
+    def test_study_workers_print_the_same_measurements(self, capsys):
+        code, serial = run(["study", *WORLD, "--workers", "1"], capsys)
+        assert code == 0
+        code, sharded = run(["study", *WORLD, "--workers", "2"], capsys)
+        assert code == 0
+        assert "# executor: 2 worker(s)" in sharded
+        assert measured_lines(sharded) == measured_lines(serial)
+        for figure in (
+            "Figure 3(a)", "Figure 3(b)", "Figure 3(c)", "Figure 4",
+            "Figure 5", "Figure 6", HEADLINE_TITLE,
+        ):
+            assert figure in serial, figure
+
+    def test_calibrate_grades_the_table_study_prints(self, capsys):
+        code, out = run(["calibrate", *WORLD], capsys)
+        table = headline_block(out)
+        rows = table.splitlines()[3:]
+        assert [row.split("  ")[0] for row in rows] == [
+            headline.name for headline in HEADLINES
+        ]
+        assert all(row.endswith((" ok", " OFF")) for row in rows)
+        all_within_band = not any(row.endswith(" OFF") for row in rows)
+        assert code == (0 if all_within_band else 1)
+        _, study = run(["study", *WORLD], capsys)
+        assert headline_block(study) == table
+
+    def test_live_chaos_rebalance(self, capsys):
+        code, out = run(
+            [
+                "live", *WORLD, "--generations", "3", "--requests", "300",
+                "--chaos", "--rebalance",
+            ],
+            capsys,
+        )
+        assert code == 0
+        chaos = next(line for line in out.splitlines()
+                     if line.startswith("chaos: "))
+        assert int(chaos.split("; ")[1].split()[0]) > 0, chaos
+        assert "replica fault events" in chaos
+        assert "  reconfig rebalance at " in out
+        assert "% of the " in out and "-byte snapshot" in out
+
+    def test_live_rebalance_requires_chaos(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["live", *WORLD, "--rebalance"])
+        assert exit_info.value.code == 2
+        assert "--rebalance requires --chaos" in capsys.readouterr().err
+
+    def test_serve_prints_per_replica_lines(self, capsys):
+        code, out = run(
+            ["serve", *WORLD, "--requests", "300", "--shards", "2",
+             "--replicas", "2"],
+            capsys,
+        )
+        assert code == 0
+        replica_lines = [
+            line for line in out.splitlines()
+            if line.endswith(" lookups") and " ok, " in line
+        ]
+        assert len(replica_lines) == 4
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -6,7 +6,7 @@ regression net in the suite: any change to world generation, sampling,
 the analysis pipeline, ECDF/plot rendering, or the report template
 shows up here as a diff. Intentional changes regenerate the snapshot::
 
-    python scripts/full_run.py --update-golden
+    REPRO_UPDATE_GOLDENS=1 pytest tests/test_golden_report.py
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from repro.reporting.golden import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+REGENERATE = "REPRO_UPDATE_GOLDENS=1 pytest tests/test_golden_report.py"
+
 
 @pytest.fixture(scope="module")
 def rendered() -> str:
@@ -33,17 +35,20 @@ def rendered() -> str:
 
 
 class TestGoldenSnapshot:
-    def test_matches_committed_snapshot_byte_for_byte(self, rendered):
+    def test_matches_committed_snapshot_byte_for_byte(
+        self, rendered, update_goldens
+    ):
+        if update_goldens:
+            update_golden(REPO_ROOT)
         path = golden_path(REPO_ROOT)
         assert path.exists(), (
             f"golden snapshot missing at {GOLDEN_RELPATH}; generate it "
-            "with: python scripts/full_run.py --update-golden"
+            f"with: {REGENERATE}"
         )
         committed = path.read_text(encoding="utf-8")
         assert rendered == committed, (
             "study report drifted from the golden snapshot — if the "
-            "change is intentional, regenerate with: "
-            "python scripts/full_run.py --update-golden"
+            f"change is intentional, regenerate with: {REGENERATE}"
         )
 
     def test_render_is_deterministic(self, rendered):

@@ -51,8 +51,10 @@ from repro.obs.slo import MS_PER_DAY, SloSpec, evaluate, events_from_generations
 from repro.service import (
     ClusterConfig,
     ClusterService,
+    GenerationSwap,
     LinkStatusIndex,
     LinkStatusService,
+    ReconfigError,
     ServerConfig,
     ServiceFaultPlan,
     WorkloadConfig,
@@ -430,7 +432,10 @@ def swap_schedule(requests, generations):
     """Install later generations at the workload's 1/3 and 2/3 marks."""
     _, g1, g2 = generations
     horizon = max(r.arrival_ms for r in requests)
-    return [(horizon / 3.0, g1.index), (2.0 * horizon / 3.0, g2.index)]
+    return [
+        GenerationSwap(at_ms=horizon / 3.0, index=g1.index),
+        GenerationSwap(at_ms=2.0 * horizon / 3.0, index=g2.index),
+    ]
 
 
 def assert_no_mixed_generation(result, requests, generations):
@@ -471,10 +476,13 @@ def test_swap_schedule_must_strictly_increase(live_run):
     _, _, generations, _ = live_run
     g0, g1, _ = generations
     requests = swap_workload(g0.index, n=20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ReconfigError, match="strictly increasing"):
         LinkStatusService(g0.index).serve(
             requests,
-            swaps=[(100.0, g1.index), (100.0, g0.index)],
+            swaps=[
+                GenerationSwap(at_ms=100.0, index=g1.index),
+                GenerationSwap(at_ms=100.0, index=g0.index),
+            ],
         )
 
 

@@ -8,9 +8,9 @@ The contracts pinned here:
   generation produces an index **byte-identical** to the full
   snapshot — same content-hash ``version``, same entry tuple, same
   wire answers — and the delta is always smaller than the snapshot;
-- schedule validation happens **up front**: duplicate instants, empty
-  indexes, no-op swaps, broken delta chains, and malformed rebalances
-  all raise :class:`ReconfigError` (a ``ValueError``) before any
+- schedule validation happens **up front**: untyped entries,
+  duplicate instants, empty indexes, no-op swaps, broken delta chains,
+  and malformed rebalances all raise :class:`ReconfigError` before any
   request replays;
 - **drained rolling swaps**: with ``drain=True`` each replica
   finishes its queued batch under the old generation before
@@ -183,9 +183,6 @@ def test_apply_delta_refuses_wrong_base_and_corruption(reconfig_run):
     )
     with pytest.raises(ReconfigError):
         apply_delta(g0.index, bad_position)
-    # ReconfigError is a ReproError and a ValueError — both idioms
-    # used by existing callers keep working.
-    assert issubclass(ReconfigError, ValueError)
     assert issubclass(ReconfigError, ReproError)
 
 
@@ -260,7 +257,11 @@ def test_schedule_rejects_duplicate_instants(reconfig_run):
     g0, g1, _ = generations
     with pytest.raises(ReconfigError, match="strictly increasing"):
         normalize_schedule(
-            [(100.0, g1.index), (100.0, g0.index)], g0.index
+            [
+                GenerationSwap(at_ms=100.0, index=g1.index),
+                GenerationSwap(at_ms=100.0, index=g0.index),
+            ],
+            g0.index,
         )
 
 
@@ -269,7 +270,8 @@ def test_schedule_rejects_empty_index(reconfig_run):
     g0 = generations[0]
     with pytest.raises(ReconfigError, match="empty index"):
         normalize_schedule(
-            [(50.0, LinkStatusIndex(entries=()))], g0.index
+            [GenerationSwap(at_ms=50.0, index=LinkStatusIndex(entries=()))],
+            g0.index,
         )
 
 
@@ -277,12 +279,18 @@ def test_schedule_rejects_noop_swap_and_noop_delta(reconfig_run):
     _, generations = reconfig_run
     g0, g1, _ = generations
     with pytest.raises(ReconfigError, match="re-installs"):
-        normalize_schedule([(50.0, g0.index)], g0.index)
+        normalize_schedule(
+            [GenerationSwap(at_ms=50.0, index=g0.index)], g0.index
+        )
     # The chain is walked: installing g1 then g1 again is a no-op at
     # schedule position 2 even though g1 != g0.
     with pytest.raises(ReconfigError, match="re-installs"):
         normalize_schedule(
-            [(50.0, g1.index), (60.0, g1.index)], g0.index
+            [
+                GenerationSwap(at_ms=50.0, index=g1.index),
+                GenerationSwap(at_ms=60.0, index=g1.index),
+            ],
+            g0.index,
         )
 
 
@@ -293,19 +301,36 @@ def test_schedule_rejects_broken_delta_chain(reconfig_run):
     # d12 applies to g1, but g0 is serving at its instant.
     with pytest.raises(ReconfigError, match="broken delta chain"):
         normalize_schedule([DeltaApply(at_ms=50.0, delta=d12)], g0.index)
-    # Correct chains pass, mixed with legacy tuples and swaps.
+    # Correct chains pass, mixed with full-snapshot swaps.
     ops = normalize_schedule(
         [
             DeltaApply(at_ms=50.0, delta=d01),
-            (80.0, g2.index),
+            GenerationSwap(at_ms=80.0, index=g2.index),
         ],
         g0.index,
     )
     assert [op.kind for op in ops] == ["delta", "swap"]
     with pytest.raises(ReconfigError, match="carries no delta"):
         normalize_schedule([DeltaApply(at_ms=50.0)], g0.index)
-    with pytest.raises(ReconfigError, match="pairs"):
+    with pytest.raises(ReconfigError, match="Reconfiguration instances"):
         normalize_schedule([42.0], g0.index)
+
+
+def test_schedule_rejects_untyped_pairs(reconfig_run):
+    """A bare ``(at_ms, index)`` pair is not a reconfiguration: the
+    schedule gate names it instead of converting it, and its error is
+    no ``ValueError``."""
+    _, generations = reconfig_run
+    g0, g1, _ = generations
+    pair = (50.0, g1.index)
+    with pytest.raises(ReconfigError, match=r"got \(50\.0, ") as caught:
+        normalize_schedule([pair], g0.index)
+    assert not isinstance(caught.value, ValueError)
+    assert not issubclass(ReconfigError, ValueError)
+    with pytest.raises(ReconfigError):
+        LinkStatusService(g0.index).serve(
+            swap_workload(g0.index, n=20), swaps=[pair]
+        )
 
 
 def test_schedule_rejects_malformed_rebalances(reconfig_run):
@@ -359,7 +384,11 @@ def test_delta_apply_serves_identically_to_snapshot_swap(reconfig_run):
     t1, t2 = swap_instants(requests)
     d01, d12 = delta_chain(generations)
     via_snapshots = LinkStatusService(g0.index).serve(
-        requests, swaps=[(t1, g1.index), (t2, g2.index)]
+        requests,
+        swaps=[
+            GenerationSwap(at_ms=t1, index=g1.index),
+            GenerationSwap(at_ms=t2, index=g2.index),
+        ],
     )
     via_deltas = LinkStatusService(g0.index).serve(
         requests,

@@ -1,7 +1,7 @@
 """Unit tests for repro.exec.stats: counters, rates, and formatting.
 
 :class:`StudyStats` is pure arithmetic plus one string renderer, but
-``full_run`` and the benchmarks print it verbatim, so its zero-safety
+``repro study`` and the benchmarks print it verbatim, so its zero-safety
 (:func:`_rate`) and its summary format are pinned down here.
 """
 
