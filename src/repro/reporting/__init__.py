@@ -9,7 +9,6 @@ headline values live once, in :mod:`.headlines`.
 
 from .cdf import Ecdf, ecdf
 from .figures import render_bar_chart, render_cdf
-from .headlines import HEADLINES, Headline, headline_table
 from .plot import ascii_cdf_plot
 from .report import render_markdown_report
 from .summary import ComparisonRow, ComparisonTable
@@ -19,11 +18,8 @@ __all__ = [
     "ComparisonRow",
     "ComparisonTable",
     "Ecdf",
-    "HEADLINES",
-    "Headline",
     "ascii_cdf_plot",
     "ecdf",
-    "headline_table",
     "render_markdown_report",
     "render_bar_chart",
     "render_cdf",

@@ -11,22 +11,9 @@ from __future__ import annotations
 
 from .cdf import ecdf
 from .figures import render_bar_chart
-from .headlines import comparison_table
+from .headlines import HEADLINES
 from .plot import ascii_cdf_plot
-
-#: The comparison section's rows: its own label, then the headline
-#: whose paper value and measurement it shows.
-_COMPARISON_ROWS = (
-    ("fig4 DNS Failure %", "fig4 DNS failure %"),
-    ("fig4 Timeout %", "fig4 timeout %"),
-    ("fig4 404 %", "fig4 404 %"),
-    ("fig4 200 %", "fig4 200 %"),
-    ("fig4 Other %", "fig4 other %"),
-    ("genuinely alive %", "s3 genuinely alive %"),
-    ("pre-marking 200 %", "s4.1 pre-marking 200 copies %"),
-    ("3xx of rest %", "s4.2 3xx copies, % of rest"),
-    ("never archived of rest %", "s5 never archived, % of rest"),
-)
+from .summary import ComparisonTable
 
 
 def render_markdown_report(report, title: str = "Study report") -> str:
@@ -156,5 +143,12 @@ def _section5(report) -> str:
 
 
 def _comparison_section(report) -> str:
-    table = comparison_table(report, _COMPARISON_ROWS)
+    table = ComparisonTable(title="")
+    for headline in HEADLINES:
+        if headline.report_label is not None:
+            table.add(
+                headline.report_label,
+                headline.paper,
+                headline.measure(report),
+            )
     return "## Paper vs measured\n\n" + _code(table.render())

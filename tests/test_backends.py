@@ -20,6 +20,7 @@ Three families of guarantees pin :mod:`repro.backends`:
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -344,13 +345,16 @@ def stack_digests() -> dict[str, str]:
     return digests
 
 
-def test_stack_differential_digests_match_pre_refactor_goldens(stack_golden):
+def test_stack_differential_digests_match_pre_refactor_goldens(
+    stack_golden, update_goldens
+):
     """Every scenario (clean/masked x serial/parallel, plus unretried
     net faults) renders a report whose digest matches the goldens
-    committed from the pre-refactor wrapper implementations."""
+    committed from the pre-refactor wrapper implementations — and the
+    committed file pins exactly these scenarios, no more and no fewer."""
     digests = stack_digests()
-    committed = {
-        name: stack_golden.section(name, lambda digest=digest: digest)
-        for name, digest in digests.items()
-    }
-    assert committed == digests
+    if update_goldens:
+        stack_golden.path.write_text(
+            json.dumps(digests, indent=2, sort_keys=True) + "\n"
+        )
+    assert json.loads(stack_golden.path.read_text()) == digests
