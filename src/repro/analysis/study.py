@@ -18,7 +18,7 @@ byte-identical report at any worker count.
 
 from __future__ import annotations
 
-import dataclasses
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..archive.cdx import CdxApi
@@ -32,11 +32,12 @@ from ..exec import (
     StudyExecutor,
     StudyStats,
 )
+from ..exec.stats import backend_counts
 from ..faults import FaultPlan
 from ..net.fetch import Fetcher
 from ..net.status import Outcome
 from ..obs.trace import Tracer
-from ..retry import RetryCounters, RetryPolicy
+from ..retry import RetryPolicy
 from ..rng import RngRegistry
 from .copies import CopyCensus
 from .live_status import LiveProbe, outcome_counts
@@ -188,10 +189,10 @@ class Study:
     """A configured study, ready to run.
 
     ``retry_policy`` is the study client's resilience posture: it
-    drives the fetcher's transient-failure retries and is inherited by
-    the exec-layer caching wrappers (parent and worker shards alike)
-    unless the executor carries its own. ``None`` — the default, and
-    the paper's configuration — never retries.
+    drives the fetcher's transient-failure retries and is handed to
+    the executor for its caching wrappers (parent and worker shards
+    alike). ``None`` — the default, and the paper's configuration —
+    never retries.
     """
 
     records: list[LinkRecord]
@@ -256,90 +257,50 @@ class Study:
 
         ``executor`` controls sharding; the default runs in-process.
         Any worker count yields the same report — only the attached
-        :class:`~repro.exec.StudyStats` differs. The study's retry
-        policy is handed to the executor's caching wrappers unless the
-        executor already carries one of its own.
+        :class:`~repro.exec.StudyStats` differs.
 
         ``tracer`` records the full span hierarchy (study → phase →
-        shard → record → backend call) of the run; worker shards
-        buffer their spans and the executor grafts them back in.
+        shard → record → backend call) of the run; shards buffer
+        their spans and the executor grafts them back in.
         Tracing never changes the measurement: a traced run's report
         is byte-identical to an untraced one, and serial vs parallel
         traced runs agree on every aggregate metric (span ids and
         wall timings excluded, by definition).
         """
         executor = executor if executor is not None else StudyExecutor(workers=1)
-        if self.retry_policy is not None and executor.retry_policy is None:
-            executor = dataclasses.replace(
-                executor, retry_policy=self.retry_policy
-            )
         stats = StudyStats(workers=executor.resolved_workers)
         dataset = Dataset(records=list(self.records), description="our dataset")
 
-        study_cm = (
+        with (
             tracer.span(
                 "study", kind="study", sim=self.at,
                 records=len(self.records),
                 workers=executor.resolved_workers,
             )
             if tracer is not None
-            else None
-        )
-        if study_cm is not None:
-            study_cm.__enter__()
-        try:
-            report = self._run_phases(executor, stats, dataset, tracer)
-        finally:
-            if study_cm is not None:
-                study_cm.__exit__(None, None, None)
-        return report
-
-    def _run_phases(
-        self,
-        executor: StudyExecutor,
-        stats: StudyStats,
-        dataset: Dataset,
-        tracer: Tracer | None,
-    ) -> StudyReport:
-        # §3 probe + §4 census + §4.2 validation: the sharded stage.
-        with stats.phase("probe+census", tracer=tracer):
-            stage = executor.execute(
-                self.records, self.fetcher, self.cdx, self.at, stats, tracer,
+            else nullcontext()
+        ):
+            # §3 probe + §4 census + §4.2 validation: the sharded stage.
+            with stats.phase("probe+census", tracer=tracer):
+                stage = executor.execute(
+                    self.records, self.fetcher, self.cdx, self.at,
+                    stats, tracer,
+                    at_overrides=self.at_overrides or None,
+                    bound_archive=self.bound_archive,
+                    retry_policy=self.retry_policy,
+                )
+            stats.shards = stage.shards
+            return assemble_report(
+                dataset=dataset,
+                outcomes=list(stage.outcomes),
+                fetcher=stage.fetcher,
+                cdx=stage.cdx,
+                at=self.at,
+                rngs=self.rngs,
+                stats=stats,
+                tracer=tracer,
                 at_overrides=self.at_overrides or None,
-                bound_archive=self.bound_archive,
             )
-        stats.shards = stage.shards
-
-        report = assemble_report(
-            dataset=dataset,
-            outcomes=list(stage.outcomes),
-            fetcher=stage.fetcher,
-            cdx=stage.cdx,
-            at=self.at,
-            rngs=self.rngs,
-            stats=stats,
-            tracer=tracer,
-            at_overrides=self.at_overrides or None,
-        )
-
-        # Parent-side retry accounting. In serial mode the study's own
-        # fetcher did all the work; in parallel mode it only served the
-        # parent phases (workers reported their deltas through the
-        # executor already), so summing here never double-counts.
-        fetch_rc = RetryCounters()
-        fetch_rc.merge(
-            getattr(self.fetcher, "retry_counters", None) or RetryCounters()
-        )
-        fetch_rc.merge(stage.fetcher.retry_counters)
-        cdx_rc = stage.cdx.retry_counters
-        stats.add_retry_counts(
-            fetch_retries=fetch_rc.retries,
-            fetch_giveups=fetch_rc.giveups,
-            cdx_retries=cdx_rc.retries,
-            cdx_giveups=cdx_rc.giveups,
-            backoff_ms=fetch_rc.backoff_ms + cdx_rc.backoff_ms,
-        )
-        return report
 
 
 def assemble_report(
@@ -365,85 +326,88 @@ def assemble_report(
     report byte-identical to a from-scratch run — the parent phases
     are aggregations, cheap to recompute in full each generation.
 
-    ``fetcher`` / ``cdx`` are the parent-side memo backends (the
-    stage's, or freshly seeded equivalents); ``at_overrides`` hands
-    the soft-404 detector each record's probe instant.
+    ``fetcher`` / ``cdx`` are the stage's parent-side memo backends;
+    ``at_overrides`` hands the soft-404 detector each record's probe
+    instant. Their counters fold into ``stats`` once the phases end —
+    the memo counts and retries of the two stacks, plus what the raw
+    fetcher under ``fetcher`` retried during these phases — so batch
+    and live studies account for the parent phases the same way.
     """
     overrides = at_overrides or {}
-    probes = [outcome.probe for outcome in outcomes]
-    counts = outcome_counts(probes)
+    with backend_counts(stats.registry, fetcher, cdx):
+        probes = [outcome.probe for outcome in outcomes]
+        counts = outcome_counts(probes)
 
-    # §3: soft-404 screening of the 200s. Stays in the parent —
-    # the detector consumes a sequential RNG stream, so probing in
-    # record order is what keeps seeded runs reproducible; the
-    # shingle similarities of the whole population are computed by
-    # one columnar batch kernel.
-    detector = Soft404Detector(fetcher, rngs.stream("soft404"))
-    with stats.phase("soft404", tracer=tracer):
-        screened = [probe for probe in probes if probe.returned_200]
-        verdicts: list[Soft404Verdict] = detector.check_many(
-            [probe.record.url for probe in screened],
-            at,
-            ats=(
-                [overrides.get(p.record.url, at) for p in screened]
-                if overrides
-                else None
-            ),
+        # §3: soft-404 screening of the 200s. Stays in the parent —
+        # the detector consumes a sequential RNG stream, so probing in
+        # record order is what keeps seeded runs reproducible; the
+        # shingle similarities of the whole population are computed by
+        # one columnar batch kernel.
+        detector = Soft404Detector(fetcher, rngs.stream("soft404"))
+        with stats.phase("soft404", tracer=tracer):
+            screened = [probe for probe in probes if probe.returned_200]
+            verdicts: list[Soft404Verdict] = detector.check_many(
+                [probe.record.url for probe in screened],
+                at,
+                ats=(
+                    [overrides.get(p.record.url, at) for p in screened]
+                    if overrides
+                    else None
+                ),
+            )
+            alive_probes: list[LiveProbe] = [
+                probe
+                for probe, verdict in zip(screened, verdicts)
+                if verdict.genuinely_alive
+            ]
+        stats.registry.counter("analysis.soft404.batched").inc(len(screened))
+
+        # §4: archived-copy census splits.
+        censuses = [outcome.census for outcome in outcomes]
+        pre200 = [c for c in censuses if c.has_pre_marking_200]
+        rest = [c for c in censuses if not c.has_pre_marking_200]
+        rest_with_copy = [c for c in rest if c.has_any_copy]
+        never_archived = [c for c in rest if not c.has_any_copy]
+        rest_with_3xx = [c for c in rest if c.has_pre_marking_3xx]
+        n_valid_redirect = sum(
+            1 for o in outcomes if o.has_valid_redirect_copy
         )
-        alive_probes: list[LiveProbe] = [
-            probe
-            for probe, verdict in zip(screened, verdicts)
-            if verdict.genuinely_alive
-        ]
-    stats.registry.counter("analysis.soft404.batched").inc(len(screened))
 
-    # §4: archived-copy census splits.
-    censuses = [outcome.census for outcome in outcomes]
-    pre200 = [c for c in censuses if c.has_pre_marking_200]
-    rest = [c for c in censuses if not c.has_pre_marking_200]
-    rest_with_copy = [c for c in rest if c.has_any_copy]
-    never_archived = [c for c in rest if not c.has_any_copy]
-    rest_with_3xx = [c for c in rest if c.has_pre_marking_3xx]
-    n_valid_redirect = sum(1 for o in outcomes if o.has_valid_redirect_copy)
+        # §3's single-check justification (needs the census).
+        with_post = [c for c in censuses if c.first_post_marking is not None]
+        n_post_erroneous = sum(
+            1 for o in outcomes if o.first_post_marking_erroneous
+        )
 
-    # §3's single-check justification (needs the census).
-    with_post = [c for c in censuses if c.first_post_marking is not None]
-    n_post_erroneous = sum(
-        1 for o in outcomes if o.first_post_marking_erroneous
-    )
+        # §5.1 temporal + §5.2 spatial/typos, over the seeded caches.
+        with stats.phase("temporal", tracer=tracer):
+            temporal = temporal_analysis(rest_with_copy, cdx)
+        never_records = [c.record for c in never_archived]
+        with stats.phase("spatial", tracer=tracer):
+            spatial = spatial_analysis(never_records, cdx)
+        with stats.phase("typos", tracer=tracer):
+            typos = find_typos(never_records, cdx)
 
-    # §5.1 temporal + §5.2 spatial/typos, over the seeded caches.
-    with stats.phase("temporal", tracer=tracer):
-        temporal = temporal_analysis(rest_with_copy, cdx)
-    never_records = [c.record for c in never_archived]
-    with stats.phase("spatial", tracer=tracer):
-        spatial = spatial_analysis(never_records, cdx)
-    with stats.phase("typos", tracer=tracer):
-        typos = find_typos(never_records, cdx)
-
-    stats.add_fetch_counts(fetcher.hits, fetcher.misses)
-    stats.add_cdx_counts(cdx.hits, cdx.misses)
-
-    return StudyReport(
-        dataset=dataset,
-        probes=probes,
-        counts=counts,
-        soft404_verdicts=verdicts,
-        censuses=censuses,
-        temporal=temporal,
-        spatial=spatial,
-        typos=typos,
-        n_final_200=sum(1 for p in probes if p.returned_200),
-        n_genuinely_alive=len(alive_probes),
-        n_alive_via_redirect=sum(1 for p in alive_probes if p.redirected),
-        n_with_post_marking_copy=len(with_post),
-        n_first_post_marking_erroneous=n_post_erroneous,
-        n_pre_marking_200=len(pre200),
-        n_rest=len(rest),
-        n_rest_with_any_copy=len(rest_with_copy),
-        n_never_archived=len(never_archived),
-        n_rest_with_pre_3xx=len(rest_with_3xx),
-        n_valid_redirect_copy=n_valid_redirect,
-        stats=stats,
-        outcomes=tuple(outcomes),
-    )
+        return StudyReport(
+            dataset=dataset,
+            probes=probes,
+            counts=counts,
+            soft404_verdicts=verdicts,
+            censuses=censuses,
+            temporal=temporal,
+            spatial=spatial,
+            typos=typos,
+            n_final_200=sum(1 for p in probes if p.returned_200),
+            n_genuinely_alive=len(alive_probes),
+            n_alive_via_redirect=sum(1 for p in alive_probes if p.redirected),
+            n_with_post_marking_copy=len(with_post),
+            n_first_post_marking_erroneous=n_post_erroneous,
+            n_pre_marking_200=len(pre200),
+            n_rest=len(rest),
+            n_rest_with_any_copy=len(rest_with_copy),
+            n_never_archived=len(never_archived),
+            n_rest_with_pre_3xx=len(rest_with_3xx),
+            n_valid_redirect_copy=n_valid_redirect,
+            stats=stats,
+            outcomes=tuple(outcomes),
+        )

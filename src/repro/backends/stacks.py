@@ -334,31 +334,3 @@ class BackendStack:
             if self.faults is not None
             else api
         )
-
-    def fetch_backend(
-        self,
-        fetcher: Fetcher,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> FetchBackend:
-        """A memoizing fetch stack over ``fetcher``, policy applied."""
-        return FetchBackend(
-            fetcher,
-            retry_policy=self.retry_policy,
-            tracer=tracer,
-            metrics=metrics,
-        )
-
-    def cdx_backend(
-        self,
-        cdx: CdxApi,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> CdxBackend:
-        """A memoizing CDX stack over ``cdx``, policy applied."""
-        return CdxBackend(
-            cdx,
-            retry_policy=self.retry_policy,
-            tracer=tracer,
-            metrics=metrics,
-        )

@@ -5,9 +5,10 @@ and enormously repetitive in its archive-API traffic. This package
 supplies the three pieces that turn the serial pipeline into a
 production-shaped one without changing a single measured number:
 
-- :class:`StudyExecutor` — shards the record list across processes
-  (or runs in-process for determinism-sensitive tests) and merges
-  results in record order;
+- :class:`StudyExecutor` — cuts the record list into spans and runs
+  each through one shard function, in-process with one worker or in a
+  process pool otherwise, then merges results in record order; a
+  worker that dies raises :class:`~repro.errors.ShardWorkerError`;
 - the memoizing backend stacks it builds per shard —
   :class:`~repro.backends.stacks.FetchBackend` /
   :class:`~repro.backends.stacks.CdxBackend`, exact memo caches over
@@ -15,8 +16,8 @@ production-shaped one without changing a single measured number:
   :mod:`repro.backends`);
 - :class:`StudyStats` — per-phase wall time plus fetch/query/cache
   counters, attached to every study report; a thin view over a
-  :class:`~repro.obs.metrics.MetricsRegistry` so worker shards can
-  buffer their own metrics and the executor folds them exactly.
+  :class:`~repro.obs.metrics.MetricsRegistry`, so every shard counts
+  into a registry of its own and the executor folds it with one merge.
 
 Observability threads through the same seams (see :mod:`repro.obs`):
 pass ``tracer=`` to :meth:`StudyExecutor.execute` (or to

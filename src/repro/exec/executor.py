@@ -1,38 +1,43 @@
 """Sharded execution of the study's per-record stages.
 
-:class:`StudyExecutor` splits the record list into contiguous shards
+:class:`StudyExecutor` splits the record list into contiguous spans
 and runs the per-record stage (§3 probe, §4.1 census, §4.2 redirect
-validation, §3 post-marking check) over them — across
-``multiprocessing`` workers when ``workers > 1``, or in-process when
-``workers == 1`` (the deterministic fallback every test can rely on).
-Shard outputs are merged back in record order, so a seeded study run
-produces a byte-identical report whichever way it executed: the stage
-is a pure function of each record, and everything order-sensitive
-(the soft-404 detector's RNG stream, the §5 aggregations) stays in the
-parent process.
+validation, §3 post-marking check) over each with
+:func:`~repro.exec.worker.run_shard` — directly in-process when there
+is one worker, otherwise in a
+:class:`concurrent.futures.ProcessPoolExecutor`. Either way every
+shard builds its own caches and reports back the same
+:class:`~repro.exec.worker.ShardResult`, which the parent folds one
+way. Shard outputs are merged back in record order, so a seeded study
+run produces a byte-identical report whichever way it executed: the
+stage is a pure function of each record, and everything
+order-sensitive (the soft-404 detector's RNG stream, the §5
+aggregations) stays in the parent process.
 
-The parent also receives each worker's cache counters and a fetch memo
-pre-seeded with every probe result, so follow-up phases (soft-404
-re-fetches) hit the memo instead of the network.
+The parent also receives a fetch memo pre-seeded with every probe
+result, so follow-up phases (soft-404 re-fetches) hit the memo instead
+of the network. A worker process that dies mid-shard raises
+:class:`~repro.errors.ShardWorkerError` instead of hanging the run.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 from ..archive.cdx import CdxApi
 from ..backends.stacks import CdxBackend, FetchBackend
 from ..clock import SimTime
 from ..dataset.records import LinkRecord
+from ..errors import ShardWorkerError
 from ..net.fetch import Fetcher
 from ..obs.trace import Tracer
 from ..retry import RetryPolicy
 from .stats import StudyStats
 from .worker import (
-    MAX_REDIRECT_COPIES_PER_LINK,
     RecordOutcome,
     ShardResult,
     WorkerContext,
@@ -69,23 +74,11 @@ class StudyExecutor:
 
     Args:
         workers: worker process count; ``None`` means one per CPU, and
-            ``1`` runs everything in-process (no multiprocessing at
-            all), which is the determinism-sensitive-test configuration.
-        start_method: ``multiprocessing`` start method; ``None`` picks
-            ``fork`` when the platform offers it (workers then inherit
-            the world without pickling it) and the platform default
-            otherwise.
-        max_redirect_copies: per-link bound on §4.2 cross-examinations.
-        retry_policy: backoff schedule the memoizing backend stacks
-            apply to transient backend failures, in the parent and in
-            every worker shard; ``None`` never retries.
+            ``1`` runs the single shard in-process (no worker
+            processes at all).
     """
 
     workers: int | None = None
-    start_method: str | None = None
-    max_redirect_copies: int = MAX_REDIRECT_COPIES_PER_LINK
-    retry_policy: RetryPolicy | None = None
-    _last_shards: int = field(default=1, init=False, repr=False)
 
     @property
     def resolved_workers(self) -> int:
@@ -102,169 +95,105 @@ class StudyExecutor:
         tracer: Tracer | None = None,
         at_overrides: dict[str, SimTime] | None = None,
         bound_archive: bool = False,
+        retry_policy: RetryPolicy | None = None,
     ) -> StageResult:
         """Run the stage over ``records`` and merge in record order.
 
         ``fetcher`` and ``cdx`` are the *raw* backends; the executor
-        owns the caching. Worker cache counters, buffered metrics
-        registries, shard wall times, and trace spans are folded into
-        ``stats`` / ``tracer`` immediately; the returned parent-side
-        caches carry their own counters (and emit into ``tracer``) for
-        the phases that follow.
+        owns the caching, and ``retry_policy`` arms every memo stack it
+        builds (``None`` never retries). Each shard's metrics registry,
+        wall time and trace spans are folded into ``stats`` /
+        ``tracer`` immediately; the returned parent-side caches carry
+        their own counters (and emit into ``tracer``) for the phases
+        that follow.
 
         ``at_overrides`` gives individual records their own probe
         instants (URL-keyed; everything else probes at ``at``), and
         ``bound_archive`` freezes each record's CDX horizon at its
         probe instant — the live pipeline's posture, where records
         carry different staleness and the archive keeps growing.
+
+        Raises:
+            ShardWorkerError: a worker process died before its shards
+                came back.
         """
         workers = min(self.resolved_workers, max(len(records), 1))
-        parent_fetcher = FetchBackend(
-            fetcher, retry_policy=self.retry_policy, tracer=tracer
-        )
-        parent_cdx = CdxBackend(
-            cdx, retry_policy=self.retry_policy, tracer=tracer
-        )
-        overrides = at_overrides or {}
-
-        if workers <= 1:
-            outcomes = self._execute_serial(
-                records, parent_fetcher, parent_cdx, at, stats, tracer,
-                at_overrides=overrides, bound_archive=bound_archive,
-            )
-            self._last_shards = 1
-            return StageResult(
-                outcomes=outcomes,
-                fetcher=parent_fetcher,
-                cdx=parent_cdx,
-                shards=1,
-            )
-
-        spans = _shard_spans(len(records), workers)
-        shard_results = self._execute_parallel(
-            records, fetcher, cdx, at, spans, workers,
+        context = WorkerContext(
+            records=records,
+            fetcher=fetcher,
+            cdx=cdx,
+            at=at,
+            retry_policy=retry_policy,
             trace=tracer is not None,
-            at_overrides=overrides, bound_archive=bound_archive,
+            at_overrides=at_overrides,
+            bound_archive=bound_archive,
         )
+        if workers <= 1:
+            shards = [run_shard((0, len(records)), context)]
+        else:
+            shards = _run_pool(
+                context, _shard_spans(len(records), workers), workers
+            )
+
         outcomes: list[RecordOutcome] = []
-        for shard in sorted(shard_results, key=lambda s: s.start):
+        for shard in shards:
             outcomes.extend(shard.outcomes)
             if stats is not None:
-                stats.add_fetch_counts(shard.fetch_hits, shard.fetch_misses)
-                stats.add_cdx_counts(shard.cdx_hits, shard.cdx_misses)
-                stats.add_retry_counts(
-                    fetch_retries=shard.fetch_retries,
-                    fetch_giveups=shard.fetch_giveups,
-                    cdx_retries=shard.cdx_retries,
-                    cdx_giveups=shard.cdx_giveups,
-                    backoff_ms=shard.backoff_ms,
-                )
+                stats.registry.merge(shard.metrics)
                 stats.add_shard_wall(shard.wall_seconds)
-                if shard.metrics is not None:
-                    stats.registry.merge(shard.metrics)
-            if tracer is not None and shard.trace_spans:
+            if tracer is not None:
                 tracer.adopt(shard.trace_spans)
+
+        parent_fetcher = FetchBackend(
+            fetcher, retry_policy=retry_policy, tracer=tracer
+        )
+        overrides = at_overrides or {}
         for outcome in outcomes:
             parent_fetcher.seed(
                 outcome.record.url,
                 overrides.get(outcome.record.url, at),
                 outcome.probe.result,
             )
-        self._last_shards = len(spans)
         return StageResult(
             outcomes=outcomes,
             fetcher=parent_fetcher,
-            cdx=parent_cdx,
-            shards=len(spans),
+            cdx=CdxBackend(cdx, retry_policy=retry_policy, tracer=tracer),
+            shards=len(shards),
         )
 
-    # -- execution paths ---------------------------------------------------------
 
-    def _execute_serial(
-        self,
-        records: list[LinkRecord],
-        fetcher: FetchBackend,
-        cdx: CdxBackend,
-        at: SimTime,
-        stats: StudyStats | None = None,
-        tracer: Tracer | None = None,
-        at_overrides: dict[str, SimTime] | None = None,
-        bound_archive: bool = False,
-    ) -> list[RecordOutcome]:
-        from .worker import run_record_stage
+def _run_pool(
+    context: WorkerContext, spans: list[tuple[int, int]], workers: int
+) -> list[ShardResult]:
+    """Run every span in a process pool; results come back in span order.
 
-        overrides = at_overrides or {}
-        metrics = stats.registry if stats is not None else None
-        shard_cm = (
-            tracer.span("shard", kind="shard", start=0, stop=len(records))
-            if tracer is not None
-            else None
-        )
-        if shard_cm is not None:
-            shard_cm.__enter__()
-        wall_start = time.perf_counter()
-        try:
-            outcomes = [
-                run_record_stage(
-                    record, fetcher, cdx,
-                    overrides.get(record.url, at),
-                    self.max_redirect_copies,
-                    tracer=tracer, metrics=metrics,
-                    bound_archive=bound_archive,
-                )
-                for record in records
-            ]
-        finally:
-            if shard_cm is not None:
-                shard_cm.__exit__(None, None, None)
-        if stats is not None:
-            stats.add_shard_wall(time.perf_counter() - wall_start)
-        return outcomes
-
-    def _execute_parallel(
-        self,
-        records: list[LinkRecord],
-        fetcher: Fetcher,
-        cdx: CdxApi,
-        at: SimTime,
-        spans: list[tuple[int, int]],
-        workers: int,
-        trace: bool = False,
-        at_overrides: dict[str, SimTime] | None = None,
-        bound_archive: bool = False,
-    ) -> list[ShardResult]:
-        context = WorkerContext(
-            records=records,
-            fetcher=fetcher,
-            cdx=cdx,
-            at=at,
-            max_redirect_copies=self.max_redirect_copies,
-            retry_policy=self.retry_policy,
-            trace=trace,
-            at_overrides=at_overrides,
-            bound_archive=bound_archive,
-        )
-        method = self.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else None
-        mp_context = multiprocessing.get_context(method)
-
-        if mp_context.get_start_method() == "fork":
-            # Children inherit the context through the fork; nothing is
-            # pickled except the tiny (start, stop) spans and results.
-            set_context(context)
+    Workers fork where the platform offers it, so they inherit the
+    world instead of unpickling it; elsewhere the initializer ships
+    the context once per worker.
+    """
+    try:
+        mp_context = multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform
+        mp_context = multiprocessing.get_context()
+    results: list[ShardResult] = []
+    lost: list[tuple[int, int]] = []
+    broken: BrokenProcessPool | None = None
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=mp_context,
+        initializer=set_context,
+        initargs=(context,),
+    ) as pool:
+        futures = [pool.submit(run_shard, span) for span in spans]
+        for span, future in zip(spans, futures):
             try:
-                with mp_context.Pool(processes=workers) as pool:
-                    return pool.map(run_shard, spans)
-            finally:
-                set_context(None)
-        with mp_context.Pool(
-            processes=workers,
-            initializer=set_context,
-            initargs=(context,),
-        ) as pool:
-            return pool.map(run_shard, spans)
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                lost.append(span)
+                broken = exc
+    if lost:
+        raise ShardWorkerError(lost) from broken
+    return results
 
 
 def _shard_spans(n_records: int, shards: int) -> list[tuple[int, int]]:

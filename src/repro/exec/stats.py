@@ -21,13 +21,15 @@ unchanged.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING
 
 from ..numerics import backend_name
 from ..obs.metrics import MetricsRegistry
+from ..retry import RetryCounters
 
 if TYPE_CHECKING:
+    from ..backends.stacks import CdxBackend, FetchBackend
     from ..obs.trace import Tracer
 
 #: Registry prefix under which per-phase wall seconds live.
@@ -42,6 +44,76 @@ def _rate(hits: int, total: int) -> float:
     zero.
     """
     return hits / total if total else 0.0
+
+
+# -- counter intake over a bare registry --------------------------------------
+#
+# Worker shards fold into a private registry that the parent merges; a
+# ``StudyStats`` there would also write the ``executor.*`` gauges, and
+# the merge would overwrite the parent's topology with the shard's.
+
+
+def add_fetch_counts(
+    registry: MetricsRegistry, hits: int, misses: int
+) -> None:
+    """Fold one fetch cache's counters into ``registry``."""
+    registry.counter("fetch.issued").inc(hits + misses)
+    registry.counter("fetch.cache_hits").inc(hits)
+    registry.counter("fetch.backend").inc(misses)
+
+
+def add_cdx_counts(registry: MetricsRegistry, hits: int, misses: int) -> None:
+    """Fold one CDX cache's counters into ``registry``."""
+    registry.counter("cdx.issued").inc(hits + misses)
+    registry.counter("cdx.cache_hits").inc(hits)
+    registry.counter("cdx.backend").inc(misses)
+
+
+def add_retry_counts(
+    registry: MetricsRegistry,
+    fetch_retries: int = 0,
+    fetch_giveups: int = 0,
+    cdx_retries: int = 0,
+    cdx_giveups: int = 0,
+    backoff_ms: float = 0.0,
+) -> None:
+    """Fold one client's (or one shard's) retry counters into ``registry``."""
+    registry.counter("retry.fetch.retries").inc(fetch_retries)
+    registry.counter("retry.fetch.giveups").inc(fetch_giveups)
+    registry.counter("retry.cdx.retries").inc(cdx_retries)
+    registry.counter("retry.cdx.giveups").inc(cdx_giveups)
+    registry.counter("retry.backoff_ms").inc(backoff_ms)
+
+
+@contextmanager
+def backend_counts(
+    registry: MetricsRegistry, fetcher: "FetchBackend", cdx: "CdxBackend"
+):
+    """Fold a fetch/CDX stack pair's counters in when the block ends.
+
+    The pair's memo hits and misses and its own retry counters are
+    folded whole, so the pair should be fresh at entry. The raw
+    fetcher under ``fetcher`` retries inside itself, below the memo,
+    and may be shared with other blocks; only its retry delta across
+    this block is counted. Every worker shard and the parent phases
+    fold through here, so each retry anywhere is counted exactly once.
+    """
+    inner = getattr(fetcher.inner, "retry_counters", None) or RetryCounters()
+    before = (inner.retries, inner.giveups, inner.backoff_ms)
+    yield
+    add_fetch_counts(registry, fetcher.hits, fetcher.misses)
+    add_cdx_counts(registry, cdx.hits, cdx.misses)
+    fetch_rc, cdx_rc = fetcher.retry_counters, cdx.retry_counters
+    add_retry_counts(
+        registry,
+        fetch_retries=inner.retries - before[0] + fetch_rc.retries,
+        fetch_giveups=inner.giveups - before[1] + fetch_rc.giveups,
+        cdx_retries=cdx_rc.retries,
+        cdx_giveups=cdx_rc.giveups,
+        backoff_ms=inner.backoff_ms - before[2]
+        + fetch_rc.backoff_ms
+        + cdx_rc.backoff_ms,
+    )
 
 
 class StudyStats:
@@ -124,61 +196,43 @@ class StudyStats:
         :attr:`phase_seconds` — which is what lets a trace report
         reconstruct the phase table from the JSONL alone.
         """
-        span_cm = (
-            tracer.span(name, kind="phase") if tracer is not None else None
-        )
-        span = span_cm.__enter__() if span_cm is not None else None
+        span = None
         start = time.perf_counter()
         try:
-            yield
+            with (
+                tracer.span(name, kind="phase")
+                if tracer is not None
+                else nullcontext()
+            ) as span:
+                yield
         finally:
             elapsed = time.perf_counter() - start
             self.registry.counter(f"{_PHASE_PREFIX}{name}").inc(elapsed)
-            if span_cm is not None:
-                span_cm.__exit__(None, None, None)
+            if span is not None:
                 span.duration_s = elapsed
 
     # -- cache counter intake ----------------------------------------------------
 
     def add_fetch_counts(self, hits: int, misses: int) -> None:
         """Fold one fetch cache's counters into the totals."""
-        self.registry.counter("fetch.issued").inc(hits + misses)
-        self.registry.counter("fetch.cache_hits").inc(hits)
-        self.registry.counter("fetch.backend").inc(misses)
+        add_fetch_counts(self.registry, hits, misses)
 
     def add_cdx_counts(self, hits: int, misses: int) -> None:
         """Fold one CDX cache's counters into the totals."""
-        self.registry.counter("cdx.issued").inc(hits + misses)
-        self.registry.counter("cdx.cache_hits").inc(hits)
-        self.registry.counter("cdx.backend").inc(misses)
+        add_cdx_counts(self.registry, hits, misses)
 
-    def add_retry_counts(
-        self,
-        fetch_retries: int = 0,
-        fetch_giveups: int = 0,
-        cdx_retries: int = 0,
-        cdx_giveups: int = 0,
-        backoff_ms: float = 0.0,
-    ) -> None:
-        """Fold one client's (or one shard's) retry counters in.
-
-        Called once per worker shard by the executor and once by the
-        study for the parent-side clients; totals are therefore exact
-        sums over every process that retried anything.
-        """
-        self.registry.counter("retry.fetch.retries").inc(fetch_retries)
-        self.registry.counter("retry.fetch.giveups").inc(fetch_giveups)
-        self.registry.counter("retry.cdx.retries").inc(cdx_retries)
-        self.registry.counter("retry.cdx.giveups").inc(cdx_giveups)
-        self.registry.counter("retry.backoff_ms").inc(backoff_ms)
+    def add_retry_counts(self, **counts) -> None:
+        """Fold one client's retry counters into the totals."""
+        add_retry_counts(self.registry, **counts)
 
     def add_shard_wall(self, seconds: float) -> None:
         """Record one shard's wall time, folding min/max/total.
 
-        In parallel runs each shard times itself inside its worker (the
-        parent only ever saw the whole pool's span before this
-        existed), so worker imbalance — one slow shard pinning the
-        stage — is visible in the summary and the metrics dump.
+        Each shard times itself where it runs, so worker imbalance —
+        one slow shard pinning the stage — is visible in the summary
+        and the metrics dump. The figure travels beside the shard's
+        registry rather than in it: a registry merge makes gauges take
+        the incoming value, so min/max cannot fold through one.
         """
         count = self.registry.counter("shard.wall.count")
         minimum = self.registry.gauge("shard.wall.min_s")

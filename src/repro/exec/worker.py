@@ -7,13 +7,15 @@ independence is what lets :class:`~repro.exec.executor.StudyExecutor`
 shard the record list across processes and still merge a byte-identical
 result: this module is the unit of work each shard runs.
 
-Observability rides the same shape: each record stage measures its own
-wall time and backend-counter deltas into a
+:func:`run_shard` runs one contiguous span of records, in-process or
+in a pool worker alike. It builds fresh memo caches, counts into a
+private :class:`~repro.obs.metrics.MetricsRegistry` (cache hits and
+misses, retry deltas, record buckets), and buffers its trace spans, so
+the parent folds every shard the same way: one registry merge, one
+wall-time reading, one span adoption. Each record stage also measures
+its own wall time and backend-counter deltas into a
 :class:`~repro.obs.provenance.RecordProvenance` (and, when tracing is
-on, a ``kind="record"`` span), and each shard buffers a private
-:class:`~repro.obs.metrics.MetricsRegistry` plus its trace spans so
-the parent can fold them exactly — the same delta-then-merge motion
-the retry counters use.
+on, a ``kind="record"`` span).
 
 ``repro.analysis.study`` imports this package back, and importing any
 ``repro.analysis`` submodule runs the package ``__init__`` (which
@@ -25,9 +27,9 @@ its own, whichever side of the cycle loads first.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
-
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..archive.cdx import CdxApi
 from ..backends.stacks import CdxBackend, FetchBackend
@@ -37,7 +39,8 @@ from ..net.fetch import Fetcher
 from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import RecordProvenance, backend_snapshot
 from ..obs.trace import Span, Tracer
-from ..retry import RetryCounters, RetryPolicy
+from ..retry import RetryPolicy
+from .stats import backend_counts
 
 if TYPE_CHECKING:
     from ..analysis.copies import CopyCensus
@@ -72,30 +75,20 @@ class RecordOutcome:
 
 @dataclass(frozen=True, slots=True)
 class ShardResult:
-    """One shard's outcomes plus its cache, retry, and obs accounting.
+    """One shard's outcomes plus everything the parent folds from it.
 
-    Retry counters are *deltas* measured around the shard's own work
-    (a pool worker may run several shards on one fetcher copy), so the
-    parent can sum them across shards without double counting.
-    ``metrics`` is the shard's buffered registry (record buckets, wall
-    histograms) and ``trace_spans`` its buffered trace, both folded
-    into the parent's on merge; ``wall_seconds`` is the shard's own
-    wall time, measured inside the worker so imbalance is visible.
+    ``metrics`` is the shard's registry: fetch and CDX hits and misses,
+    retry deltas, record buckets and wall histograms, under the names
+    :class:`~repro.exec.stats.StudyStats` reads. ``wall_seconds`` is
+    the shard's own wall time, kept apart because shard walls fold by
+    min/max (see :meth:`~repro.exec.stats.StudyStats.add_shard_wall`);
+    ``trace_spans`` is its buffered trace, adopted by the parent tracer.
     """
 
     start: int
     outcomes: tuple[RecordOutcome, ...]
-    fetch_hits: int = 0
-    fetch_misses: int = 0
-    cdx_hits: int = 0
-    cdx_misses: int = 0
-    fetch_retries: int = 0
-    fetch_giveups: int = 0
-    cdx_retries: int = 0
-    cdx_giveups: int = 0
-    backoff_ms: float = 0.0
-    wall_seconds: float = 0.0
-    metrics: MetricsRegistry | None = None
+    wall_seconds: float
+    metrics: MetricsRegistry
     trace_spans: tuple[Span, ...] = ()
 
 
@@ -129,14 +122,12 @@ def run_record_stage(
 
     stage_cdx = AsOfCdx(cdx, at) if bound_archive else cdx
     before = backend_snapshot(fetcher, cdx)
-    span_cm = (
+    start = time.perf_counter()
+    with (
         tracer.span("record", kind="record", sim=at, url=record.url)
         if tracer is not None
-        else None
-    )
-    span = span_cm.__enter__() if span_cm is not None else None
-    start = time.perf_counter()
-    try:
+        else nullcontext()
+    ) as span:
         probe = LiveProbe(record=record, result=fetcher.fetch(record.url, at))
         census = census_link(record, stage_cdx)
 
@@ -154,9 +145,6 @@ def run_record_stage(
             if first_post is not None
             else None
         )
-    finally:
-        if span_cm is not None:
-            span_cm.__exit__(None, None, None)
     wall = time.perf_counter() - start
 
     bucket = probe.result.outcome.value
@@ -189,17 +177,16 @@ def run_record_stage(
     )
 
 
-# -- multiprocessing plumbing ----------------------------------------------------
+# -- shards ---------------------------------------------------------------------
 
 @dataclass
 class WorkerContext:
-    """Everything a worker process needs to run its shards."""
+    """Everything a shard needs besides its span."""
 
     records: list[LinkRecord]
     fetcher: Fetcher
     cdx: CdxApi
     at: SimTime
-    max_redirect_copies: int = MAX_REDIRECT_COPIES_PER_LINK
     retry_policy: RetryPolicy | None = None
     #: Whether shards should buffer trace spans for the parent tracer.
     trace: bool = False
@@ -209,10 +196,9 @@ class WorkerContext:
     bound_archive: bool = False
 
 
-#: Per-process context. Under the ``fork`` start method the parent sets
-#: it before creating the pool and children inherit it for free; under
-#: ``spawn``/``forkserver`` the pool initializer ships it once per
-#: worker instead of once per task.
+#: A pool worker's context, installed once per process by the pool
+#: initializer (under ``fork`` the initializer's arguments are
+#: inherited, not pickled).
 _CONTEXT: WorkerContext | None = None
 
 
@@ -222,26 +208,22 @@ def set_context(context: WorkerContext | None) -> None:
     _CONTEXT = context
 
 
-def _fetcher_retry_counters(fetcher: Fetcher | FetchBackend) -> RetryCounters:
-    """The retry counters of a fetch backend, tolerating foreign ones."""
-    counters = getattr(fetcher, "retry_counters", None)
-    return counters if counters is not None else RetryCounters()
-
-
-def run_shard(span: tuple[int, int]) -> ShardResult:
+def run_shard(
+    span: tuple[int, int], context: WorkerContext | None = None
+) -> ShardResult:
     """Run the record stage over ``records[start:stop]`` of the context.
+
+    ``context`` defaults to the one :func:`set_context` installed in
+    this process (a pool worker); the in-process path passes it.
 
     Each shard gets fresh memo caches: links in one shard share sibling
     scopes far more often than links across shards, so per-shard caches
     capture most of the repetition without any cross-process traffic.
-    Retry activity on the shared fetcher is reported as a before/after
-    delta (other shards in this process own their slice of it).
-
-    The shard likewise buffers its own metrics registry, trace spans
-    (ids prefixed ``w{start}.`` so parent adoption cannot collide),
-    and its own wall clock — everything the parent folds on merge.
+    Its counters, trace spans (ids prefixed ``w{start}.`` so parent
+    adoption cannot collide) and wall clock all travel back in the
+    :class:`ShardResult`.
     """
-    context = _CONTEXT
+    context = context if context is not None else _CONTEXT
     if context is None:
         raise RuntimeError("worker context not initialised")
     start, stop = span
@@ -253,50 +235,29 @@ def run_shard(span: tuple[int, int]) -> ShardResult:
     cdx = CdxBackend(
         context.cdx, retry_policy=context.retry_policy, tracer=tracer
     )
-    inner = _fetcher_retry_counters(context.fetcher)
-    before = (inner.retries, inner.giveups, inner.backoff_ms)
-    shard_cm = (
+    overrides = context.at_overrides or {}
+    wall_start = time.perf_counter()
+    with backend_counts(metrics, fetcher, cdx), (
         tracer.span("shard", kind="shard", start=start, stop=stop)
         if tracer is not None
-        else None
-    )
-    if shard_cm is not None:
-        shard_cm.__enter__()
-    wall_start = time.perf_counter()
-    try:
-        overrides = context.at_overrides or {}
+        else nullcontext()
+    ):
         outcomes = tuple(
             run_record_stage(
-                context.records[index],
+                record,
                 fetcher,
                 cdx,
-                overrides.get(context.records[index].url, context.at),
-                context.max_redirect_copies,
+                overrides.get(record.url, context.at),
                 tracer=tracer,
                 metrics=metrics,
                 bound_archive=context.bound_archive,
             )
-            for index in range(start, stop)
+            for record in context.records[start:stop]
         )
-    finally:
-        if shard_cm is not None:
-            shard_cm.__exit__(None, None, None)
-    wall = time.perf_counter() - wall_start
     return ShardResult(
         start=start,
         outcomes=outcomes,
-        fetch_hits=fetcher.hits,
-        fetch_misses=fetcher.misses,
-        cdx_hits=cdx.hits,
-        cdx_misses=cdx.misses,
-        fetch_retries=(inner.retries - before[0]) + fetcher.retry_counters.retries,
-        fetch_giveups=(inner.giveups - before[1]) + fetcher.retry_counters.giveups,
-        cdx_retries=cdx.retry_counters.retries,
-        cdx_giveups=cdx.retry_counters.giveups,
-        backoff_ms=(inner.backoff_ms - before[2])
-        + fetcher.retry_counters.backoff_ms
-        + cdx.retry_counters.backoff_ms,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - wall_start,
         metrics=metrics,
         trace_spans=tuple(tracer.spans) if tracer is not None else (),
     )

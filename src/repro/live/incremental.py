@@ -264,10 +264,6 @@ class IncrementalStudy:
         if at < self._baseline:
             raise LiveError("cannot build before the study baseline")
         executor = executor if executor is not None else StudyExecutor(workers=1)
-        if self._retry_policy is not None and executor.retry_policy is None:
-            import dataclasses as _dc
-
-            executor = _dc.replace(executor, retry_policy=self._retry_policy)
 
         consumed, dirty_articles = self._consume_events(at)
         collected = self._collect(dirty_articles)
@@ -311,6 +307,7 @@ class IncrementalStudy:
             stage = executor.execute(
                 dirty_records, self._fetcher, self._cdx, at, stats, tracer,
                 at_overrides=probe_map, bound_archive=True,
+                retry_policy=self._retry_policy,
             )
         stats.shards = stage.shards
         stats.registry.counter("live.dirty.executed").inc(len(dirty_records))

@@ -247,35 +247,6 @@ class Tracer:
             # materialization inside the measured region.
             self._spans.append(span)
 
-    def record_span(
-        self,
-        name: str,
-        kind: str,
-        duration_s: float,
-        sim: "SimTime | None" = None,
-        **attrs,
-    ) -> Span:
-        """Record an already-measured span (no timing of its own).
-
-        Used when a caller has timed the operation itself (e.g.
-        :meth:`StudyStats.phase <repro.exec.stats.StudyStats.phase>`)
-        and the trace must carry *exactly* that figure.
-        """
-        span = Span(
-            span_id=self._new_id(),
-            parent_id=self.current_id,
-            name=name,
-            kind=kind,
-            wall_start=time.time() - duration_s,
-            duration_s=duration_s,
-            sim_days=sim.days if sim is not None else None,
-            attrs=dict(attrs),
-        )
-        if self._deferred:
-            self._drain()
-        self._spans.append(span)
-        return span
-
     def adopt(
         self, spans: Iterable[Span], parent_id: str | None = None
     ) -> None:

@@ -9,6 +9,12 @@ rest of the suite (and the paper numbers) silently rely on.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +309,72 @@ class TestRetryStatsAggregation:
         report = study.run()  # no executor passed: Study must arm it
         assert report.stats.cdx_retries > 0
         assert report.stats.cdx_giveups == 0
+
+
+# -- worker failure ----------------------------------------------------------------
+
+#: Runs a two-worker stage whose fetcher kills the worker process that
+#: probes one chosen record; prints the error's lost spans as JSON.
+_KILLED_WORKER_SCRIPT = textwrap.dedent(
+    """
+    import json, os, sys
+    from repro.analysis.study import Study
+    from repro.dataset.worldgen import WorldConfig, generate_world
+    from repro.errors import ReproError
+    from repro.exec import StudyExecutor
+
+    class DyingFetcher:
+        def __init__(self, inner, doomed_url):
+            self.inner, self.doomed_url = inner, doomed_url
+            self.parent_pid = os.getpid()
+
+        def fetch(self, url, at):
+            if str(url) == self.doomed_url and os.getpid() != self.parent_pid:
+                os._exit(1)
+            return self.inner.fetch(url, at)
+
+    doomed = int(sys.argv[1])
+    world = generate_world(WorldConfig(n_links=120, target_sample=40, seed=7))
+    study = Study.from_world(world)
+    fetcher = DyingFetcher(study.fetcher, study.records[doomed].url)
+    try:
+        StudyExecutor(workers=2).execute(
+            study.records, fetcher, study.cdx, study.at
+        )
+    except ReproError as exc:
+        print(json.dumps({
+            "error": type(exc).__name__,
+            "spans": getattr(exc, "spans", None),
+            "records": len(study.records),
+        }))
+    """
+)
+
+
+def test_killed_worker_raises_shard_worker_error_fast():
+    # A worker that dies mid-shard must fail the stage with a typed
+    # error naming the lost span, not leave the parent blocked on a
+    # result that never comes. The subprocess timeout turns a hang
+    # into a test failure instead of a stuck suite.
+    doomed = 3
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER_SCRIPT, str(doomed)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    result = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert result["error"] == "ShardWorkerError"
+    (holding,) = (
+        span
+        for span in _shard_spans(result["records"], 2)
+        if span[0] <= doomed < span[1]
+    )
+    assert holding in [tuple(span) for span in result["spans"]]

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.study import Study
 from repro.clock import SimTime
 from repro.dataset.worldgen import WorldConfig, generate_world
 from repro.errors import LiveError
 from repro.exec import StudyExecutor
-from repro.faults import FaultSpec
+from repro.faults import FaultPlan, FaultSpec
 from repro.live import (
     GenerationPublisher,
     IncrementalStudy,
@@ -48,6 +49,7 @@ from repro.live import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import MS_PER_DAY, SloSpec, evaluate, events_from_generations
+from repro.retry import DEFAULT_MASKING_POLICY
 from repro.service import (
     ClusterConfig,
     ClusterService,
@@ -346,6 +348,51 @@ def test_incremental_actually_delta_builds(live_run):
     assert 0 < gen1.events_consumed < 10
     assert 0 < gen2.events_consumed < 10
     assert gen0.cursor < gen1.cursor < gen2.cursor
+
+
+# -- retry accounting ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def retry_world():
+    return generate_world(WorldConfig(n_links=300, seed=11))
+
+
+def _retry_totals(stats) -> tuple:
+    return (
+        stats.fetch_retries,
+        stats.fetch_giveups,
+        stats.cdx_retries,
+        stats.cdx_giveups,
+        stats.backoff_ms,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_live_retry_totals_match_the_batch_study(retry_world, workers):
+    # A live build counts the retries of its stage shards and of its
+    # parent phases, exactly as the from-scratch study in the same
+    # posture does. The classic unclamped batch study keys its CDX
+    # fault draws on different queries, so only its fetch side and
+    # the report itself are shared with the live build.
+    world = retry_world
+    plan = FaultPlan.transient_everywhere(0.2, seed=5)
+    executor = StudyExecutor(workers=workers)
+    live = IncrementalStudy(
+        world, faults=plan, retry_policy=DEFAULT_MASKING_POLICY
+    ).build(world.study_time, executor=executor).report
+    reference = reference_study(
+        world, world.study_time, faults=plan,
+        retry_policy=DEFAULT_MASKING_POLICY,
+    ).run(executor)
+    classic = Study.from_world(
+        world, faults=plan, retry_policy=DEFAULT_MASKING_POLICY
+    ).run(executor)
+    assert live == reference == classic
+    assert _retry_totals(live.stats) == _retry_totals(reference.stats)
+    assert live.stats.fetch_retries == classic.stats.fetch_retries > 0
+    assert live.stats.cdx_retries > 0
+    assert live.stats.total_giveups == 0
 
 
 # -- build-order invariants ------------------------------------------------------

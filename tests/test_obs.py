@@ -121,12 +121,6 @@ class TestTracer:
         ids = {s.span_id for s in parent.spans}
         assert len(ids) == 3  # prefixing kept worker ids collision-free
 
-    def test_record_span_keeps_the_given_duration(self):
-        tracer = Tracer()
-        span = tracer.record_span("probe+census", "phase", duration_s=1.25)
-        assert span.duration_s == 1.25
-        assert span in tracer.spans
-
     def test_jsonl_round_trip(self, tmp_path):
         tracer = Tracer()
         with tracer.span("study", kind="study") as study:
