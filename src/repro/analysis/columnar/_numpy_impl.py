@@ -27,7 +27,6 @@ from ...textsim.shingles import (
     PERMUTE_MULTIPLIERS,
     PERMUTE_XORS,
     _shingle_multipliers,
-    tokenize,
 )
 from . import _stdlib_impl
 from ._codec import dedup_texts, token_id_lists

@@ -268,18 +268,17 @@ class Study:
         wall timings excluded, by definition).
         """
         executor = executor if executor is not None else StudyExecutor(workers=1)
-        stats = StudyStats(workers=executor.resolved_workers)
+        stats = StudyStats()
         dataset = Dataset(records=list(self.records), description="our dataset")
 
         with (
             tracer.span(
                 "study", kind="study", sim=self.at,
                 records=len(self.records),
-                workers=executor.resolved_workers,
             )
             if tracer is not None
             else nullcontext()
-        ):
+        ) as span:
             # §3 probe + §4 census + §4.2 validation: the sharded stage.
             with stats.phase("probe+census", tracer=tracer):
                 stage = executor.execute(
@@ -290,6 +289,9 @@ class Study:
                     retry_policy=self.retry_policy,
                 )
             stats.shards = stage.shards
+            stats.workers = stage.workers
+            if span is not None:
+                span.set(workers=stage.workers)
             return assemble_report(
                 dataset=dataset,
                 outcomes=list(stage.outcomes),

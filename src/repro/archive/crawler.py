@@ -32,7 +32,7 @@ from ..net.fetch import Fetcher, FetchResult
 from ..rng import Stream
 from ..urls.parse import ParsedUrl, QueryArgs, UrlMemo, parse_url
 from ..web.robots import RobotsRules, parse_robots
-from .snapshot import PendingSketch, Snapshot
+from .snapshot import Observation, PendingSketch, Snapshot, check_observation
 from .store import SnapshotStore
 
 
@@ -126,10 +126,29 @@ class BodySketcher:
 ROBOTS_CACHE_DAYS = 365.0
 
 
-#: What a capture records of one fetch: ``(initial_status,
-#: redirect_location, final_status, final_url, sketch)``, or ``None``
-#: when the fetch failed at the transport level.
-Observation = tuple[int, str | None, int, str, PendingSketch] | None
+class _Seen:
+    """The crawler's memo of one URL: its last fetch and robots check."""
+
+    __slots__ = ("observed_at", "fresh_until", "observation", "host", "rules")
+
+    def __init__(
+        self,
+        observed_at: float,
+        fresh_until: float,
+        observation: Observation | None,
+        host: str,
+        rules: RobotsRules | None,
+    ) -> None:
+        #: ``[observed_at, fresh_until)``: days over which the web is
+        #: sure to answer the last fetch's ``observation`` again
+        #: (``None`` when that fetch failed at the transport level).
+        self.observed_at = observed_at
+        self.fresh_until = fresh_until
+        self.observation = observation
+        self.host = host
+        #: The robots rules that last allowed this URL; ``None`` when
+        #: its last check read none.
+        self.rules = rules
 
 
 class ArchiveCrawler:
@@ -146,12 +165,17 @@ class ArchiveCrawler:
     Keeps, per URL, its last observation and the window
     ``[observed_at, fresh_until)`` over which the web is sure to answer
     the same (the fetch's freshness horizon). A capture inside that
-    window records the stored observation instead of fetching; the
-    robots check, the counters, snapshot validation and the store
-    still run on every capture. Both memos hold one entry per URL the
-    crawler has fetched, for the crawler's lifetime, which is why the
-    web must not change once crawling starts: horizons describe the
-    web as it was when they were stamped.
+    window records the stored observation instead of fetching. While
+    the host's unexpired robots entry also holds the rules that last
+    allowed the URL, the robots verdict is reused too, so such a
+    capture costs two dictionary lookups and
+    :meth:`SnapshotStore.record <repro.archive.store.SnapshotStore.record>`.
+    An observation is validated once, when its fetch returns, and the
+    store keeps a reference to it for every capture it covers. Both
+    memos hold one entry per URL the crawler has fetched, for the
+    crawler's lifetime, which is why the web must not change once
+    crawling starts: horizons describe the web as it was when they
+    were stamped.
     """
 
     def __init__(
@@ -169,8 +193,8 @@ class ArchiveCrawler:
         self._robots_cache: dict[str, tuple[float, RobotsRules]] = {}
         #: ``robots URL -> (fetched_at, fresh_until, rules)`` in days.
         self._robots_fetched: dict[str, tuple[float, float, RobotsRules]] = {}
-        #: ``url -> (observed_at, fresh_until, observation)`` in days.
-        self._observed: dict[str, tuple[float, float, Observation]] = {}
+        #: ``url -> what the crawler last saw of it``.
+        self._observed: dict[str, _Seen] = {}
         self._urls = UrlMemo()
         self.capture_attempts = 0
         self.capture_failures = 0
@@ -184,53 +208,86 @@ class ArchiveCrawler:
         (DNS failure / connect timeout) — such attempts leave no trace
         in the archive, exactly like the real Wayback Machine.
         """
+        observation = self.capture_at(url, at.days)
+        if observation is None:
+            return None
+        return Snapshot(url, at, *observation)
+
+    def capture_at(self, url: str, days: float) -> Observation | None:
+        """:meth:`capture` at day number ``days``.
+
+        Returns what the stored capture observed, or ``None`` when
+        nothing was stored.
+        """
         self.capture_attempts += 1
+        seen = self._observed.get(url)
+        if (
+            seen is not None
+            and seen.observed_at <= days < seen.fresh_until
+            and (
+                not self._honor_robots
+                or (rules := seen.rules) is not None
+                and (cached := self._robots_cache[seen.host])[1] is rules
+                and days - cached[0] <= ROBOTS_CACHE_DAYS
+            )
+        ):
+            # The last answer is fresh and the robots verdict stands.
+            observation = seen.observation
+            if observation is None:
+                self.capture_failures += 1
+        else:
+            observation = self._check_and_observe(url, days)
+        if observation is not None:
+            self._store.record(url, days, observation)
+        return observation
+
+    def _check_and_observe(self, url: str, days: float) -> Observation | None:
+        """The robots check, then the freshness lookup, fetching when
+        the last answer is stale; counts a denial or a failure."""
         try:
             target = self._urls.parse(url)
         except UrlError:
             target = None
-        if self._honor_robots and (
-            target is None or not self._robots_allow_parsed(target, at)
-        ):
-            self.robots_denied += 1
-            return None
-        days = at.days
-        last = self._observed.get(url)
-        if last is not None and last[0] <= days < last[1]:
-            observation = last[2]
+        rules = None
+        if self._honor_robots:
+            if target is not None:
+                rules = self._robots_rules(target, days)
+            if target is None or (
+                rules is not None and not rules.allows(target.path)
+            ):
+                self.robots_denied += 1
+                return None
+        seen = self._observed.get(url)
+        if seen is not None and seen.observed_at <= days < seen.fresh_until:
+            seen.rules = rules
         else:
-            result = self._fetcher.fetch(url if target is None else target, at)
-            observation = self._observe(result)
-            until = result.fresh_until
-            self._observed[url] = (
-                days, days if until is None else until, observation
+            result = self._fetcher.fetch(
+                url if target is None else target, SimTime(days)
             )
-        if observation is None:
+            until = result.fresh_until
+            seen = self._observed[url] = _Seen(
+                days,
+                days if until is None else until,
+                self._observe(url, result),
+                "" if target is None else target.host_lower,
+                rules,
+            )
+        if seen.observation is None:
             self.capture_failures += 1
-            return None
-        initial_status, location, final_status, final_url, sketch = observation
-        snapshot = Snapshot(
-            url=url,
-            captured_at=at,
-            initial_status=initial_status,
-            redirect_location=location,
-            final_status=final_status,
-            final_url=final_url,
-            sketch=sketch,
-        )
-        self._store.add(snapshot)
-        return snapshot
+        return seen.observation
 
-    def _observe(self, result: FetchResult) -> Observation:
-        """What a capture records of ``result``."""
+    def _observe(self, url: str, result: FetchResult) -> Observation | None:
+        """What a capture of ``url`` records of ``result``."""
         chain = result.chain
         if not chain:
             return None
         initial = chain[0]
         final = chain[-1]
+        location = initial.location if initial.is_redirect else None
+        check_observation(url, initial.status, location)
         return (
             initial.status,
-            initial.location if initial.is_redirect else None,
+            location,
             final.status,
             final.url,
             self._sketcher.pending(final.body),
@@ -238,22 +295,19 @@ class ArchiveCrawler:
 
     def robots_allows(self, url: str, at: SimTime) -> bool:
         """Public robots check (used by Save Page Now before queueing)."""
-        return self._robots_allow(url, at)
-
-    def _robots_allow(self, url: str, at: SimTime) -> bool:
-        """Consult the host's (cached) robots.txt for ``url``."""
         try:
             parsed = self._urls.parse(url)
         except UrlError:
             return False
-        return self._robots_allow_parsed(parsed, at)
+        rules = self._robots_rules(parsed, at.days)
+        return rules is None or rules.allows(parsed.path)
 
-    def _robots_allow_parsed(self, parsed: ParsedUrl, at: SimTime) -> bool:
-        path = parsed.path
-        if path == "/robots.txt":
-            return True
+    def _robots_rules(self, parsed: ParsedUrl, days: float) -> RobotsRules | None:
+        """The host's cached robots rules at ``days``, refreshing the
+        entry when stale; ``None`` for robots.txt itself."""
+        if parsed.path == "/robots.txt":
+            return None
         host = parsed.host_lower
-        days = at.days
         cached = self._robots_cache.get(host)
         if cached is None or days - cached[0] > ROBOTS_CACHE_DAYS:
             # Keyed by the URL as written: a flaky site's timeout draw
@@ -263,7 +317,7 @@ class ArchiveCrawler:
             if fetched is not None and fetched[0] <= days < fetched[1]:
                 rules = fetched[2]
             else:
-                result = self._fetcher.fetch(robots_url, at)
+                result = self._fetcher.fetch(robots_url, SimTime(days))
                 if result.final_status == 200:
                     rules = parse_robots(result.body)
                 else:
@@ -275,7 +329,7 @@ class ArchiveCrawler:
                     days, days if until is None else until, rules
                 )
             cached = self._robots_cache[host] = (days, rules)
-        return cached[1].allows(path)
+        return cached[1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -57,6 +57,29 @@ class PendingSketch:
         return PendingSketch, (self.stem,)
 
 
+#: What one capture observed: ``(initial_status, redirect_location,
+#: final_status, final_url, sketch)``, the fields of a
+#: :class:`Snapshot` after its URL and capture instant. ``sketch`` may
+#: be a :class:`PendingSketch`.
+Observation = tuple[
+    int | None, str | None, int | None, str | None,
+    tuple[int, ...] | PendingSketch,
+]
+
+
+def check_observation(
+    url: str, initial_status: int | None, redirect_location: str | None
+) -> None:
+    """Raise ``ValueError`` for a 3xx capture of ``url`` that names no
+    redirect target."""
+    if (
+        initial_status is not None
+        and is_redirect(initial_status)
+        and not redirect_location
+    ):
+        raise ValueError(f"3xx snapshot of {url!r} needs redirect_location")
+
+
 @dataclass(frozen=True, slots=True)
 class Snapshot:
     """An archived copy of ``url`` captured at ``captured_at``.
@@ -89,11 +112,7 @@ class Snapshot:
     sketch: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.initial_status is not None and is_redirect(self.initial_status):
-            if not self.redirect_location:
-                raise ValueError(
-                    f"3xx snapshot of {self.url!r} needs redirect_location"
-                )
+        check_observation(self.url, self.initial_status, self.redirect_location)
 
     @property
     def failed(self) -> bool:
@@ -163,6 +182,11 @@ class _SketchOnRead:
 def _getstate(snapshot: Snapshot) -> tuple:
     # The raw slots: a pending sketch is pickled unresolved.
     return tuple(slot.__get__(snapshot) for slot in _SLOTS)
+
+
+def observation_of(snapshot: Snapshot) -> Observation:
+    """What ``snapshot`` observed, its sketch left unresolved."""
+    return _getstate(snapshot)[2:]
 
 
 def _setstate(snapshot: Snapshot, state: tuple) -> None:

@@ -7,66 +7,126 @@ Indices match the access patterns of the two public APIs:
   validation and §5.2 directory-level coverage);
 - by hostname (CDX host queries — §5.2 hostname-level coverage).
 
-Snapshots for a URL are kept sorted by capture time, so closest-to-
-timestamp selection (IABot's snapshot choice) and first/last lookups
-are cheap.
+Each URL's captures are kept as two parallel columns sorted by capture
+time: the capture days, and a reference to what each capture observed
+(an :data:`~repro.archive.snapshot.Observation`). Every capture inside
+one freshness run of the crawler shares one observation tuple, so a
+capture costs two list appends. A URL's
+:class:`~repro.archive.snapshot.Snapshot` objects are built on its
+first read and kept until the next write to that URL, which makes
+closest-to-timestamp selection (IABot's snapshot choice) and
+first/last lookups cheap after the first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 
 from ..clock import SimTime
 from ..urls.parse import parse_url
 from ..urls.psl import default_psl
-from .snapshot import Snapshot
+from .snapshot import Observation, Snapshot, observation_of
+
+
+class _Captures:
+    """One URL's capture columns plus its snapshots, once built."""
+
+    __slots__ = ("days", "observations", "rows", "served")
+
+    def __init__(self) -> None:
+        #: Capture days, ascending; equal days keep arrival order.
+        self.days: list[float] = []
+        #: What each capture observed, parallel to :attr:`days`.
+        self.observations: list[Observation] = []
+        #: Every capture as a snapshot (failed ones included), or
+        #: ``None`` until read.
+        self.rows: tuple[Snapshot, ...] | None = None
+        #: :attr:`rows` without failed captures, or ``None`` until read.
+        self.served: tuple[Snapshot, ...] | None = None
+
+
+def _days_of(snapshot: Snapshot) -> float:
+    return snapshot.captured_at.days
 
 
 class SnapshotStore:
     """In-memory archive of :class:`~repro.archive.snapshot.Snapshot`."""
 
     def __init__(self) -> None:
-        self._by_url: dict[str, list[Snapshot]] = {}
+        self._by_url: dict[str, _Captures] = {}
         self._by_directory: dict[str, set[str]] = {}
         self._by_host: dict[str, set[str]] = {}
         self._by_domain: dict[str, set[str]] = {}
-        self._count = 0
 
     # -- writes ------------------------------------------------------------------
 
-    def add(self, snapshot: Snapshot) -> None:
-        """Insert one capture, maintaining all indices."""
-        per_url = self._by_url.get(snapshot.url)
-        if per_url is None:
-            per_url = []
-            self._by_url[snapshot.url] = per_url
-            parsed = parse_url(snapshot.url)
-            self._by_directory.setdefault(parsed.directory, set()).add(snapshot.url)
-            self._by_host.setdefault(parsed.host_lower, set()).add(snapshot.url)
+    def record(self, url: str, days: float, observation: Observation) -> None:
+        """Insert one capture of ``url`` at day ``days``.
+
+        ``observation`` must already be valid (see
+        :func:`~repro.archive.snapshot.check_observation`); the store
+        keeps a reference to it, not a copy.
+        """
+        captures = self._by_url.get(url)
+        if captures is None:
+            captures = self._by_url[url] = _Captures()
+            parsed = parse_url(url)
+            self._by_directory.setdefault(parsed.directory, set()).add(url)
+            self._by_host.setdefault(parsed.host_lower, set()).add(url)
             domain = default_psl().registrable_domain(parsed.host_lower)
-            self._by_domain.setdefault(domain, set()).add(snapshot.url)
-        if per_url and per_url[-1].captured_at.days > snapshot.captured_at.days:
-            insort(per_url, snapshot, key=lambda s: s.captured_at.days)
+            self._by_domain.setdefault(domain, set()).add(url)
+        column = captures.days
+        if column and column[-1] > days:
+            # After every capture with an equal day, as ``insort`` puts it.
+            index = bisect_right(column, days)
+            column.insert(index, days)
+            captures.observations.insert(index, observation)
         else:
-            # Captures arrive in time order during replay; appending is
-            # exactly insort's placement (after every equal timestamp).
-            per_url.append(snapshot)
-        self._count += 1
+            # Captures arrive in time order during replay.
+            column.append(days)
+            captures.observations.append(observation)
+        captures.rows = captures.served = None
+
+    def add(self, snapshot: Snapshot) -> None:
+        """Insert one capture a caller already holds as a snapshot."""
+        self.record(
+            snapshot.url, snapshot.captured_at.days, observation_of(snapshot)
+        )
 
     # -- per-URL reads ------------------------------------------------------------
+
+    @staticmethod
+    def _rows(captures: _Captures, url: str) -> tuple[Snapshot, ...]:
+        """Every capture of ``url`` as a snapshot, built on first call."""
+        rows = captures.rows
+        if rows is None:
+            rows = captures.rows = tuple(
+                Snapshot(url, SimTime(days), *observation)
+                for days, observation in zip(
+                    captures.days, captures.observations
+                )
+            )
+        return rows
 
     def snapshots(
         self, url: str, include_failed: bool = False
     ) -> tuple[Snapshot, ...]:
         """All captures of ``url`` in time order."""
-        rows = self._by_url.get(url, [])
+        captures = self._by_url.get(url)
+        if captures is None:
+            return ()
         if include_failed:
-            return tuple(rows)
-        return tuple(row for row in rows if not row.failed)
+            return self._rows(captures, url)
+        served = captures.served
+        if served is None:
+            served = captures.served = tuple(
+                row for row in self._rows(captures, url) if not row.failed
+            )
+        return served
 
     def has_any(self, url: str) -> bool:
         """Whether the archive holds at least one (non-failed) capture."""
-        return any(not row.failed for row in self._by_url.get(url, ()))
+        return bool(self.snapshots(url))
 
     def first_snapshot(self, url: str) -> Snapshot | None:
         """The earliest capture of ``url``, if any."""
@@ -76,14 +136,12 @@ class SnapshotStore:
     def snapshots_before(self, url: str, cutoff: SimTime) -> tuple[Snapshot, ...]:
         """Captures strictly before ``cutoff``, in time order."""
         rows = self.snapshots(url)
-        index = bisect_left([row.captured_at.days for row in rows], cutoff.days)
-        return rows[:index]
+        return rows[: bisect_left(rows, cutoff.days, key=_days_of)]
 
     def snapshots_after(self, url: str, cutoff: SimTime) -> tuple[Snapshot, ...]:
         """Captures at or after ``cutoff``, in time order."""
         rows = self.snapshots(url)
-        index = bisect_left([row.captured_at.days for row in rows], cutoff.days)
-        return rows[index:]
+        return rows[bisect_left(rows, cutoff.days, key=_days_of):]
 
     def closest_to(
         self,
@@ -126,7 +184,7 @@ class SnapshotStore:
 
     def __len__(self) -> int:
         """Total number of captures stored."""
-        return self._count
+        return sum(len(captures.days) for captures in self._by_url.values())
 
     def url_count(self) -> int:
         """Number of distinct URLs captured."""

@@ -37,7 +37,7 @@ for the study's three concrete assemblies.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generic, Protocol, TypeVar, runtime_checkable
 
 from ..obs.metrics import MetricsRegistry

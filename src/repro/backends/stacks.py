@@ -42,13 +42,11 @@ from ..retry import RetryCounters, RetryPolicy
 from ..urls.parse import ParsedUrl, parse_url
 from ..urls.psl import default_psl
 from .core import (
-    MISS,
     CacheLayer,
     Op,
     RetryLayer,
     SpanSpec,
     TraceLayer,
-    MetricsLayer,
     validate_stack_order,
 )
 

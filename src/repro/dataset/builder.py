@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..clock import SimTime
+from ..errors import WorldGenError
 from ..rng import RngRegistry, Stream
 from ..urls.generate import UrlFactory
 from ..urls.parse import parse_url
@@ -575,7 +576,10 @@ class WebBuilder:
         if plan.kind.abandoned:
             # The page rots before the registration lapses; if the
             # draw lands too late, the page simply dies with the site.
-            assert dns_dies is not None
+            if dns_dies is None:
+                raise WorldGenError(
+                    f"abandoned site of {link.url!r} has no DNS death"
+                )
             if dns_dies.days - 90.0 <= posted.days + 30.0:
                 return Page(path_query=path_query, created_at=created_at)
             died_at = SimTime(
@@ -903,7 +907,8 @@ class WebBuilder:
             return (created, onset), (onset, study)
 
         if link.disposition is Disposition.MOVED_PROMPT_REDIRECT:
-            assert page.died_at is not None
+            if page.died_at is None:
+                raise WorldGenError(f"moved page {link.url!r} never died")
             if page.redirect_removed_at is not None:
                 redirect_end = page.redirect_removed_at.days
             elif dns_dies is not None:
@@ -915,13 +920,17 @@ class WebBuilder:
             return (created, page.died_at.days), (page.died_at.days, redirect_end)
 
         if plan.kind.abandoned:
-            assert dns_dies is not None
+            if dns_dies is None:
+                raise WorldGenError(
+                    f"abandoned site of {link.url!r} has no DNS death"
+                )
             page_dead = (
                 page.died_at.days if page.died_at is not None else dns_dies.days
             )
             return (created, page_dead), (page_dead, dns_dies.days)
 
-        assert page.died_at is not None
+        if page.died_at is None:
+            raise WorldGenError(f"dying page {link.url!r} never died")
         return (created, page.died_at.days), (page.died_at.days, study)
 
     def _fixed_uniform_captures(

@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..archive.availability import AvailabilityApi, AvailabilityPolicy
@@ -55,7 +55,7 @@ from ..wiki.encyclopedia import Encyclopedia
 from ..wiki.templates import cite_web, dead_link
 from ..wiki.wikitext import LinkRef
 from .builder import BuiltWeb, TruthRecord, WebBuilder
-from .planner import Disposition, LinkPlan, SiteKind, plan_universe
+from .planner import LinkPlan, SiteKind, plan_universe
 
 _TITLE_WORDS = (
     "Aldermoor", "Brindle", "Carden", "Dunmore", "Eastvale", "Farlow",
@@ -487,10 +487,10 @@ def _run_captures(
     """Run ``captures[start:]`` due at or before ``until``; return the
     index of the first capture left."""
     stop = bisect_right(captures, (until, math.inf), lo=start)
-    capture = crawler.capture
+    capture_at = crawler.capture_at
     for index in range(start, stop):
         days, _, url = captures[index]
-        capture(url, SimTime(days))
+        capture_at(url, days)
     return stop
 
 

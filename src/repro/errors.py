@@ -169,7 +169,8 @@ class DatasetError(ReproError):
 
 
 class WorldGenError(ReproError):
-    """Raised when a :class:`~repro.dataset.worldgen.WorldConfig` is invalid."""
+    """Raised when a :class:`~repro.dataset.worldgen.WorldConfig` is invalid,
+    or when world building reaches a state the plan rules out."""
 
 
 class LiveError(ReproError):

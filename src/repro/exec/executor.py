@@ -56,12 +56,15 @@ class StageResult:
             every probe result — later phases should fetch through it.
         cdx: parent-side memoizing CDX stack for the later phases.
         shards: how many shards actually ran.
+        workers: how many workers ran them; ``1`` when the single
+            shard ran in-process.
     """
 
     outcomes: list[RecordOutcome]
     fetcher: FetchBackend
     cdx: CdxBackend
     shards: int = 1
+    workers: int = 1
 
 
 def _default_workers() -> int:
@@ -159,6 +162,7 @@ class StudyExecutor:
             fetcher=parent_fetcher,
             cdx=CdxBackend(cdx, retry_policy=retry_policy, tracer=tracer),
             shards=len(shards),
+            workers=workers,
         )
 
 

@@ -19,7 +19,7 @@ as it does on the real Wikipedia.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..clock import SimTime
 from ..wiki.article import Article

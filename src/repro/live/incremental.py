@@ -44,7 +44,7 @@ RNG stream with history.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.study import Study, assemble_report
 from ..backends.stacks import BackendStack
@@ -302,7 +302,7 @@ class IncrementalStudy:
 
         # Delta execution: only dirty records run the sharded stage.
         dirty_records = [r for r in records if r.url in dirty_urls]
-        stats = StudyStats(workers=executor.resolved_workers)
+        stats = StudyStats()
         with stats.phase("probe+census", tracer=tracer):
             stage = executor.execute(
                 dirty_records, self._fetcher, self._cdx, at, stats, tracer,
@@ -310,6 +310,7 @@ class IncrementalStudy:
                 retry_policy=self._retry_policy,
             )
         stats.shards = stage.shards
+        stats.workers = stage.workers
         stats.registry.counter("live.dirty.executed").inc(len(dirty_records))
         stats.registry.counter("live.clean.folded").inc(
             len(records) - len(dirty_records)

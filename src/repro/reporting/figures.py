@@ -7,8 +7,6 @@ axes, and Figure 4's grouped bars as labelled horizontal bars.
 
 from __future__ import annotations
 
-import math
-
 from .cdf import Ecdf
 
 _BAR = "#"

@@ -25,7 +25,7 @@ propagates untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .errors import ReproError

@@ -57,10 +57,8 @@ from .faults import ServiceFaultPlan, ServiceFaults
 from .index import LinkStatusEntry, LinkStatusIndex, group_by
 from .reconfig import (
     RECONFIG_LAG_BOUNDS_MS,
-    DeltaApply,
     GenerationSwap,
     RebalancePlan,
-    ReconfigError,
     ReconfigEvent,
     Reconfiguration,
     apply_delta,

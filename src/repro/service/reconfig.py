@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ReproError
 from .index import LinkStatusEntry, LinkStatusIndex, _measurement_key

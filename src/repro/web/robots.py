@@ -13,7 +13,7 @@ longest-match wins, as in RFC 9309.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)

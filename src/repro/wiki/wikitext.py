@@ -10,7 +10,7 @@ links ``[http://url title]`` — rather than the full MediaWiki grammar
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import WikiError
 

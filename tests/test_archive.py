@@ -23,7 +23,8 @@ from repro.dataset.worldgen import WorldConfig, generate_world
 from repro.errors import ArchiveTimeout
 from repro.faults.inject import FaultyOrigin
 from repro.faults.plan import FaultPlan
-from repro.net.fetch import Fetcher
+from repro.net.fetch import Fetcher, FetchResult
+from repro.net.status import Outcome
 from repro.rng import Stream
 from repro.textsim import shingles
 
@@ -142,6 +143,102 @@ class TestSnapshotStore:
         assert store.snapshots(URL) == ()
         assert not store.has_any(URL)
         assert len(store.snapshots(URL, include_failed=True)) == 1
+
+
+class _LocationlessRedirect:
+    """A 302 hop that names no target, as only a broken server sends."""
+
+    status = 302
+    location = None
+    is_redirect = False
+    url = URL
+    body = "moved but did not say where"
+
+
+class _LocationlessFetcher:
+    """A fetcher stand-in whose every answer is that 302."""
+
+    def fetch(self, url, at):
+        return FetchResult(
+            url=str(url), outcome=Outcome.OTHER, chain=(_LocationlessRedirect(),)
+        )
+
+
+class TestSnapshotStoreColumns:
+    """The store keeps per-URL day and observation columns and builds a
+    URL's snapshots on first read; these pin what a read must see."""
+
+    def test_out_of_order_add_lands_after_equal_days(self):
+        store = SnapshotStore()
+        store.add(snap(at=T2010, status=200))
+        store.add(snap(at=T2012, status=200))
+        store.add(snap(at=T2010, status=404))
+        rows = store.snapshots(URL)
+        assert [(row.captured_at, row.initial_status) for row in rows] == [
+            (T2010, 200), (T2010, 404), (T2012, 200),
+        ]
+
+    def test_a_later_write_is_seen_and_other_urls_keep_their_rows(self):
+        store = SnapshotStore()
+        store.add(snap(at=T2010))
+        store.add(snap(url=SIBLING, at=T2010))
+        before = store.snapshots(URL)
+        sibling = store.snapshots(SIBLING)
+        store.add(snap(at=T2014, status=404))
+        after = store.snapshots(URL)
+        assert after[:1] == before and after[1].initial_status == 404
+        assert store.closest_to(URL, T2016).initial_status == 404
+        assert store.snapshots(SIBLING) is sibling
+
+    def test_failed_capture_added_beside_good_ones(self):
+        store = SnapshotStore()
+        store.add(Snapshot(url=URL, captured_at=T2008, initial_status=None))
+        store.add(snap(at=T2010, status=200))
+        assert store.has_any(URL)
+        assert store.first_snapshot(URL).captured_at == T2010
+        assert [row.failed for row in store.snapshots(URL)] == [False]
+        every = store.snapshots(URL, include_failed=True)
+        assert [row.failed for row in every] == [True, False]
+        assert len(store) == 2
+
+    def test_locationless_3xx_fails_at_capture_not_at_read(self):
+        store = SnapshotStore()
+        crawler = ArchiveCrawler(
+            _LocationlessFetcher(), store, honor_robots=False
+        )
+        with pytest.raises(ValueError, match="needs redirect_location"):
+            crawler.capture_at(URL, T2010.days)
+        assert len(store) == 0 and store.snapshots(URL) == ()
+
+    def test_capture_returns_what_the_store_then_serves(self, micro_web):
+        store = SnapshotStore()
+        crawler = ArchiveCrawler(micro_web.fetcher(), store)
+        captured = [
+            crawler.capture("http://news.example.com/moved/prompt.html", at)
+            for at in (T2008, T2010, T2016)
+        ]
+        assert store.snapshots(
+            "http://news.example.com/moved/prompt.html"
+        ) == tuple(captured)
+        assert captured[-1].initial_status == 301
+
+    def test_pickled_store_keeps_sketches_pending(
+        self, micro_web, minhash_calls
+    ):
+        store = SnapshotStore()
+        crawler = ArchiveCrawler(micro_web.fetcher(), store)
+        for at in (T2008, T2010, T2012):
+            crawler.capture(ALIVE, at)
+        # Cached rows travel too; every capture shares one pending sketch.
+        stem = store.snapshots(ALIVE)[0].__getstate__()[-1].stem
+        data = pickle.dumps(store)
+        copy = pickle.loads(data)
+        assert minhash_calls == []
+        assert data.count(stem.encode()) == 1
+        assert len(copy) == 3 and copy.all_urls() == (ALIVE,)
+        # Comparing reads both stores' sketches: MinHash once for each.
+        assert copy.snapshots(ALIVE) == store.snapshots(ALIVE)
+        assert minhash_calls == [stem, stem]
 
 
 class TestAvailabilityApi:

@@ -25,6 +25,7 @@ from repro.dataset.worldgen import WorldConfig, generate_world
 from repro.exec import StudyExecutor
 from repro.exec.executor import _shard_spans
 from repro.faults import FaultPlan
+from repro.obs.trace import Tracer
 from repro.retry import DEFAULT_MASKING_POLICY
 
 
@@ -193,6 +194,20 @@ class TestExecutorEquivalence:
         # only who answered (memo vs backend) may shift.
         assert parallel.stats.fetches == serial.stats.fetches
         assert parallel.stats.cdx_queries == serial.stats.cdx_queries
+
+    def test_one_record_study_reports_the_one_worker_that_ran(
+        self, tiny_world
+    ):
+        # Four workers requested, one record: the single shard runs
+        # in-process, and the stats and the study span say so.
+        tracer = Tracer()
+        report = Study.from_world(tiny_world, sample_size=1).run(
+            StudyExecutor(workers=4), tracer=tracer
+        )
+        assert report.stats.workers == report.stats.shards == 1
+        assert "executor: 1 worker(s), 1 shard(s)" in report.stats.summary()
+        (study,) = [span for span in tracer.spans if span.name == "study"]
+        assert study.attrs["workers"] == 1
 
     def test_stats_attached_and_populated(self, tiny_world):
         report = _fresh_study(tiny_world).run()

@@ -398,6 +398,18 @@ def test_live_retry_totals_match_the_batch_study(retry_world, workers):
 # -- build-order invariants ------------------------------------------------------
 
 
+def test_live_build_reports_the_one_worker_that_ran(retry_world):
+    # One sampled record, so one dirty record: four workers requested,
+    # the single shard runs in-process.
+    result = IncrementalStudy(retry_world, sample_size=1).build(
+        retry_world.study_time, executor=StudyExecutor(workers=4)
+    )
+    stats = result.report.stats
+    assert result.dirty.size == 1
+    assert stats.workers == stats.shards == 1
+    assert "executor: 1 worker(s), 1 shard(s)" in stats.summary()
+
+
 def test_live_ordering_invariants():
     world = generate_world(WorldConfig(n_links=80, seed=3, target_sample=30))
     driver = WorldDriver(world)
