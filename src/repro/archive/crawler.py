@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..clock import SimTime, EVENTSTREAM_START, WNRT_START
+from ..clock import SimTime
 from ..errors import UrlError
 from ..net.fetch import Fetcher, FetchResult
 from ..rng import Stream
@@ -343,25 +343,13 @@ class OrganicCrawlPlanner:
 
     horizon: SimTime
 
-    def plan(
-        self,
-        available_from: SimTime,
-        rate_per_year: float,
-        rng: Stream,
-    ) -> list[SimTime]:
-        """Capture instants for one URL."""
-        return [
-            SimTime(days)
-            for days in self.plan_days(available_from, rate_per_year, rng)
-        ]
-
     def plan_days(
         self,
         available_from: SimTime,
         rate_per_year: float,
         rng: Stream,
     ) -> list[float]:
-        """:meth:`plan`'s instants as day numbers (``SimTime.days``)."""
+        """Capture instants for one URL, as day numbers (``SimTime.days``)."""
         if rate_per_year <= 0:
             return []
         days: list[float] = []
@@ -394,31 +382,6 @@ class TriggerEra:
     def covers(self, at: SimTime) -> bool:
         """Whether this era is active at instant ``at``."""
         return not at < self.start and at < self.end
-
-
-def default_trigger_eras(horizon: SimTime) -> tuple[TriggerEra, ...]:
-    """The WNRT (2013-2018) and EventStream (2018-) eras.
-
-    Coverage values are calibration constants chosen so that ~7% of
-    dataset links end up captured the day they were posted (§5.1),
-    given the paper's posting-date distribution.
-    """
-    return (
-        TriggerEra(
-            start=WNRT_START,
-            end=EVENTSTREAM_START,
-            coverage=0.12,
-            delay_median_days=1.5,
-            delay_sigma=0.8,
-        ),
-        TriggerEra(
-            start=EVENTSTREAM_START,
-            end=horizon,
-            coverage=0.22,
-            delay_median_days=0.4,
-            delay_sigma=0.7,
-        ),
-    )
 
 
 class TriggeredArchiver:

@@ -1,83 +1,36 @@
-"""Composable backend middleware: one layer stack for every client.
+"""The study's backend clients and their shared entry-point knobs.
 
-The study's three backends (live-web fetch, CDX, Availability) share
-four cross-cutting concerns — memoization, retry, fault injection, and
-observability. :mod:`repro.backends.core` provides each concern as a
-typed, order-checked layer over a common ``Backend[Req, Resp]`` call
-protocol; :mod:`repro.backends.stacks` assembles the concrete stacks;
-:mod:`repro.backends.config` carries the shared entry-point knobs.
+The study reads three backends — the live-web fetch, the CDX API and
+the Availability API. Each client calls its concerns directly, in
+the order its statements run:
 
-Canonical order (outermost first)::
+- :class:`FetchBackend` (:mod:`.stacks`) memoizes on ``(url,
+  at.days)`` and opens a ``backend.fetch`` span on each miss; the
+  wrapped :class:`~repro.net.fetch.Fetcher` retries its own DNS and
+  connect legs below the memo.
+- :class:`CdxBackend` (:mod:`.stacks`) memoizes on the normalized
+  scope query and, on a miss, opens a ``backend.cdx`` span around
+  :func:`~repro.retry.call_with_retry`.
+- :class:`~repro.iabot.archive_client.IABotArchiveClient` retries each
+  bounded Availability lookup inside its ``availability`` span and
+  memoizes nothing.
 
-    metrics -> cache -> trace -> retry -> fault -> base
-
-See README "Architecture" for the ordering contract and the laws each
-relative position encodes.
-
-Only the kernel is imported eagerly: :mod:`.stacks` depends on the
-client modules (``net.fetch``, ``faults.inject``) which themselves
-build on :mod:`.core`, so the concrete names resolve lazily (PEP 562)
-to keep that dependency edge acyclic.
+Faults sit below every retry loop: the injectors in
+:mod:`repro.faults.inject` test their channels on every attempt, so a
+transient clears on a later one. :class:`BackendStack` builds the
+clients for one (fault plan, retry policy) pair, and
+:class:`StackConfig` (:mod:`.config`) carries the shared entry-point
+knobs.
 """
 
-from importlib import import_module
-
-from .core import (
-    MISS,
-    Backend,
-    CacheLayer,
-    FaultGate,
-    FaultLayer,
-    Layer,
-    MetricsLayer,
-    Op,
-    RetryLayer,
-    SpanSpec,
-    TraceLayer,
-    layer_names,
-    validate_stack_order,
-)
-
-#: Lazily resolved exports: name -> defining submodule.
-_LAZY = {
-    "BackendStack": ".stacks",
-    "CdxBackend": ".stacks",
-    "FetchBackend": ".stacks",
-    "normalize_scope_query": ".stacks",
-    "PLAN_FACTORIES": ".config",
-    "StackConfig": ".config",
-}
+from .config import PLAN_FACTORIES, StackConfig
+from .stacks import BackendStack, CdxBackend, FetchBackend, normalize_scope_query
 
 __all__ = [
-    "MISS",
-    "Backend",
     "BackendStack",
-    "CacheLayer",
     "CdxBackend",
-    "FaultGate",
-    "FaultLayer",
     "FetchBackend",
-    "Layer",
-    "MetricsLayer",
-    "Op",
     "PLAN_FACTORIES",
-    "RetryLayer",
-    "SpanSpec",
     "StackConfig",
-    "TraceLayer",
-    "layer_names",
     "normalize_scope_query",
-    "validate_stack_order",
 ]
-
-
-def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value
-    return value

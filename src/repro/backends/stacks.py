@@ -1,29 +1,37 @@
-"""The study's concrete backend stacks, assembled from the layer kernel.
+"""The study's backend clients: memo, retry, span and fault check in turn.
 
 Three backends carry the whole measurement pipeline — the live-web
 fetch (§3 probes, soft-404 re-fetches), the CDX index (§4.2 sibling
 validation, §5.2 coverage census), and the Availability API (IABot's
-bounded lookups). This module lifts each onto the
-:mod:`repro.backends.core` layers:
+bounded lookups). Each client calls its concerns directly, in the
+order its statements run:
 
-- :class:`FetchBackend` — ``cache -> trace -> retry -> Fetcher``,
-  memoized on ``(url, at)``: a fetch over the simulated web is a pure
-  function of the URL and the instant, so replaying an entry is
-  indistinguishable from re-fetching.
-- :class:`CdxBackend` — ``cache -> trace -> retry -> CdxApi`` with
-  *scope normalization* as the backend's request-rewrite: a DIRECTORY /
-  HOST / DOMAIN query is keyed on the derived scope (the directory,
-  the hostname, the registrable domain), with ``exclude_self`` applied
-  as a post-filter above the cache. Two links in the same directory
-  therefore share one backend query even though their ``CdxQuery.url``
-  fields differ — which is exactly where the paper's repetition lives.
+- :class:`FetchBackend` — a dict memo on ``(url, at.days)``, then a
+  ``backend.fetch`` span around the wrapped
+  :class:`~repro.net.fetch.Fetcher` on a miss. A fetch over the
+  simulated web is a pure function of the URL and the instant, so
+  replaying an entry is indistinguishable from re-fetching. The
+  fetcher retries its own DNS and connect legs and folds their
+  failures into the :class:`~repro.net.fetch.FetchResult`, so nothing
+  above it retries.
+- :class:`CdxBackend` — a dict memo, then a ``backend.cdx`` span
+  around :func:`~repro.retry.call_with_retry` on a miss, with *scope
+  normalization* as the request rewrite: a DIRECTORY / HOST / DOMAIN
+  query is keyed on the derived scope (the directory, the hostname,
+  the registrable domain), with ``exclude_self`` applied as a
+  post-filter above the memo. Two links in the same directory
+  therefore share one backend query even though their
+  ``CdxQuery.url`` fields differ — which is exactly where the paper's
+  repetition lives.
 - :class:`BackendStack` — the deterministic builder: one
-  (fault plan, retry policy) pair assembles every stack the study
-  needs, replacing the ad-hoc wrapper branching PRs 1-3 accumulated.
+  (fault plan, retry policy) pair yields every client the study needs.
 
-Both facades present the read interfaces of the backends they wrap
-(``fetch``/``query``/``archived_urls`` plus hit/miss/retry counters),
-so every analysis accepts them in place of the raw clients.
+The memo sits above the retry loop, so a retry-masked transient is
+one miss and every repeat of the request is a hit; the span sits
+below the memo, so hits open no span. Both facades present the read
+interfaces of the clients they wrap (``fetch``/``query``/
+``archived_urls`` plus hit/miss/retry counters), so every analysis
+accepts them in place of the raw clients.
 """
 
 from __future__ import annotations
@@ -33,22 +41,13 @@ from dataclasses import dataclass
 
 from ..archive.cdx import CdxApi, CdxQuery, MatchType
 from ..clock import SimTime
-from ..faults.inject import faulty_cdx, faulty_fetcher
+from ..faults.inject import faulty_availability, faulty_cdx, faulty_fetcher
 from ..faults.plan import FaultPlan
 from ..net.fetch import FetchResult, Fetcher
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from ..retry import RetryCounters, RetryPolicy
+from ..retry import RetryCounters, RetryPolicy, call_with_retry
 from ..urls.parse import ParsedUrl, parse_url
 from ..urls.psl import default_psl
-from .core import (
-    CacheLayer,
-    Op,
-    RetryLayer,
-    SpanSpec,
-    TraceLayer,
-    validate_stack_order,
-)
 
 __all__ = [
     "BackendStack",
@@ -84,113 +83,91 @@ def normalize_scope_query(request: CdxQuery) -> CdxQuery | None:
 
 
 class FetchBackend:
-    """The live-web fetch stack: ``cache -> trace -> retry -> base``.
+    """The live-web fetch client, memoized on ``(url, at)``.
 
-    Replaces the PR-1 ``CachingFetcher``. The §3 soft-404 detector
-    re-fetches every 200-status URL the live probe just fetched; with
-    the memo (optionally pre-seeded from worker probe results) those
-    duplicate fetches never touch the network.
-
-    ``retry_policy`` retries fetch backends that *raise* transiently.
-    The standard :class:`~repro.net.fetch.Fetcher` never does — it
-    owns its own retry legs and folds failures into the
-    :class:`~repro.net.fetch.FetchResult` — so the layer stays inert
-    for the common stack; it exists for fetch-shaped backends that
-    surface transport errors as exceptions.
+    The §3 soft-404 detector re-fetches every 200-status URL the live
+    probe just fetched; with the memo (optionally pre-seeded from
+    worker probe results) those duplicate fetches never touch the
+    network.
 
     A ``tracer`` records one ``kind="backend.fetch"`` span per memo
     miss — the fetches that actually touched the (simulated) network,
-    with the resulting Figure-4 outcome attached. Memo hits are
-    deliberately span-free (the trace-below-cache law).
+    with the resulting Figure-4 outcome and the virtual backoff the
+    fetcher's own retries spent. Memo hits are span-free.
     """
 
-    def __init__(
-        self,
-        inner: Fetcher,
-        retry_policy: RetryPolicy | None = None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, inner: Fetcher, tracer: Tracer | None = None) -> None:
         self.inner = inner
-        self.retry_counters = RetryCounters()
-        base = Op("net.fetch", lambda req: inner.fetch(req[0], req[1]))
-        retry = RetryLayer(
-            base,
-            policy=retry_policy,
-            key_fn=lambda req: f"fetch:{req[0]}@{req[1].days}",
-            counters=self.retry_counters,
+        self._tracer = tracer
+        #: The wrapped fetcher's counters: it retries below the memo,
+        #: so this client has none of its own. A fetcher that keeps no
+        #: counters reads as zero.
+        counters = getattr(inner, "retry_counters", None)
+        self.retry_counters = (
+            counters if counters is not None else RetryCounters()
         )
-        trace = TraceLayer(
-            retry,
-            tracer,
-            SpanSpec(
-                kind="backend.fetch",
-                name_fn=lambda req: "fetch",
-                attrs_fn=lambda req: {"sim": req[1], "url": str(req[0])},
-                result_attrs_fn=lambda result: {
-                    "outcome": result.outcome.value
-                },
-            ),
-            retry_counters=self.retry_counters,
-        )
-        self._cache = CacheLayer(
-            trace,
-            key_fn=lambda req: (str(req[0]), req[1].days),
-            metrics=metrics,
-            metric_prefix="backend.fetch",
-        )
-        validate_stack_order(self._cache)
-
-    # -- Fetcher interface -------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Fetches answered from the memo."""
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        """Fetches that reached the wrapped backend."""
-        return self._cache.misses
+        self._memo: dict[tuple[str, float], FetchResult] = {}
+        self.hits = 0
+        self.misses = 0
 
     @property
     def fetch_count(self) -> int:
         """Logical fetches served (memo hits included)."""
-        return self._cache.hits + self._cache.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
         """Share of fetches answered from the memo."""
-        return self._cache.hit_rate
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def fetch(self, url: str | ParsedUrl, at: SimTime) -> FetchResult:
         """Same result as the wrapped fetcher, memoized on ``(url, at)``."""
-        return self._cache.call((url, at))
+        key = (str(url), at.days)
+        result = self._memo.get(key)
+        if result is not None:
+            self.hits += 1
+            return result
+        self.misses += 1
+        if self._tracer is None:
+            result = self.inner.fetch(url, at)
+        else:
+            counters = self.retry_counters
+            backoff_before = counters.backoff_ms
+            with self._tracer.span(
+                "fetch", kind="backend.fetch", sim=at, url=key[0]
+            ) as span:
+                result = self.inner.fetch(url, at)
+                span.add_virtual_ms(counters.backoff_ms - backoff_before)
+                span.set(outcome=result.outcome.value)
+        self._memo[key] = result
+        return result
 
     def seed(self, url: str, at: SimTime, result: FetchResult) -> None:
         """Pre-populate the memo with an already-observed result.
 
         Used by the parallel executor to hand worker probe results to
         the parent process, so follow-up phases hit instead of
-        re-fetching. Seeding counts as neither hit nor miss.
+        re-fetching. Seeding counts as neither hit nor miss, and never
+        displaces an entry.
         """
-        self._cache.seed((str(url), at.days), result)
+        self._memo.setdefault((str(url), at.days), result)
 
 
 class CdxBackend:
-    """The CDX stack: ``cache -> trace -> retry -> base``, normalized.
+    """The CDX client: memo, span, retry, normalized scope keys.
 
-    Replaces the PR-1 ``CachingCdxApi``. Presents the same read
-    interface (``query``, ``archived_urls``, ``query_count``), so
-    every analysis accepts it in place of the raw API. ``hits`` /
-    ``misses`` count memo outcomes; each miss is one backend query.
+    Presents the raw API's read interface (``query``,
+    ``archived_urls``, ``query_count``), so every analysis accepts it
+    in place of the raw API. ``hits`` / ``misses`` count memo
+    outcomes; each miss is one backend query.
 
-    This stack is also where archive-side resilience lives: the retry
-    layer re-issues backend queries that fail transiently (a
+    This client is also where archive-side resilience lives: the retry
+    loop re-issues backend queries that fail transiently (a
     :class:`~repro.errors.CdxRateLimited` window, a 5xx burst from a
-    fault-injected backend), and because the cache sits *above* it, a
+    fault-injected backend), and because the memo sits above it, a
     masked transient is also a memo entry — one recovery serves every
-    repeat of the query (the cache-above-retry law).
+    repeat of the query.
     """
 
     def __init__(
@@ -198,76 +175,69 @@ class CdxBackend:
         inner: CdxApi,
         retry_policy: RetryPolicy | None = None,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.inner = inner
+        self._retry_policy = retry_policy
+        self._tracer = tracer
         self.retry_counters = RetryCounters()
-        base = Op(
-            "cdx",
-            lambda req: (
-                inner.query(req[1])
-                if req[0] == "query"
-                else inner.archived_urls(req[1])
-            ),
-        )
-        retry = RetryLayer(
-            base,
-            policy=retry_policy,
-            key_fn=lambda req: f"cdx.{req[0]}:{req[1]!r}",
-            counters=self.retry_counters,
-        )
-        trace = TraceLayer(
-            retry,
-            tracer,
-            SpanSpec(
-                kind="backend.cdx",
-                name_fn=lambda req: (
-                    "cdx.query" if req[0] == "query" else "cdx.archived_urls"
-                ),
-                attrs_fn=lambda req: {
-                    "url": req[1].url,
-                    "match": req[1].match_type.name,
-                },
-                set_retries=True,
-            ),
-            retry_counters=self.retry_counters,
-        )
-        self._cache = CacheLayer(
-            trace,
-            key_fn=lambda req: req,
-            metrics=metrics,
-            metric_prefix="backend.cdx",
-        )
-        validate_stack_order(self._cache)
-
-    # -- CdxApi interface --------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Queries answered from the memo."""
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        """Queries that reached the wrapped backend."""
-        return self._cache.misses
+        self._memo: dict[tuple[str, CdxQuery], tuple] = {}
+        self.hits = 0
+        self.misses = 0
 
     @property
     def query_count(self) -> int:
         """Logical queries served (memo hits included)."""
-        return self._cache.hits + self._cache.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
         """Share of queries answered from the memo."""
-        return self._cache.hit_rate
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def _call(self, op: str, request: CdxQuery) -> tuple:
+        """One memoized backend read; ``op`` is ``query`` or ``urls``."""
+        key = (op, request)
+        rows = self._memo.get(key)
+        if rows is not None:
+            self.hits += 1
+            return rows
+        self.misses += 1
+        if self._tracer is None:
+            rows = self._retried(op, request)
+        else:
+            counters = self.retry_counters
+            backoff_before = counters.backoff_ms
+            retries_before = counters.retries
+            with self._tracer.span(
+                "cdx.query" if op == "query" else "cdx.archived_urls",
+                kind="backend.cdx",
+                url=request.url,
+                match=request.match_type.name,
+            ) as span:
+                rows = self._retried(op, request)
+                span.add_virtual_ms(counters.backoff_ms - backoff_before)
+                retries = counters.retries - retries_before
+                if retries:
+                    span.set(retries=retries)
+        self._memo[key] = rows
+        return rows
+
+    def _retried(self, op: str, request: CdxQuery) -> tuple:
+        read = self.inner.query if op == "query" else self.inner.archived_urls
+        return call_with_retry(
+            lambda: read(request),
+            self._retry_policy,
+            key=f"cdx.{op}:{request!r}",
+            counters=self.retry_counters,
+        )
 
     def query(self, request: CdxQuery):
         """Same rows as the wrapped API, memoized under the scope key."""
         base = normalize_scope_query(request)
         if base is None:
-            return self._cache.call(("query", request))
-        rows = self._cache.call(("query", base))
+            return self._call("query", request)
+        rows = self._call("query", base)
         if request.exclude_self:
             rows = tuple(row for row in rows if row.url != request.url)
         return rows
@@ -276,8 +246,8 @@ class CdxBackend:
         """Same collapsed URL list as the wrapped API, memoized."""
         base = normalize_scope_query(request)
         if base is None:
-            return self._cache.call(("urls", request))
-        urls = self._cache.call(("urls", base))
+            return self._call("urls", request)
+        urls = self._call("urls", base)
         if request.exclude_self:
             urls = tuple(url for url in urls if url != request.url)
         return urls
@@ -285,15 +255,13 @@ class CdxBackend:
 
 @dataclass(frozen=True)
 class BackendStack:
-    """Deterministic builder: one resilience posture, every stack.
+    """Deterministic builder: one resilience posture, every client.
 
     Holds the study client's two cross-cutting decisions — which fault
     plan sabotages the backends (``None``: a healthy world) and which
     retry policy arms the clients against transients (``None``: the
-    paper's retry-less configuration) — and assembles each concrete
-    stack from them, in the canonical layer order. This is the single
-    replacement for the ad-hoc wrapper branching that used to live in
-    ``Study.from_world`` and the exec layer.
+    paper's retry-less configuration) — and builds each concrete
+    client from them.
     """
 
     faults: FaultPlan | None = None
@@ -325,8 +293,6 @@ class BackendStack:
 
     def availability(self, api):
         """The (possibly sabotaged) Availability API for a study."""
-        from ..faults.inject import faulty_availability
-
         return (
             faulty_availability(api, self.faults)
             if self.faults is not None

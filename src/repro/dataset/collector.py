@@ -48,11 +48,6 @@ class Collector:
         self._api = WikiApi(encyclopedia)
         self._rankings = site_rankings if site_rankings is not None else {}
 
-    @property
-    def api_requests(self) -> int:
-        """MediaWiki-style API requests issued so far."""
-        return self._api.request_count
-
     def category_titles(self) -> tuple[str, ...]:
         """The category listing, alphabetical, drained through the
         paginated categorymembers endpoint (as the paper crawled it)."""

@@ -189,11 +189,6 @@ class SitePlan:
         """Latest posting instant among the site's links."""
         return max(link.posted_at for link in self.links)
 
-    @property
-    def min_posted(self) -> SimTime:
-        """Earliest posting instant among the site's links."""
-        return min(link.posted_at for link in self.links)
-
 
 def plan_universe(config, rngs: RngRegistry) -> list[SitePlan]:
     """Produce the full site/link plan for a config.

@@ -88,15 +88,6 @@ class TransientConnectionTimeout(ConnectionTimeout):
     transient = True
 
 
-class TooManyRedirects(NetworkSimError):
-    """Raised when a fetch follows more redirects than its limit allows."""
-
-    def __init__(self, url: str, limit: int) -> None:
-        super().__init__(f"more than {limit} redirects while fetching {url!r}")
-        self.url = url
-        self.limit = limit
-
-
 class ArchiveError(ReproError):
     """Base class for web-archive simulation errors."""
 

@@ -103,12 +103,12 @@ class StudyExecutor:
         """Run the stage over ``records`` and merge in record order.
 
         ``fetcher`` and ``cdx`` are the *raw* backends; the executor
-        owns the caching, and ``retry_policy`` arms every memo stack it
-        builds (``None`` never retries). Each shard's metrics registry,
-        wall time and trace spans are folded into ``stats`` /
-        ``tracer`` immediately; the returned parent-side caches carry
-        their own counters (and emit into ``tracer``) for the phases
-        that follow.
+        owns the caching, and ``retry_policy`` arms every CDX client it
+        builds (``None`` never retries; the fetcher retries inside
+        itself). Each shard's metrics registry, wall time and trace
+        spans are folded into ``stats`` / ``tracer`` immediately; the
+        returned parent-side caches carry their own counters (and emit
+        into ``tracer``) for the phases that follow.
 
         ``at_overrides`` gives individual records their own probe
         instants (URL-keyed; everything else probes at ``at``), and
@@ -147,9 +147,7 @@ class StudyExecutor:
             if tracer is not None:
                 tracer.adopt(shard.trace_spans)
 
-        parent_fetcher = FetchBackend(
-            fetcher, retry_policy=retry_policy, tracer=tracer
-        )
+        parent_fetcher = FetchBackend(fetcher, tracer=tracer)
         overrides = at_overrides or {}
         for outcome in outcomes:
             parent_fetcher.seed(

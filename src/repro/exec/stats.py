@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..numerics import backend_name
 from ..obs.metrics import MetricsRegistry
-from ..retry import RetryCounters
 
 if TYPE_CHECKING:
     from ..backends.stacks import CdxBackend, FetchBackend
@@ -89,30 +89,28 @@ def add_retry_counts(
 def backend_counts(
     registry: MetricsRegistry, fetcher: "FetchBackend", cdx: "CdxBackend"
 ):
-    """Fold a fetch/CDX stack pair's counters in when the block ends.
+    """Fold a fetch/CDX client pair's counters in when the block ends.
 
-    The pair's memo hits and misses and its own retry counters are
-    folded whole, so the pair should be fresh at entry. The raw
-    fetcher under ``fetcher`` retries inside itself, below the memo,
-    and may be shared with other blocks; only its retry delta across
-    this block is counted. Every worker shard and the parent phases
-    fold through here, so each retry anywhere is counted exactly once.
+    The pair's memo hits and misses are folded whole, so the pair
+    should be fresh at entry. Retry counters are folded as their delta
+    across the block: the fetch client's are its raw fetcher's, which
+    retries below the memo and may be shared with other blocks. Every
+    worker shard and the parent phases fold through here, so each
+    retry anywhere is counted exactly once.
     """
-    inner = getattr(fetcher.inner, "retry_counters", None) or RetryCounters()
-    before = (inner.retries, inner.giveups, inner.backoff_ms)
+    fetch_rc, cdx_rc = fetcher.retry_counters, cdx.retry_counters
+    fetch_before, cdx_before = replace(fetch_rc), replace(cdx_rc)
     yield
     add_fetch_counts(registry, fetcher.hits, fetcher.misses)
     add_cdx_counts(registry, cdx.hits, cdx.misses)
-    fetch_rc, cdx_rc = fetcher.retry_counters, cdx.retry_counters
     add_retry_counts(
         registry,
-        fetch_retries=inner.retries - before[0] + fetch_rc.retries,
-        fetch_giveups=inner.giveups - before[1] + fetch_rc.giveups,
-        cdx_retries=cdx_rc.retries,
-        cdx_giveups=cdx_rc.giveups,
-        backoff_ms=inner.backoff_ms - before[2]
-        + fetch_rc.backoff_ms
-        + cdx_rc.backoff_ms,
+        fetch_retries=fetch_rc.retries - fetch_before.retries,
+        fetch_giveups=fetch_rc.giveups - fetch_before.giveups,
+        cdx_retries=cdx_rc.retries - cdx_before.retries,
+        cdx_giveups=cdx_rc.giveups - cdx_before.giveups,
+        backoff_ms=fetch_rc.backoff_ms - fetch_before.backoff_ms
+        + (cdx_rc.backoff_ms - cdx_before.backoff_ms),
     )
 
 

@@ -229,9 +229,7 @@ def run_shard(
     start, stop = span
     tracer = Tracer(prefix=f"w{start}.") if context.trace else None
     metrics = MetricsRegistry()
-    fetcher = FetchBackend(
-        context.fetcher, retry_policy=context.retry_policy, tracer=tracer
-    )
+    fetcher = FetchBackend(context.fetcher, tracer=tracer)
     cdx = CdxBackend(
         context.cdx, retry_policy=context.retry_policy, tracer=tracer
     )

@@ -33,7 +33,6 @@ from dataclasses import replace
 from ..archive.availability import AvailabilityApi, AvailabilityResult
 from ..archive.cdx import CdxApi, CdxQuery
 from ..archive.snapshot import Snapshot
-from ..backends.core import FaultGate, FaultLayer, Op
 from ..clock import SimTime
 from ..errors import (
     ArchiveTimeout,
@@ -113,20 +112,12 @@ class FaultyDns:
     def __init__(self, inner: DnsTable, plan: FaultPlan) -> None:
         self._inner = inner
         self.channel = FaultChannel(plan.seed, "dns", plan.dns_servfail)
-        self._stack = FaultLayer(
-            Op("dns.resolve", lambda req: inner.resolve(req[0], req[1])),
-            gates=(
-                FaultGate(
-                    channel=self.channel,
-                    key_fn=lambda req: req[0].lower(),
-                    exc_fn=lambda req: DnsServfail(req[0]),
-                ),
-            ),
-        )
 
     def resolve(self, hostname: str, at: SimTime) -> DnsRecord:
         """Resolve like the wrapped table, unless sabotaged."""
-        return self._stack.call((hostname, at))
+        if self.channel.should_fault(hostname.lower()):
+            raise DnsServfail(hostname)
+        return self._inner.resolve(hostname, at)
 
     def hostnames(self) -> list[str]:
         return self._inner.hostnames()
@@ -146,18 +137,6 @@ class FaultyOrigin:
     def __init__(self, inner: OriginServer, plan: FaultPlan) -> None:
         self._inner = inner
         self.channel = FaultChannel(plan.seed, "connect", plan.connect_timeout)
-        self._stack = FaultLayer(
-            Op("origin.handle", lambda req: inner.handle(*req)),
-            gates=(
-                FaultGate(
-                    channel=self.channel,
-                    key_fn=lambda req: str(req[1].url),
-                    exc_fn=lambda req: TransientConnectionTimeout(
-                        req[1].url.host_lower
-                    ),
-                ),
-            ),
-        )
 
     def handle(
         self, address: str, request: HttpRequest, at: SimTime
@@ -168,17 +147,14 @@ class FaultyOrigin:
         attempt at a key may be faulted differently, so this wrapper
         vouches for no answer beyond its own instant.
         """
+        if self.channel.should_fault(str(request.url)):
+            raise TransientConnectionTimeout(request.url.host_lower)
         try:
-            response = self._stack.call((address, request, at))
+            response = self._inner.handle(address, request, at)
         except ConnectionTimeout as exc:
             exc.fresh_until = None
             raise
         return replace(response, fresh_until=None)
-
-
-def _cdx_fault_key(req: tuple[str, CdxQuery]) -> str:
-    """Channel key for one CDX operation (``query:…`` / ``urls:…``)."""
-    return f"{req[0]}:{req[1]!r}"
 
 
 class FaultyCdxApi:
@@ -197,34 +173,17 @@ class FaultyCdxApi:
             plan.seed, "cdx.rate_limit", plan.cdx_rate_limit
         )
         self.error_channel = FaultChannel(plan.seed, "cdx.error", plan.cdx_error)
-        # Gate order matters: the rate-limit channel's attempt counter
-        # always advances, the error channel's only when no rate-limit
-        # fired — same short-circuit the hand-written _gate had.
-        key_fn = _cdx_fault_key
-        self._stack = FaultLayer(
-            Op(
-                "cdx",
-                lambda req: (
-                    inner.query(req[1])
-                    if req[0] == "query"
-                    else inner.archived_urls(req[1])
-                ),
-            ),
-            gates=(
-                FaultGate(
-                    channel=self.rate_limit_channel,
-                    key_fn=key_fn,
-                    exc_fn=lambda req: CdxRateLimited(
-                        key_fn(req), retry_after_ms=self._retry_after_ms
-                    ),
-                ),
-                FaultGate(
-                    channel=self.error_channel,
-                    key_fn=key_fn,
-                    exc_fn=lambda req: ArchiveUnavailable(key_fn(req)),
-                ),
-            ),
-        )
+
+    def _gate(self, key: str) -> None:
+        """Raise when an attempt at ``key`` is sabotaged.
+
+        The rate-limit channel's attempt counter always advances, the
+        error channel's only when no rate limit fired.
+        """
+        if self.rate_limit_channel.should_fault(key):
+            raise CdxRateLimited(key, retry_after_ms=self._retry_after_ms)
+        if self.error_channel.should_fault(key):
+            raise ArchiveUnavailable(key)
 
     @property
     def query_count(self) -> int:
@@ -238,11 +197,13 @@ class FaultyCdxApi:
 
     def query(self, request: CdxQuery) -> tuple[Snapshot, ...]:
         """Rows from the wrapped API, gated by the fault channels."""
-        return self._stack.call(("query", request))
+        self._gate(f"query:{request!r}")
+        return self._inner.query(request)
 
     def archived_urls(self, request: CdxQuery) -> tuple[str, ...]:
         """Collapsed URLs from the wrapped API, gated by the channels."""
-        return self._stack.call(("urls", request))
+        self._gate(f"urls:{request!r}")
+        return self._inner.archived_urls(request)
 
 
 class FaultyAvailabilityApi:

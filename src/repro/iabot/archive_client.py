@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from ..archive.availability import AvailabilityApi
 from ..archive.snapshot import Snapshot
-from ..backends.core import Op, RetryLayer
 from ..clock import SimTime
 from ..errors import ArchiveError, ArchiveTimeout
 from ..obs.trace import Tracer
-from ..retry import RetryCounters, RetryPolicy, is_transient
+from ..retry import RetryCounters, RetryPolicy, call_with_retry, is_transient
 
 
 def _lookup_retryable(exc: BaseException) -> bool:
@@ -62,18 +61,6 @@ class IABotArchiveClient:
         self.timeouts = 0
         self.errors = 0
         self.retry_counters = RetryCounters()
-        self._lookup = RetryLayer(
-            Op(
-                "availability.lookup",
-                lambda req: self._api.lookup(
-                    req[0], around=req[1], timeout_ms=self._timeout_ms
-                ),
-            ),
-            policy=retry_policy,
-            key_fn=lambda req: f"availability:{req[0]}",
-            retryable=_lookup_retryable,
-            counters=self.retry_counters,
-        )
 
     def find_copy(self, url: str, posted_at: SimTime) -> Snapshot | None:
         """The usable archived copy closest to ``posted_at``, if any
@@ -102,7 +89,15 @@ class IABotArchiveClient:
     ) -> Snapshot | None:
         self.lookups += 1
         try:
-            result = self._lookup.call((url, posted_at))
+            result = call_with_retry(
+                lambda: self._api.lookup(
+                    url, around=posted_at, timeout_ms=self._timeout_ms
+                ),
+                self._retry_policy,
+                key=f"availability:{url}",
+                counters=self.retry_counters,
+                retryable=_lookup_retryable,
+            )
         except ArchiveTimeout:
             self.timeouts += 1
             if span is not None:

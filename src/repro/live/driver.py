@@ -2,9 +2,9 @@
 
 World generation replays history *up to* the study instant and stops.
 The live pipeline needs the story to continue: bots keep sweeping,
-crawlers keep capturing, editors keep adding, removing, and annotating
-references. :class:`WorldDriver` is that continuation — a thin,
-deterministic conductor over the world's own actors (the same
+crawlers keep capturing, editors keep adding and removing references.
+:class:`WorldDriver` is that continuation — a thin, deterministic
+conductor over the world's own actors (the same
 :class:`~repro.iabot.bot.InternetArchiveBot`, the same
 :class:`~repro.archive.crawler.ArchiveCrawler`, the same
 :meth:`~repro.wiki.encyclopedia.Encyclopedia.edit_article` that
@@ -19,20 +19,11 @@ is exactly the invariant that keeps cached outcomes valid
 from __future__ import annotations
 
 from ..clock import SimTime
+from ..dataset.worldgen import _sweep_shard
 from ..errors import LiveError
 from ..rng import derive_seed
-from ..wiki.templates import dead_link
-from ..wiki.wikitext import LinkRef
 
 __all__ = ["WorldDriver"]
-
-
-def _plain_ref(ref: LinkRef) -> str:
-    if ref.cite is not None:
-        return ref.cite.render()
-    if ref.title:
-        return f"[{ref.url} {ref.title}]"
-    return f"[{ref.url}]"
 
 
 class WorldDriver:
@@ -70,7 +61,7 @@ class WorldDriver:
         titles = tuple(
             title
             for title in self._world.encyclopedia.titles()
-            if derive_seed(0, f"shard:{title}") % shards == shard
+            if _sweep_shard(title, shards) == shard
         )
         return self._world.bot.run_sweep(at, titles=titles)
 
@@ -90,28 +81,6 @@ class WorldDriver:
         encyclopedia.edit_article(
             title, at, self._editor(url), body, comment="added reference"
         )
-
-    def mark_dead(self, title: str, url: str, at: SimTime) -> bool:
-        """A human annotates one unmarked reference as dead.
-
-        Returns False when the article holds no unmarked, unpatched
-        reference to ``url`` (nothing to annotate).
-        """
-        self._advance(at)
-        encyclopedia = self._world.encyclopedia
-        article = encyclopedia.article(title)
-        text = article.wikitext
-        for ref in article.link_refs():
-            if ref.url != url or ref.is_marked_dead or ref.archive_url:
-                continue
-            replacement = _plain_ref(ref) + dead_link(at).render()
-            new_text = text[: ref.span[0]] + replacement + text[ref.span[1]:]
-            encyclopedia.edit_article(
-                title, at, self._editor(url), new_text,
-                comment="tagging dead link",
-            )
-            return True
-        return False
 
     def remove_link(self, title: str, url: str, at: SimTime) -> bool:
         """An editor deletes a reference outright (emits a removal).

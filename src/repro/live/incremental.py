@@ -167,10 +167,6 @@ class IncrementalStudy:
         """Events consumed so far (the feed resume point)."""
         return self._cursor
 
-    @property
-    def last_built(self) -> SimTime | None:
-        return self._last_built
-
     # -- event consumption ---------------------------------------------------------
 
     def _consume_events(self, at: SimTime) -> tuple[int, set[str]]:

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from ..backends.core import Op, RetryLayer
 from ..clock import SimTime
 from ..errors import ConnectionTimeout, DnsError, UrlError
 from ..obs.trace import Tracer
-from ..retry import RetryCounters, RetryPolicy
+from ..retry import RetryCounters, RetryPolicy, call_with_retry
 from ..urls.parse import ParsedUrl, UrlMemo
 from .dns import DnsTable
 from .http import HttpRequest, HttpResponse
@@ -141,7 +140,6 @@ class Fetcher:
         self._dns = dns
         self._origin = origin
         self._max_redirects = max_redirects
-        self._retry_policy = retry_policy
         self._tracer = tracer
         self._fetch_count = 0
         self._dns_next_change = (
@@ -149,47 +147,20 @@ class Fetcher:
         )
         self._urls = UrlMemo()
         self.retry_counters = RetryCounters()
-        # The two transport legs ride the shared retry layer; both pool
-        # into this fetcher's RetryCounters, so retry/giveup/backoff
-        # accounting spans DNS and connect together. Without an enabled
-        # policy the layer's own path is "call once, propagate
-        # everything", so the legs call DNS and the origin directly.
-        self._legs: tuple[RetryLayer, RetryLayer] | None = None
-        if retry_policy is not None and retry_policy.enabled:
-            self._legs = (
-                RetryLayer(
-                    Op("dns.resolve", lambda req: self._dns.resolve(*req)),
-                    policy=retry_policy,
-                    key_fn=lambda req: f"dns:{req[0]}",
-                    counters=self.retry_counters,
-                ),
-                RetryLayer(
-                    Op("origin.handle", lambda req: self._origin.handle(*req)),
-                    policy=retry_policy,
-                    key_fn=lambda req: f"connect:{req[1].url}",
-                    counters=self.retry_counters,
-                ),
-            )
+        # Both transport legs pool into this fetcher's RetryCounters, so
+        # retry/giveup/backoff accounting spans DNS and connect together.
+        # A disabled policy is kept as None: the legs then call DNS and
+        # the origin directly.
+        self._retry_policy = (
+            retry_policy
+            if retry_policy is not None and retry_policy.enabled
+            else None
+        )
 
     @property
     def fetch_count(self) -> int:
         """Number of fetches issued (for efficiency accounting)."""
         return self._fetch_count
-
-    @property
-    def retry_count(self) -> int:
-        """Transient-failure retries performed across all fetches."""
-        return self.retry_counters.retries
-
-    @property
-    def giveup_count(self) -> int:
-        """Transient failures that survived the whole retry budget."""
-        return self.retry_counters.giveups
-
-    @property
-    def backoff_ms(self) -> float:
-        """Total virtual backoff delay accumulated while retrying."""
-        return self.retry_counters.backoff_ms
 
     def fetch(self, url: str | ParsedUrl, at: SimTime) -> FetchResult:
         """GET ``url`` at simulated time ``at``, following redirects.
@@ -226,7 +197,7 @@ class Fetcher:
         requested = str(current)
         chain: list[HttpResponse] = []
         seen: set[str] = set()
-        legs = self._legs
+        policy = self._retry_policy
         dns_next_change = self._dns_next_change
         # Folded over every hop: the earliest instant any answer so far
         # can change. An unstamped answer pins it to ``at`` itself.
@@ -249,10 +220,15 @@ class Fetcher:
             else:
                 until = min(until, dns_next_change(host, at))
             try:
-                if legs is None:
+                if policy is None:
                     record = self._dns.resolve(host, at)
                 else:
-                    record = legs[0].call((host, at))
+                    record = call_with_retry(
+                        lambda: self._dns.resolve(host, at),
+                        policy,
+                        key=f"dns:{host}",
+                        counters=self.retry_counters,
+                    )
             except DnsError as exc:
                 # After a redirect, a dead hostname leaves the chain so
                 # far as the final observable state: neither 200 nor 404.
@@ -261,10 +237,15 @@ class Fetcher:
                 )
             request = HttpRequest(url=current)
             try:
-                if legs is None:
+                if policy is None:
                     response = self._origin.handle(record.address, request, at)
                 else:
-                    response = legs[1].call((record.address, request, at))
+                    response = call_with_retry(
+                        lambda: self._origin.handle(record.address, request, at),
+                        policy,
+                        key=f"connect:{request.url}",
+                        counters=self.retry_counters,
+                    )
             except ConnectionTimeout as exc:
                 stamp = exc.fresh_until
                 until = now if stamp is None else min(until, stamp)

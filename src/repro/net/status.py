@@ -44,16 +44,6 @@ def is_redirect(status: int) -> bool:
     return status in (301, 302, 303, 307, 308)
 
 
-def is_client_error(status: int) -> bool:
-    """4xx."""
-    return 400 <= status < 500
-
-
-def is_server_error(status: int) -> bool:
-    """5xx."""
-    return 500 <= status < 600
-
-
 def classify_final_status(status: int) -> Outcome:
     """Map a final HTTP status to a Figure 4 category.
 

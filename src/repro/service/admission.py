@@ -123,11 +123,6 @@ class AdmissionController:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queue: deque = deque()
 
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting for a token."""
-        return len(self._queue)
-
     def offer(self, request, now_ms: float) -> str:
         """Classify one arrival: ``"admit"``, ``"queue"``, or ``"shed"``.
 

@@ -11,26 +11,24 @@ workload epoch, threaded through every call. Nothing here reads a wall
 clock, which is what makes hit/miss/eviction sequences — and therefore
 the service benchmarks — exactly reproducible.
 
-The cache itself is the bounded/aged posture of the shared
-:class:`~repro.backends.core.CacheLayer` — the same implementation the
-exec layer runs unbounded — used imperatively (``get``/``put``) since
-the request path, not a backend call, decides what to store. Counters
-live in the shared :class:`~repro.obs.metrics.MetricsRegistry` under
+The request path, not a backend call, decides what to store, so the
+cache is used imperatively (``get``/``put``). Counters live in the
+shared :class:`~repro.obs.metrics.MetricsRegistry` under
 ``service.cache.*``, the same registry the rest of the service folds
 into.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any
 
-from ..backends.core import MISS, CacheLayer
 from ..obs.metrics import MetricsRegistry
 
 __all__ = ["ResultCache"]
 
 
-class ResultCache(CacheLayer):
+class ResultCache:
     """A bounded memo of (key → response body) with per-entry TTL.
 
     Args:
@@ -50,14 +48,18 @@ class ResultCache(CacheLayer):
         ttl_ms: float | None = 60_000.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        if capacity < 1:
+            raise ValueError("cache capacity must be >= 1")
+        if ttl_ms is not None and ttl_ms <= 0:
+            raise ValueError("ttl_ms must be positive (or None)")
+        self.capacity = capacity
+        self.ttl_ms = ttl_ms
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        super().__init__(
-            inner=None,
-            capacity=capacity,
-            ttl_ms=ttl_ms,
-            metrics=self.metrics,
-            metric_prefix="service.cache",
-        )
+        self._entries: OrderedDict[str, tuple[Any, float]] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.expirations = 0
 
     def get(self, key: str, now_ms: float) -> Any | None:
         """The cached body for ``key``, or None on miss/expiry.
@@ -66,21 +68,43 @@ class ResultCache(CacheLayer):
         entries age from their store time, so a hot key still ages
         out and re-reads the index on schedule).
         """
-        value = self.lookup(key, now_ms)
-        return None if value is MISS else value
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            self.metrics.counter("service.cache.misses").inc()
+            return None
+        body, stored_at = entry
+        if self.ttl_ms is not None and now_ms - stored_at >= self.ttl_ms:
+            del self._entries[key]
+            self.expirations += 1
+            self.metrics.counter("service.cache.expirations").inc()
+            self.misses += 1
+            self.metrics.counter("service.cache.misses").inc()
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        self.metrics.counter("service.cache.hits").inc()
+        return body
 
     def put(self, key: str, body: Any, now_ms: float) -> None:
         """Store ``body`` under ``key`` as of ``now_ms``."""
-        self.store(key, body, now_ms)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+        entries[key] = (body, now_ms)
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
+            self.evictions += 1
+            self.metrics.counter("service.cache.evictions").inc()
+        self.metrics.gauge("service.cache.size").set(len(entries))
 
     def rebind_metrics(self, metrics: MetricsRegistry) -> None:
         """Point future counters at a different registry.
 
         The cluster tier folds each replica's registry into the
         fleet-wide one at the end of a serve and hands the replica a
-        fresh registry; the cache (and its CacheLayer internals) must
-        follow, or a later serve would count into an already-folded
-        registry and the totals would drift.
+        fresh registry; the cache must follow, or a later serve would
+        count into an already-folded registry and the totals would
+        drift.
         """
         self.metrics = metrics
-        self._metrics = metrics

@@ -97,15 +97,6 @@ class ServiceFaultPlan:
         """Whether any channel can fire under this plan."""
         return any(spec.active for spec in self.specs().values())
 
-    @property
-    def replica_active(self) -> bool:
-        """Whether any replica-level channel can fire."""
-        return (
-            self.replica_crash.active
-            or self.replica_partition.active
-            or self.replica_slow.active
-        )
-
     @classmethod
     def spikes(
         cls, rate: float, seed: int = 0, spike_ms: float = 50.0

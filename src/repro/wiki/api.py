@@ -97,13 +97,6 @@ class WikiApi:
             if token is None:
                 return tuple(titles)
 
-    # -- page content (prop=revisions&rvprop=content, latest) ----------------------
-
-    def page_wikitext(self, title: str) -> str:
-        """The current revision's wikitext."""
-        self.request_count += 1
-        return self._enc.article(title).wikitext
-
     # -- revision history (prop=revisions, rvdir=newer) -------------------------------
 
     def revisions(

@@ -14,7 +14,6 @@ from repro.archive.crawler import (
     OrganicCrawlPlanner,
     TriggeredArchiver,
     TriggerEra,
-    default_trigger_eras,
 )
 from repro.archive.snapshot import PendingSketch, Snapshot
 from repro.archive.store import SnapshotStore
@@ -572,25 +571,25 @@ class TestLazySketch:
 class TestOrganicCrawlPlanner:
     def test_zero_rate_no_captures(self):
         planner = OrganicCrawlPlanner(horizon=T2022)
-        assert planner.plan(T2010, 0.0, Stream(1)) == []
+        assert planner.plan_days(T2010, 0.0, Stream(1)) == []
 
     def test_rate_controls_count(self):
         planner = OrganicCrawlPlanner(horizon=T2022)
         rng = Stream(2)
-        counts = [len(planner.plan(T2010, 2.0, rng)) for _ in range(200)]
+        counts = [len(planner.plan_days(T2010, 2.0, rng)) for _ in range(200)]
         mean = sum(counts) / len(counts)
         # ~12.2 years at 2/year.
         assert 20 < mean < 29
 
     def test_all_times_in_window(self):
         planner = OrganicCrawlPlanner(horizon=T2022)
-        for t in planner.plan(T2010, 3.0, Stream(3)):
-            assert T2010 < t < T2022
+        for days in planner.plan_days(T2010, 3.0, Stream(3)):
+            assert T2010.days < days < T2022.days
 
 
 class TestTriggeredArchiver:
     def test_no_capture_before_eras(self):
-        eras = default_trigger_eras(T2022)
+        eras = WorldConfig().trigger_eras()
         archiver = TriggeredArchiver(eras, Stream(4))
         assert archiver.capture_time_for(T2008) is None
 

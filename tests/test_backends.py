@@ -1,17 +1,17 @@
-"""The backend middleware kernel: layer laws and the differential proof.
+"""The backend clients: memo, retry, span and fault laws, and the
+differential proof.
 
-Three families of guarantees pin :mod:`repro.backends`:
+Two families of guarantees pin :mod:`repro.backends`:
 
-1. **Layer-ordering laws** (property tests): the behaviours the
-   canonical order ``metrics -> cache -> trace -> retry -> fault ->
-   base`` encodes, replayed over randomized keys, fault rates, and
-   observer placements.
-2. **Order validation**: :func:`validate_stack_order` accepts every
-   lawful composition and rejects inverted, duplicated, or unknown
-   behavioural layers.
-3. **The differential refactor proof**: every scenario digest in
+1. **Client laws** (property tests over seeds, fault rates and query
+   lists), replayed on the real :class:`~repro.backends.CdxBackend`
+   over a :class:`~repro.faults.inject.FaultyCdxApi`: the memo sits
+   above the retry loop, spans open only on memo misses, a tracer never
+   changes a response, and every retry consults the fault channels
+   again.
+2. **The differential refactor proof**: every scenario digest in
    ``tests/golden/stack_differential.json`` — committed from the
-   pre-refactor wrappers — is recomputed through the composed stacks
+   pre-refactor wrappers — is recomputed through the current clients
    and must match byte-for-byte (re-recorded, only for a deliberate
    behaviour change, by ``REPRO_UPDATE_GOLDENS=1 pytest
    tests/test_backends.py``).
@@ -21,292 +21,202 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.backends import (
-    CacheLayer,
-    CdxBackend,
-    FaultGate,
-    FaultLayer,
-    FetchBackend,
-    Layer,
-    MetricsLayer,
-    Op,
-    RetryLayer,
-    SpanSpec,
-    TraceLayer,
-    layer_names,
-    validate_stack_order,
-)
 from repro.analysis.study import Study
+from repro.archive.cdx import CdxQuery
+from repro.backends import CdxBackend
 from repro.dataset.worldgen import generate_world
-from repro.errors import DnsServfail
 from repro.exec import StudyExecutor
-from repro.faults.inject import FaultChannel
-from repro.faults.plan import FaultPlan, FaultSpec
-from repro.obs.metrics import MetricsRegistry
+from repro.faults.inject import FaultyCdxApi
+from repro.faults.plan import FaultPlan
 from repro.obs.trace import Tracer
 from repro.reporting.golden import GOLDEN_CONFIG
 from repro.reporting.report import render_markdown_report
-from repro.retry import DEFAULT_MASKING_POLICY, RetryCounters, RetryPolicy
+from repro.retry import (
+    DEFAULT_MASKING_POLICY,
+    RetryCounters,
+    RetryPolicy,
+    call_with_retry,
+)
 
-#: Fast, ample retry budget: masks any transient depth the tests draw.
+#: Fast, ample retry budget: masks any transient depth the tests draw
+#: (two stacked CDX channels of at most three repeats each).
 MASKING = RetryPolicy(
     max_retries=8, base_delay_ms=1.0, max_delay_ms=4.0, budget_ms=1e9
 )
 
 
-class _FlakyOp:
-    """A base backend whose first ``depth[key]`` attempts per key fail
-    transiently — the ground truth the cache/retry laws count against.
-    """
+class _CountingCdx:
+    """A CDX API answering each request with one row naming it, and
+    counting the calls that reach it — the ground truth the laws count
+    against."""
 
-    def __init__(self, depths: dict) -> None:
-        self.depths = dict(depths)
-        self.calls = 0
-        self.attempts: dict = {}
+    def __init__(self) -> None:
+        self.calls: Counter = Counter()
 
-    def call(self, req):
-        self.calls += 1
-        seen = self.attempts.get(req, 0)
-        self.attempts[req] = seen + 1
-        if seen < self.depths.get(req, 0):
-            raise DnsServfail(str(req))
-        return ("ok", req)
+    @property
+    def query_count(self) -> int:
+        return sum(self.calls.values())
+
+    def query(self, request: CdxQuery) -> tuple[str, ...]:
+        self.calls[f"query:{request!r}"] += 1
+        return (f"row:{request.url}",)
+
+    def archived_urls(self, request: CdxQuery) -> tuple[str, ...]:
+        self.calls[f"urls:{request!r}"] += 1
+        return (request.url,)
 
 
-# -- law 1: cache above retry --------------------------------------------------
+def _queries(ids: list[int]) -> list[CdxQuery]:
+    return [CdxQuery(url=f"http://h{i % 5}.example/p{i}") for i in ids]
+
+
+def _faulty(seed: int, rate: float) -> tuple[FaultyCdxApi, _CountingCdx]:
+    inner = _CountingCdx()
+    plan = FaultPlan.transient_archive(rate=rate, seed=seed, max_repeats=3)
+    return FaultyCdxApi(inner, plan), inner
+
+
+def _depth(api: FaultyCdxApi, key: str) -> int:
+    """Faulted attempts at ``key``: the rate-limit channel fires first,
+    then the error channel counts its own attempts from zero."""
+    return api.rate_limit_channel.depth(key) + api.error_channel.depth(key)
+
+
+_LAW_INPUTS = dict(
+    seed=st.integers(0, 10_000),
+    rate=st.floats(0.05, 0.95),
+    ids=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+)
+
+
+# -- the memo sits above the retry loop ------------------------------------------
 
 
 class TestCacheAboveRetry:
-    @given(
-        depths=st.dictionaries(
-            st.integers(0, 7), st.integers(0, 3), min_size=1, max_size=8
-        ),
-        repeats=st.integers(1, 4),
-    )
-    def test_masked_transient_is_one_backend_recovery(self, depths, repeats):
-        """A retry-masked transient costs depth+1 base attempts *once*;
+    @given(repeats=st.integers(1, 4), **_LAW_INPUTS)
+    def test_masked_transient_is_one_backend_recovery(
+        self, repeats, seed, rate, ids
+    ):
+        """A retry-masked transient costs its depth+1 attempts *once*;
         every repeat of the request is a memo hit that never re-enters
         the retry loop."""
-        base = _FlakyOp(depths)
-        counters = RetryCounters()
-        stack = CacheLayer(RetryLayer(base, policy=MASKING, counters=counters))
-        validate_stack_order(stack)
-
+        api, inner = _faulty(seed, rate)
+        client = CdxBackend(api, retry_policy=MASKING)
+        queries = _queries(ids)
         for _ in range(repeats):
-            for key in depths:
-                assert stack.call(key) == ("ok", key)
+            for query in queries:
+                assert client.query(query) == (f"row:{query.url}",)
 
-        for key, depth in depths.items():
-            # exactly one recovery per key, regardless of repeats
-            assert base.attempts[key] == depth + 1
-        assert counters.retries == sum(depths.values())
-        assert stack.misses == len(depths)
-        assert stack.hits == (repeats - 1) * len(depths)
-
-    def test_retry_above_cache_would_recount(self):
-        """The anti-law, concretely: with the cache *below* retry the
-        memo can capture nothing (failures propagate before a store),
-        so the inversion is also rejected by the validator."""
-        inverted = RetryLayer(CacheLayer(_FlakyOp({}), key_fn=str))
-        with pytest.raises(ValueError, match="canonical layer order"):
-            validate_stack_order(inverted)
+        distinct = set(queries)
+        keys = [f"query:{query!r}" for query in distinct]
+        # one successful backend call per distinct query, however often
+        # it was repeated, after exactly its faulted attempts
+        assert inner.calls == Counter(keys)
+        assert api.injected == sum(_depth(api, key) for key in keys)
+        assert client.retry_counters.retries == api.injected
+        assert client.misses == len(distinct)
+        assert client.hits == repeats * len(queries) - len(distinct)
 
 
-# -- law 2: fault decisions are independent of cache position ------------------
-
-
-def _fault_stack(seed: int, spec: FaultSpec, cached: bool):
-    channel = FaultChannel(seed, "law", spec)
-    base = Op("base", lambda req: ("ok", req))
-    gate = FaultGate(
-        channel=channel,
-        key_fn=lambda req: str(req),
-        exc_fn=lambda req: DnsServfail(str(req)),
-    )
-    stack = RetryLayer(FaultLayer(base, gates=(gate,)), policy=MASKING)
-    if cached:
-        stack = CacheLayer(stack)
-    validate_stack_order(stack)
-    return stack, channel, base
+# -- fault decisions do not depend on the memo -----------------------------------
 
 
 class TestFaultDecisionsVsCachePosition:
-    @given(
-        rate=st.floats(0.05, 0.95),
-        seed=st.integers(0, 10_000),
-        keys=st.lists(st.integers(0, 9), min_size=1, max_size=16),
-    )
-    def test_injected_faults_and_responses_identical(self, rate, seed, keys):
-        """Identically seeded channels make the same decisions whether
-        or not a cache sits above: depth is a pure function of (seed,
-        channel, key), first contact drives every injection, and memo
-        hits never re-consult the channel (a cleared transient stays
-        cleared either way)."""
-        spec = FaultSpec(rate=rate, max_repeats=3)
-        cached, ch_c, base_c = _fault_stack(seed, spec, cached=True)
-        uncached, ch_u, base_u = _fault_stack(seed, spec, cached=False)
+    @given(**_LAW_INPUTS)
+    def test_injected_faults_and_responses_identical(self, seed, rate, ids):
+        """Identically seeded injectors make the same decisions with or
+        without the memo above the retry loop: depth is a pure function
+        of (seed, channel, key), first contact drives every injection,
+        and memo hits never re-consult a channel (a cleared transient
+        stays cleared either way). Without the memo every repeat
+        reaches the backend again."""
+        cached_api, cached_inner = _faulty(seed, rate)
+        bare_api, bare_inner = _faulty(seed, rate)
+        client = CdxBackend(cached_api, retry_policy=MASKING)
+        counters = RetryCounters()
+        for query in _queries(ids):
+            bare = call_with_retry(
+                lambda: bare_api.query(query),
+                MASKING,
+                key=f"cdx.query:{query!r}",
+                counters=counters,
+            )
+            assert client.query(query) == bare
 
-        for key in keys:
-            assert cached.call(key) == uncached.call(key)
-
-        assert ch_c.injected == ch_u.injected
-        for key in set(keys):
-            assert ch_c.depth(str(key)) == ch_u.depth(str(key))
-        # a faulted attempt raises at the gate, so the base sees exactly
-        # one (successful) call per distinct key — cached or not
-        assert base_c.calls == len(set(keys))
-        assert base_u.calls >= base_c.calls
-
-
-# -- law 3: observers are order-free -------------------------------------------
-
-_SPEC = SpanSpec(kind="law", name_fn=str)
+        assert cached_api.injected == bare_api.injected
+        assert counters == client.retry_counters
+        assert cached_inner.query_count == len(set(ids))
+        assert bare_inner.query_count == len(ids)
 
 
-def _observed_stack(trace_slot, metrics_slot, tracer, registry, seed, spec):
-    """The behavioural chain cache -> retry -> fault -> base with the
-    observer layers spliced in at slots 0 (outermost) .. 3 (innermost).
-    """
-    channel = FaultChannel(seed, "law", spec)
-    base = Op("base", lambda req: ("ok", req))
-    gate = FaultGate(
-        channel=channel,
-        key_fn=lambda req: str(req),
-        exc_fn=lambda req: DnsServfail(str(req)),
-    )
-    stack = base
-
-    def observe(stack, slot):
-        if trace_slot == slot:
-            stack = TraceLayer(stack, tracer, _SPEC)
-        if metrics_slot == slot:
-            stack = MetricsLayer(stack, registry, "law")
-        return stack
-
-    stack = observe(stack, 3)
-    stack = FaultLayer(stack, gates=(gate,))
-    stack = observe(stack, 2)
-    stack = RetryLayer(stack, policy=MASKING)
-    stack = observe(stack, 1)
-    stack = CacheLayer(stack)
-    stack = observe(stack, 0)
-    return stack
+# -- spans open below the memo ---------------------------------------------------
 
 
-class TestObserverPermutation:
-    @settings(deadline=None)
-    @given(
-        trace_slot=st.integers(0, 3),
-        metrics_slot=st.integers(0, 3),
-        seed=st.integers(0, 10_000),
-        keys=st.lists(st.integers(0, 9), min_size=1, max_size=12),
-    )
-    def test_responses_invariant_under_observer_placement(
-        self, trace_slot, metrics_slot, seed, keys
+class TestSpans:
+    @given(**_LAW_INPUTS)
+    def test_spans_open_only_on_misses(self, seed, rate, ids):
+        """One ``backend.cdx`` span per memo miss, none per hit; each
+        span books the retries and virtual backoff its miss spent."""
+        api, _ = _faulty(seed, rate)
+        tracer = Tracer()
+        client = CdxBackend(api, retry_policy=MASKING, tracer=tracer)
+        for query in _queries(ids) + _queries(ids):
+            client.query(query)
+
+        spans = [s for s in tracer.spans if s.kind == "backend.cdx"]
+        assert len(spans) == client.misses == len(set(ids))
+        assert sum(s.attrs.get("retries", 0) for s in spans) == api.injected
+        assert sum(s.virtual_ms for s in spans) == (
+            client.retry_counters.backoff_ms
+        )
+
+    @given(**_LAW_INPUTS)
+    def test_responses_identical_with_and_without_tracer(
+        self, seed, rate, ids
     ):
-        """Trace and metrics layers are observers: wherever they sit,
-        every placement validates and yields byte-identical responses
-        to the bare behavioural stack."""
-        spec = FaultSpec(rate=0.4, max_repeats=2)
-        bare = _observed_stack(-1, -1, None, None, seed, spec)
-        observed = _observed_stack(
-            trace_slot,
-            metrics_slot,
-            Tracer(),
-            MetricsRegistry(),
-            seed,
-            spec,
+        """A tracer is an observer: traced and untraced clients over
+        identically seeded injectors answer byte-identically and spend
+        the same retries."""
+        traced_api, _ = _faulty(seed, rate)
+        bare_api, _ = _faulty(seed, rate)
+        traced = CdxBackend(traced_api, retry_policy=MASKING, tracer=Tracer())
+        bare = CdxBackend(bare_api, retry_policy=MASKING)
+        for query in _queries(ids):
+            assert traced.query(query) == bare.query(query)
+            assert traced.archived_urls(query) == bare.archived_urls(query)
+        assert traced.retry_counters == bare.retry_counters
+        assert (traced.hits, traced.misses) == (bare.hits, bare.misses)
+
+
+# -- every retry re-enters the fault check ---------------------------------------
+
+
+class TestRetryReentersFaults:
+    @given(**_LAW_INPUTS)
+    def test_every_transient_clears_under_masking(self, seed, rate, ids):
+        """Each attempt consults the fault channels again, so a
+        transient's attempt counter advances until it clears: under an
+        ample budget nothing gives up, and each channel raises exactly
+        its drawn depth per key."""
+        api, inner = _faulty(seed, rate)
+        client = CdxBackend(api, retry_policy=MASKING)
+        for query in _queries(ids):
+            assert client.archived_urls(query) == (query.url,)
+
+        keys = [f"urls:{query!r}" for query in set(_queries(ids))]
+        assert client.retry_counters.giveups == 0
+        assert api.rate_limit_channel.injected == sum(
+            api.rate_limit_channel.depth(key) for key in keys
         )
-        validate_stack_order(bare)
-        validate_stack_order(observed)
-        for key in keys:
-            assert observed.call(key) == bare.call(key)
-
-    def test_passthrough_observers_record_nothing(self):
-        """tracer=None / metrics=None observers are strict pass-throughs."""
-        base = Op("base", lambda req: req * 2)
-        stack = MetricsLayer(TraceLayer(base, None, _SPEC), None, "law")
-        assert stack.call(21) == 42
-        assert base.calls == 1
-
-
-# -- validate_stack_order ------------------------------------------------------
-
-
-class _UnknownLayer(Layer):
-    layer_kind = "wat"
-
-
-class TestValidateStackOrder:
-    def _base(self):
-        return Op("base", lambda req: req)
-
-    def test_canonical_order_passes(self):
-        stack = MetricsLayer(
-            CacheLayer(
-                TraceLayer(
-                    RetryLayer(FaultLayer(self._base(), gates=())),
-                    None,
-                    _SPEC,
-                ),
-            ),
-            None,
-            "ok",
+        assert api.error_channel.injected == sum(
+            api.error_channel.depth(key) for key in keys
         )
-        validate_stack_order(stack)
-        assert layer_names(stack) == [
-            "metrics", "cache", "trace", "retry", "fault", "base",
-        ]
-
-    def test_fault_above_retry_rejected(self):
-        stack = FaultLayer(RetryLayer(self._base()), gates=())
-        with pytest.raises(ValueError, match="canonical layer order"):
-            validate_stack_order(stack)
-
-    def test_duplicate_behavioural_layer_rejected(self):
-        stack = CacheLayer(CacheLayer(self._base()))
-        with pytest.raises(ValueError, match="duplicate"):
-            validate_stack_order(stack)
-
-    def test_unknown_layer_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            validate_stack_order(_UnknownLayer(self._base()))
-
-    def test_bare_base_passes(self):
-        validate_stack_order(self._base())
-
-
-# -- concrete assemblies keep the canonical shape ------------------------------
-
-
-class _NullFetcher:
-    retry_counters = RetryCounters()
-
-    def fetch(self, url, at):  # pragma: no cover - never called here
-        raise AssertionError
-
-
-class _NullCdx:
-    def query(self, request):  # pragma: no cover
-        raise AssertionError
-
-    def archived_urls(self, request):  # pragma: no cover
-        raise AssertionError
-
-
-class TestConcreteStackShapes:
-    def test_fetch_backend_layering(self):
-        stack = FetchBackend(_NullFetcher())
-        assert layer_names(stack._cache) == ["cache", "trace", "retry", "base"]
-
-    def test_cdx_backend_layering(self):
-        stack = CdxBackend(_NullCdx())
-        assert layer_names(stack._cache) == ["cache", "trace", "retry", "base"]
+        assert inner.calls == Counter(keys)
 
 
 # -- the differential refactor proof -------------------------------------------

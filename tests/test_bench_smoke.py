@@ -48,7 +48,6 @@ TOY_ENV = {
 DIGESTS = {
     "BENCH_analysis.json": ("blocks", "headline_blocks"),
     "BENCH_obs.json": ("overhead_frac", "spans", "service"),
-    "BENCH_stack.json": ("overhead_frac", "stacked_seconds"),
     "BENCH_service.json": ("single_node", "cluster"),
     "BENCH_live.json": ("delta_rebuild", "swap"),
     "BENCH_reconfig.json": ("delta_wire", "swap_discipline", "rebalance"),

@@ -25,8 +25,10 @@ from repro.clock import SimTime
 from repro.dataset.worldgen import WorldConfig, generate_world
 from repro.exec import StudyExecutor
 from repro.exec.worker import run_record_stage
+from repro.faults.plan import FaultPlan
 from repro.iabot.archive_client import IABotArchiveClient
 from repro.net.fetch import Fetcher
+from repro.retry import DEFAULT_MASKING_POLICY
 from repro.obs import (
     Counter,
     Histogram,
@@ -274,6 +276,29 @@ class TestProvenance:
         assert prov.cdx_queries == 3
         assert prov.span_id == "7"
         assert prov.wall_seconds == 0.25
+
+    def test_record_retries_count_the_fetchers_own_retries(self):
+        """The raw fetcher retries its DNS and connect legs below the
+        memo, so its retries must reach each record's provenance and
+        the record span's virtual backoff, within the study totals."""
+        world = generate_world(WorldConfig(n_links=400, seed=11))
+        study = Study.from_world(
+            world,
+            article_limit=30,
+            faults=FaultPlan.transient_net(rate=0.3, seed=5),
+            retry_policy=DEFAULT_MASKING_POLICY,
+        )
+        tracer = Tracer()
+        report = study.run(executor=StudyExecutor(workers=1), tracer=tracer)
+        provenance = [outcome.provenance for outcome in report.outcomes]
+        retries = sum(prov.retries for prov in provenance)
+        assert 0 < retries <= (
+            report.stats.fetch_retries + report.stats.cdx_retries
+        )
+        backoff = sum(prov.backoff_ms for prov in provenance)
+        assert 0 < backoff <= report.stats.backoff_ms
+        records = [s for s in tracer.spans if s.kind == "record"]
+        assert sum(s.virtual_ms for s in records) == backoff
 
 
 # -- trace views -------------------------------------------------------------------

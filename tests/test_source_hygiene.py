@@ -1,7 +1,7 @@
 """Source hygiene over ``src/repro``, by static inspection only.
 
-Two rules, both checked with the standard library's :mod:`ast` so the
-test runs with and without numpy:
+Three rules, all checked with the standard library's :mod:`ast` and a
+text search so the test runs with and without numpy:
 
 - every module-level import binds a name its module reads somewhere:
   as a plain name, as the base of an attribute chain, inside a string
@@ -10,18 +10,27 @@ test runs with and without numpy:
   so both are exempt;
 - no ``assert`` statement: ``python -O`` strips them, so an invariant
   guarded by one silently stops being checked. Raise a typed error
-  instead.
+  instead;
+- every top-level function and class, and every non-dunder method of
+  a top-level class, is named somewhere besides its definition: in
+  ``src/``, ``tests/``, ``benchmarks/``, ``scripts/`` or ``examples/``,
+  as a whole word (a string naming it, as ``getattr`` takes, counts).
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
+#: Where a use of a ``src/repro`` name may live.
+REFERENCE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 
 
 def _rel(path: Path) -> str:
@@ -108,6 +117,53 @@ def assert_statements(path: Path) -> list[str]:
     ]
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` of each top-level function and class and each
+    method of a top-level class, dunders (which Python calls by
+    protocol) excepted."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, functions)
+            )
+    return [(line, name) for line, name in found if not _is_dunder(name)]
+
+
+def unreferenced_names(
+    modules: dict[str, str], corpus: list[str]
+) -> list[str]:
+    """``module:line name`` for each name defined in ``modules`` (path
+    -> source) that occurs in ``corpus`` only as often as it is
+    defined there."""
+    words = Counter(
+        word for text in corpus for word in re.findall(r"\w+", text)
+    )
+    defined = {
+        rel: defined_names(ast.parse(source))
+        for rel, source in modules.items()
+    }
+    definitions = Counter(
+        name for found in defined.values() for _, name in found
+    )
+    return sorted(
+        f"{rel}:{line} {name}"
+        for rel, found in defined.items()
+        for line, name in found
+        if words[name] <= definitions[name]
+    )
+
+
 def test_sources_are_found():
     assert len(MODULES) > 50
 
@@ -127,6 +183,18 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_every_defined_name_is_referenced():
+    modules = {
+        _rel(path): path.read_text(encoding="utf-8") for path in MODULES
+    }
+    corpus = [
+        path.read_text(encoding="utf-8")
+        for folder in REFERENCE_DIRS
+        for path in sorted((REPO / folder).rglob("*.py"))
+    ]
+    assert unreferenced_names(modules, corpus) == []
+
+
 @pytest.mark.parametrize(
     "source, expected",
     [
@@ -142,3 +210,20 @@ def test_no_assert_statements_in_the_package():
 )
 def test_unused_import_scan_reads_what_a_module_reads(source, expected):
     assert [name for _, name in unused_imports(source)] == expected
+
+
+@pytest.mark.parametrize(
+    "source, corpus, expected",
+    [
+        ("def f():\n    pass\n", [], ["m.py:1 f"]),
+        ("def f():\n    pass\n", ["f()"], []),
+        ("def f():\n    pass\n", ["ff()", "f_g"], ["m.py:1 f"]),
+        ("class C:\n    def m(self):\n        pass\n", ["C"], ["m.py:2 m"]),
+        ("class C:\n    def __len__(self):\n        return 0\n", ["C"], []),
+        ("def __getattr__(name):\n    pass\n", [], []),
+        ("class C:\n    def m(self):\n        pass\n", ["C", "getattr(c, 'm')"], []),
+        ("def f():\n    def inner():\n        pass\n    inner()\n", ["f"], []),
+    ],
+)
+def test_unreferenced_name_scan_counts_whole_words(source, corpus, expected):
+    assert unreferenced_names({"m.py": source}, [source, *corpus]) == expected
