@@ -318,6 +318,14 @@ def world_golden() -> WorldGolden:
 
 
 @pytest.fixture(scope="session")
+def world_oracle() -> JsonGolden:
+    """``tests/golden/world_oracle.json``: per small oracle world (see
+    ``tests/test_integration_world.py``), its :meth:`WorldGolden.digest`
+    plus the crawler's ``BodySketcher`` miss count."""
+    return JsonGolden("world_oracle.json")
+
+
+@pytest.fixture(scope="session")
 def stack_golden() -> JsonGolden:
     """``tests/golden/stack_differential.json``: one report digest per
     backend-stack scenario (see ``tests/test_backends.py``)."""

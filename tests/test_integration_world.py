@@ -17,6 +17,43 @@ from repro.net.status import Outcome
 from repro.wiki.encyclopedia import PERMADEAD_CATEGORY
 from repro.wiki.templates import IABOT_USERNAME
 
+#: Small worlds pinned by ``tests/golden/world_oracle.json``, as
+#: ``(n_links, seed, wnrt_coverage, eventstream_coverage,
+#: sweep_shards)``. They vary the size, the seed, both trigger eras'
+#: coverage and the sweep shard count, so a change to world
+#: generation that keeps the two ``world_digest.json`` worlds but
+#: moves some other world still fails.
+ORACLE_WORLDS = (
+    (100, 1, 0.50, 0.75, 8),
+    (100, 7, 0.00, 0.00, 1),
+    (120, 23, 1.00, 1.00, 8),
+    (150, 2, 0.50, 0.75, 4),
+    (150, 31, 0.20, 0.90, 2),
+    (180, 3, 0.90, 0.20, 8),
+    (200, 4, 0.50, 0.75, 16),
+    (200, 57, 0.00, 1.00, 8),
+    (220, 5, 1.00, 0.00, 3),
+    (250, 6, 0.50, 0.75, 8),
+    (250, 99, 0.35, 0.60, 12),
+    (260, 8, 0.50, 0.50, 1),
+    (280, 9, 0.75, 0.75, 6),
+    (300, 10, 0.50, 0.75, 8),
+    (300, 12, 0.10, 0.30, 8),
+    (320, 13, 0.60, 0.95, 5),
+    (350, 14, 0.50, 0.75, 10),
+    (360, 2022, 0.50, 0.75, 8),
+    (380, 15, 0.25, 0.40, 4),
+    (400, 16, 0.50, 0.75, 8),
+)
+
+
+def _oracle_name(config) -> str:
+    n_links, seed, wnrt, eventstream, shards = config
+    return (
+        f"links{n_links}_seed{seed}_wnrt{wnrt:.2f}"
+        f"_es{eventstream:.2f}_shards{shards}"
+    )
+
 
 class TestWorldGeneration:
     def test_world_is_deterministic(self, small_world, world_golden):
@@ -46,6 +83,30 @@ class TestWorldGeneration:
         assert world_golden.digest(world) == world_golden.section(
             "world_300_seed11", world
         )
+
+    @pytest.mark.parametrize(
+        "config", ORACLE_WORLDS, ids=lambda config: _oracle_name(config)
+    )
+    def test_oracle_world_matches_golden(
+        self, config, world_golden, world_oracle
+    ):
+        from repro.dataset.worldgen import WorldConfig, generate_world
+
+        n_links, seed, wnrt, eventstream, shards = config
+        world = generate_world(
+            WorldConfig(
+                n_links=n_links, target_sample=n_links, seed=seed,
+                wnrt_coverage=wnrt, eventstream_coverage=eventstream,
+                sweep_shards=shards,
+            )
+        )
+        # Read before the digest, which resolves every pending sketch.
+        misses = world.crawler._sketcher.misses
+
+        def record() -> dict:
+            return {**world_golden.digest(world), "sketch_misses": misses}
+
+        assert record() == world_oracle.section(_oracle_name(config), record)
 
     def test_bot_did_substantial_work(self, small_world):
         stats = small_world.bot.stats
