@@ -30,7 +30,8 @@ from ..clock import SimTime
 from ..errors import UrlError
 from ..net.fetch import Fetcher, FetchResult
 from ..rng import Stream
-from ..urls.parse import ParsedUrl, QueryArgs, UrlMemo, parse_url
+from ..textsim.content import PageCore, PageText
+from ..urls.parse import ParsedUrl, QueryArgs, intern_url
 from ..web.robots import RobotsRules, parse_robots
 from .snapshot import Observation, PendingSketch, Snapshot, check_observation
 from .store import SnapshotStore
@@ -53,7 +54,7 @@ class CrawlPolicy:
     def crawlable(self, url: str) -> bool:
         """Whether the frontier accepts ``url``."""
         try:
-            parsed = parse_url(url)
+            parsed = intern_url(url)
         except UrlError:
             return False
         if len(parsed.query) > self.max_query_length:
@@ -62,7 +63,7 @@ class CrawlPolicy:
 
 
 class BodySketcher:
-    """MinHash sketching with a core-body cache.
+    """MinHash sketching with a per-stem cache.
 
     Bodies in the simulated web are a stable core plus one trailing
     per-request noise token; sketching the body minus its final token
@@ -70,18 +71,16 @@ class BodySketcher:
     O(1) after the first. The lost token perturbs the true sketch
     negligibly (4 shingles out of hundreds).
 
+    A generated page's stem is keyed by its identity
+    (:attr:`~repro.textsim.content.PageText.core`), which nothing has
+    to render; a literal body's by its text before the last space.
+    Both name the same text, so sketches and ``misses`` (distinct
+    stems) equal those of a lookup by stem text.
+
     :meth:`pending` gives every body of one stem the same
     :class:`~repro.archive.snapshot.PendingSketch`, so MinHash runs
     only when some reader first asks for a sketch of that stem;
-    :meth:`sketch` resolves it at once. ``misses`` counts distinct
-    stems either way.
-
-    A stem is several kilobytes, so slicing and hashing it on every
-    capture would cost more than the rest of the lookup. Known stems
-    are therefore also indexed by a fingerprint (stem length and its
-    last :data:`FINGERPRINT_CHARS` characters); a fingerprint hit is
-    confirmed by comparing the stored stem with the body's prefix, so
-    the answer and ``misses`` are exactly those of a lookup by stem.
+    :meth:`sketch` resolves it at once.
 
     Sketching runs on whichever numeric backend
     :mod:`repro.numerics` selected — the numpy kernels when the
@@ -90,34 +89,24 @@ class BodySketcher:
     (``tests/test_install_smoke.py`` pins this).
     """
 
-    FINGERPRINT_CHARS = 32
-
     def __init__(self) -> None:
-        self._cache: dict[str, PendingSketch] = {}
-        #: ``(len(stem), stem tail) -> pending sketch`` for every stem.
-        self._stems: dict[tuple[int, str], PendingSketch] = {}
+        self._cache: dict[str | PageCore, PendingSketch] = {}
         self.misses = 0
 
-    def pending(self, body: str) -> PendingSketch:
+    def pending(self, body: str | PageText) -> PendingSketch:
         """The shared pending sketch of ``body``'s stable stem."""
-        cut = body.rfind(" ")
-        if cut < 0:
-            stem = body
+        if type(body) is str:
+            cut = body.rfind(" ")
+            key = body if cut < 0 else body[:cut]
         else:
-            key = (cut, body[max(0, cut - self.FINGERPRINT_CHARS): cut])
-            known = self._stems.get(key)
-            if known is not None and body.startswith(known.stem):
-                return known
-            stem = body[:cut]
-        cached = self._cache.get(stem)
+            key = body.core
+        cached = self._cache.get(key)
         if cached is None:
             self.misses += 1
-            cached = self._cache[stem] = PendingSketch(stem)
-        if cut >= 0:
-            self._stems[key] = cached
+            cached = self._cache[key] = PendingSketch(key)
         return cached
 
-    def sketch(self, body: str) -> tuple[int, ...]:
+    def sketch(self, body: str | PageText) -> tuple[int, ...]:
         """MinHash sketch of ``body`` (cached on its stable stem)."""
         return self.pending(body).resolve()
 
@@ -171,8 +160,8 @@ class ArchiveCrawler:
     capture costs two dictionary lookups and
     :meth:`SnapshotStore.record <repro.archive.store.SnapshotStore.record>`.
     An observation is validated once, when its fetch returns, and the
-    store keeps a reference to it for every capture it covers. Both
-    memos hold one entry per URL the crawler has fetched, for the
+    store keeps a reference to it for every capture it covers. The
+    memo holds one entry per URL the crawler has fetched, for the
     crawler's lifetime, which is why the web must not change once
     crawling starts: horizons describe the web as it was when they
     were stamped.
@@ -195,7 +184,6 @@ class ArchiveCrawler:
         self._robots_fetched: dict[str, tuple[float, float, RobotsRules]] = {}
         #: ``url -> what the crawler last saw of it``.
         self._observed: dict[str, _Seen] = {}
-        self._urls = UrlMemo()
         self.capture_attempts = 0
         self.capture_failures = 0
         self.robots_denied = 0
@@ -245,7 +233,7 @@ class ArchiveCrawler:
         """The robots check, then the freshness lookup, fetching when
         the last answer is stale; counts a denial or a failure."""
         try:
-            target = self._urls.parse(url)
+            target = intern_url(url)
         except UrlError:
             target = None
         rules = None
@@ -290,13 +278,13 @@ class ArchiveCrawler:
             location,
             final.status,
             final.url,
-            self._sketcher.pending(final.body),
+            self._sketcher.pending(final.content),
         )
 
     def robots_allows(self, url: str, at: SimTime) -> bool:
         """Public robots check (used by Save Page Now before queueing)."""
         try:
-            parsed = self._urls.parse(url)
+            parsed = intern_url(url)
         except UrlError:
             return False
         rules = self._robots_rules(parsed, at.days)

@@ -25,36 +25,42 @@ from dataclasses import dataclass, fields
 
 from ..clock import SimTime
 from ..net.status import is_redirect, is_success
+from ..textsim.content import PageCore
 from ..textsim.shingles import minhash_sketch
 
 
 class PendingSketch:
     """The MinHash sketch of one body stem, computed when first read.
 
-    The crawler's sketcher hands every capture of a stem the same
-    instance, so MinHash runs at most once per stem however many
-    snapshots carry it. An unresolved instance pickles as its stem
-    (a pickle never runs MinHash and never carries the sketcher's
-    memo); a resolved one pickles as its tuple.
+    ``key`` names the stem: a generated page's
+    :class:`~repro.textsim.content.PageCore`, rendered only on
+    resolve, or a literal body's stem text. The crawler's sketcher
+    hands every capture of a stem the same instance, so MinHash runs
+    at most once per stem. An unresolved instance pickles as its key
+    (never as page text, never with the sketcher's memo); a resolved
+    one pickles as its tuple.
     """
 
-    __slots__ = ("stem", "_value")
+    __slots__ = ("key", "_value")
 
-    def __init__(self, stem: str) -> None:
-        self.stem = stem
+    def __init__(self, key: str | PageCore) -> None:
+        self.key = key
         self._value: tuple[int, ...] | None = None
 
     def resolve(self) -> tuple[int, ...]:
         """The sketch, computed on the first call."""
         value = self._value
         if value is None:
-            value = self._value = minhash_sketch(self.stem)
+            key = self.key
+            value = self._value = minhash_sketch(
+                key if type(key) is str else key.text()
+            )
         return value
 
     def __reduce__(self):
         if self._value is not None:
             return tuple, (self._value,)
-        return PendingSketch, (self.stem,)
+        return PendingSketch, (self.key,)
 
 
 #: What one capture observed: ``(initial_status, redirect_location,
@@ -157,26 +163,17 @@ class Snapshot:
 #: Each field's own slot descriptor, in field order. Pickling goes
 #: through these, so it never resolves a pending sketch.
 _SLOTS = tuple(Snapshot.__dict__[field.name] for field in fields(Snapshot))
-#: The ``sketch`` slot's descriptor, which :class:`_SketchOnRead` wraps.
+#: The ``sketch`` slot's descriptor, which ``Snapshot.sketch`` wraps.
 _SKETCH_SLOT = Snapshot.__dict__["sketch"]
 
 
-class _SketchOnRead:
+def _read_sketch(snapshot: Snapshot) -> tuple[int, ...]:
     """``Snapshot.sketch``: resolves a pending sketch when it is read."""
-
-    __slots__ = ()
-
-    def __get__(self, snapshot, owner=None):
-        if snapshot is None:
-            return self
-        value = _SKETCH_SLOT.__get__(snapshot, owner)
-        if type(value) is PendingSketch:
-            value = value.resolve()
-            _SKETCH_SLOT.__set__(snapshot, value)
-        return value
-
-    def __set__(self, snapshot, value) -> None:
+    value = _SKETCH_SLOT.__get__(snapshot)
+    if type(value) is PendingSketch:
+        value = value.resolve()
         _SKETCH_SLOT.__set__(snapshot, value)
+    return value
 
 
 def _getstate(snapshot: Snapshot) -> tuple:
@@ -194,7 +191,7 @@ def _setstate(snapshot: Snapshot, state: tuple) -> None:
         slot.__set__(snapshot, value)
 
 
-Snapshot.sketch = _SketchOnRead()
+Snapshot.sketch = property(_read_sketch, _SKETCH_SLOT.__set__)
 # Attached after the decorator: on Python 3.10 and early 3.11 releases,
 # ``dataclass(frozen=True, slots=True)`` replaces a class's own pickle
 # methods with ones that read every field through ``getattr``, which

@@ -5,7 +5,8 @@ Indices match the access patterns of the two public APIs:
 - by exact URL (Availability API, CDX exact queries);
 - by directory prefix (CDX prefix queries — §4.2 sibling-redirect
   validation and §5.2 directory-level coverage);
-- by hostname (CDX host queries — §5.2 hostname-level coverage).
+- by hostname (CDX host queries — §5.2 hostname-level coverage), with
+  each registrable domain naming its hostnames (CDX domain queries).
 
 Each URL's captures are kept as two parallel columns sorted by capture
 time: the capture days, and a reference to what each capture observed
@@ -23,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from ..clock import SimTime
-from ..urls.parse import parse_url
+from ..urls.parse import intern_url
 from ..urls.psl import default_psl
 from .snapshot import Observation, Snapshot, observation_of
 
@@ -56,7 +57,8 @@ class SnapshotStore:
         self._by_url: dict[str, _Captures] = {}
         self._by_directory: dict[str, set[str]] = {}
         self._by_host: dict[str, set[str]] = {}
-        self._by_domain: dict[str, set[str]] = {}
+        #: ``registrable domain -> its hostnames`` (one PSL read a host).
+        self._hosts_in_domain: dict[str, list[str]] = {}
 
     # -- writes ------------------------------------------------------------------
 
@@ -70,11 +72,15 @@ class SnapshotStore:
         captures = self._by_url.get(url)
         if captures is None:
             captures = self._by_url[url] = _Captures()
-            parsed = parse_url(url)
+            parsed = intern_url(url)
             self._by_directory.setdefault(parsed.directory, set()).add(url)
-            self._by_host.setdefault(parsed.host_lower, set()).add(url)
-            domain = default_psl().registrable_domain(parsed.host_lower)
-            self._by_domain.setdefault(domain, set()).add(url)
+            host = parsed.host_lower
+            on_host = self._by_host.get(host)
+            if on_host is None:
+                on_host = self._by_host[host] = set()
+                domain = default_psl().registrable_domain(host)
+                self._hosts_in_domain.setdefault(domain, []).append(host)
+            on_host.add(url)
         column = captures.days
         if column and column[-1] > days:
             # After every capture with an equal day, as ``insort`` puts it.
@@ -174,7 +180,10 @@ class SnapshotStore:
 
     def urls_in_domain(self, domain: str) -> tuple[str, ...]:
         """All archived URLs whose hostname registers under ``domain``."""
-        return tuple(sorted(self._by_domain.get(domain.lower(), ())))
+        hosts = self._hosts_in_domain.get(domain.lower(), ())
+        return tuple(
+            sorted(url for host in hosts for url in self._by_host[host])
+        )
 
     def all_urls(self) -> tuple[str, ...]:
         """Every URL with at least one capture (sorted)."""

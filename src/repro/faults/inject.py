@@ -154,7 +154,8 @@ class FaultyOrigin:
         except ConnectionTimeout as exc:
             exc.fresh_until = None
             raise
-        return replace(response, fresh_until=None)
+        # ``content``, not ``body``: the copy leaves a page unrendered.
+        return replace(response, body=response.content, fresh_until=None)
 
 
 class FaultyCdxApi:

@@ -16,7 +16,7 @@ from ..clock import SimTime
 from ..errors import ConnectionTimeout, DnsError, UrlError
 from ..obs.trace import Tracer
 from ..retry import RetryCounters, RetryPolicy, call_with_retry
-from ..urls.parse import ParsedUrl, UrlMemo
+from ..urls.parse import ParsedUrl, intern_url
 from .dns import DnsTable
 from .http import HttpRequest, HttpResponse
 from .status import Outcome, classify_final_status
@@ -145,7 +145,6 @@ class Fetcher:
         self._dns_next_change = (
             dns.next_change if isinstance(dns, DnsTable) else None
         )
-        self._urls = UrlMemo()
         self.retry_counters = RetryCounters()
         # Both transport legs pool into this fetcher's RetryCounters, so
         # retry/giveup/backoff accounting spans DNS and connect together.
@@ -185,7 +184,7 @@ class Fetcher:
     def _fetch(self, url: str | ParsedUrl, at: SimTime) -> FetchResult:
         self._fetch_count += 1
         try:
-            current = self._urls.parse(url) if isinstance(url, str) else url
+            current = intern_url(url) if isinstance(url, str) else url
         except UrlError as exc:
             # Unparseable now means unparseable forever.
             return FetchResult(
@@ -261,7 +260,7 @@ class Fetcher:
                 return done(Outcome.OTHER, "redirect loop")
             seen.add(str(current))
             try:
-                current = self._urls.parse(target)
+                current = intern_url(target)
             except UrlError as exc:
                 return done(Outcome.OTHER, f"bad redirect target: {exc}")
         return done(Outcome.OTHER, f"more than {self._max_redirects} redirects")

@@ -4,13 +4,14 @@ Responses carry the pieces the study reads: the status code, the
 ``Location`` header for redirects, and the body text (for soft-404
 similarity checks). ``latency_ms`` models server/API response time so
 that timeout-sensitive clients (IABot's availability lookups) behave
-realistically.
+realistically. A generated page's body is rendered only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..textsim.content import PageText
 from ..urls.parse import ParsedUrl, parse_url
 
 
@@ -35,7 +36,10 @@ class HttpResponse:
     Attributes:
         url: the URL this response was served for.
         status: HTTP status code of this hop.
-        body: response body text (empty for redirects).
+        body: response body text (empty for redirects). The
+            constructor also takes a
+            :class:`~repro.textsim.content.PageText`, which reading
+            the attribute renders; :attr:`content` does not.
         location: redirect target for 3xx responses, else ``None``.
         latency_ms: simulated time-to-first-byte for this hop.
         fresh_until: the freshness horizon, as a day number
@@ -62,6 +66,11 @@ class HttpResponse:
             raise ValueError(f"redirect response {self.status} needs a location")
 
     @property
+    def content(self) -> str | PageText:
+        """The body as constructed, a generated page left unrendered."""
+        return _BODY_SLOT.__get__(self)
+
+    @property
     def is_redirect(self) -> bool:
         """3xx with a Location header."""
         return self.location is not None and self.status in (301, 302, 303, 307, 308)
@@ -71,3 +80,11 @@ class HttpResponse:
         if self.is_redirect:
             return f"{self.status} -> {self.location}"
         return f"{self.status} ({len(self.body)} bytes)"
+
+
+_BODY_SLOT = HttpResponse.__dict__["body"]
+# Reading ``body`` renders a generated page (``str`` of a ``str`` is
+# itself), so equality, hashing and ``repr`` see the text.
+HttpResponse.body = property(
+    lambda response: str(_BODY_SLOT.__get__(response)), _BODY_SLOT.__set__
+)

@@ -7,12 +7,11 @@ implements shingling and Jaccard similarity, plus the synthetic content
 generator the simulated web serves pages from.
 """
 
-from .content import ContentGenerator, PageContent
+from .content import ContentGenerator
 from .shingles import jaccard, shingle_set, shingle_similarity
 
 __all__ = [
     "ContentGenerator",
-    "PageContent",
     "jaccard",
     "shingle_set",
     "shingle_similarity",

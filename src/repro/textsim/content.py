@@ -12,13 +12,15 @@ The soft-404 detector (§3) only works if the simulated web serves
 - repeated fetches of the *same* page must differ slightly too.
 
 Content is generated deterministically from a site seed and the page
-path, with a per-fetch nonce line injected to model dynamic noise.
+path, with a per-fetch noise token appended to model dynamic noise. A
+response carries its body as a :class:`PageText`, which renders the
+text only when something reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _VOCAB = (
     "the", "of", "and", "a", "in", "to", "was", "is", "for", "as", "on",
@@ -78,126 +80,121 @@ def _words_from_digest(seed: str, count: int) -> list[str]:
     return list(map(_VOCAB.__getitem__, digests[:count].translate(_BYTE_TO_WORD)))
 
 
-@dataclass(frozen=True, slots=True)
-class PageContent:
-    """A rendered response body plus its stable core text.
+class PageCore(NamedTuple):
+    """The identity of one page's stable text, which is a pure function
+    of it: ``kind`` is ``"article"`` (``path`` is the page's canonical
+    path), ``"homepage"``, ``"errpage"``, ``"parked"`` or ``"login"``."""
 
-    ``body`` is what a fetch returns (includes the per-fetch nonce);
-    ``core`` is the stable portion, exposed for tests.
+    site_seed: str
+    kind: str
+    path: str = ""
+
+    def text(self) -> str:
+        """The core text, rendered from the identity alone."""
+        return ContentGenerator(self.site_seed).core(self.kind, self.path)
+
+
+class PageText:
+    """One generated response body, rendered on first read.
+
+    Holds the body's identity instead of its text: the site's
+    generator, the page's kind and path, and the request ``(address,
+    url, day)`` the noise token derives from. ``str()`` renders and
+    keeps the body; :attr:`core` names its stable part.
     """
 
-    body: str
-    core: str
+    __slots__ = ("_content", "_kind", "_path", "_address", "_url", "_day", "_text")
+
+    def __init__(
+        self, content: ContentGenerator, kind: str, path: str,
+        address: str, url: str, day: int,
+    ) -> None:
+        self._content, self._kind, self._path = content, kind, path
+        self._address, self._url, self._day = address, url, day
+        self._text: str | None = None
+
+    @property
+    def core(self) -> PageCore:
+        """The identity of the body minus its noise token."""
+        return PageCore(self._content.site_seed, self._kind, self._path)
+
+    def __str__(self) -> str:
+        if self._text is None:
+            # The nonce hashes the request, so a fetch is a pure
+            # function of (address, url, day).
+            digest = hashlib.sha256(
+                f"{self._address}|{self._url}|{self._day}".encode("utf-8")
+            ).digest()
+            core = self._content.core(self._kind, self._path)
+            nonce = int.from_bytes(digest[:8], "big")
+            self._text = self._content.render(core, nonce)
+        return self._text
 
 
 class ContentGenerator:
-    """Generates page bodies for one site.
+    """Generates page text for one site.
 
-    All variation between fetches comes from the ``nonce`` argument
-    (the fetcher passes a monotonically increasing counter), so content
-    is fully deterministic given (site_seed, path, nonce).
+    A body is a stable core (per page kind and path) plus one noise
+    token. The token derives from a nonce, which the live web hashes
+    from the request's ``(address, url, day)`` (see :class:`PageText`),
+    so content is fully deterministic given (site_seed, path, nonce).
     """
 
     #: Approximate length, in words, of a real article body.
     ARTICLE_WORDS = 220
-    #: Length of the dynamic noise line appended to every response.
-    NONCE_WORDS = 1
 
     def __init__(self, site_seed: str) -> None:
         self.site_seed = site_seed
         template_index = int(
             hashlib.sha256(f"{site_seed}:errstyle".encode()).hexdigest(), 16
         )
-        self._error_core = _ERROR_TEMPLATES[template_index % len(_ERROR_TEMPLATES)]
-        # Cores are deterministic functions of (site_seed, path); caching
-        # them keeps per-request rendering cheap when the same page is
-        # fetched many times (bot sweeps, archive captures, probes).
-        self._core_cache: dict[str, str] = {}
-        self._article_cores: dict[str, str] = {}
+        #: The lead text of each boilerplate kind.
+        self._leads = {
+            "errpage": _ERROR_TEMPLATES[template_index % len(_ERROR_TEMPLATES)]
+            + " " + site_seed[:8],
+            "parked": _PARKED_TEMPLATE,
+            "login": _LOGIN_TEMPLATE + " " + site_seed[:8],
+        }
+        # Cores are deterministic functions of (site_seed, kind, path);
+        # caching them keeps rendering cheap when the same page's body
+        # is read many times (soft-404 probes, say).
+        self._cores: dict[tuple[str, str], str] = {}
 
-    # -- core text per page kind ---------------------------------------------
+    def core(self, kind: str, path: str = "") -> str:
+        """The stable text of the page :class:`PageCore` ``(kind, path)``.
 
-    def article_core(self, path: str) -> str:
-        """The stable text of a real page at ``path``."""
-        core = self._article_cores.get(path)
-        if core is None:
-            words = _words_from_digest(
-                f"{self.site_seed}:{path}", self.ARTICLE_WORDS
-            )
-            core = " ".join(words)
-            self._article_cores[path] = core
-        return core
-
-    def homepage_core(self) -> str:
-        """The stable text of the site's homepage."""
-        core = self._core_cache.get("homepage")
-        if core is None:
-            words = _words_from_digest(f"{self.site_seed}:/", self.ARTICLE_WORDS)
-            core = "latest headlines " + " ".join(words)
-            self._core_cache["homepage"] = core
-        return core
-
-    def error_core(self) -> str:
-        """The site-wide 'not found' page text (identical for all paths).
-
-        Padded with deterministic site boilerplate (think navigation,
-        footer, sitemap links) so the page is long enough for the
-        99%-similarity detector to see two renders as near-identical.
+        The error page (one for all paths), the parked lander and the
+        login page lead with a template, padded with deterministic site
+        boilerplate (navigation, footer, sitemap links) so the
+        99%-similarity detector sees two renders as near-identical.
         """
-        return self._boilerplate(
-            "errpage", self._error_core + " " + self.site_seed[:8]
-        )
-
-    def parked_core(self) -> str:
-        """Parked-domain lander text (identical for all paths)."""
-        return self._boilerplate("parked", _PARKED_TEMPLATE)
-
-    def login_core(self) -> str:
-        """The site's login-page text."""
-        return self._boilerplate(
-            "login", _LOGIN_TEMPLATE + " " + self.site_seed[:8]
-        )
-
-    def _boilerplate(self, kind: str, lead: str) -> str:
-        """``lead`` padded to :data:`BOILERPLATE_WORDS` tokens."""
-        core = self._core_cache.get(kind)
+        core = self._cores.get((kind, path))
         if core is None:
-            need = max(0, BOILERPLATE_WORDS - len(lead.split()))
-            filler = _words_from_digest(f"{self.site_seed}:{kind}:boiler", need)
-            core = lead + " " + " ".join(filler)
-            self._core_cache[kind] = core
+            seed = self.site_seed
+            if kind == "article":
+                words = _words_from_digest(f"{seed}:{path}", self.ARTICLE_WORDS)
+                core = " ".join(words)
+            elif kind == "homepage":
+                words = _words_from_digest(f"{seed}:/", self.ARTICLE_WORDS)
+                core = "latest headlines " + " ".join(words)
+            else:
+                lead = self._leads[kind]
+                need = max(0, BOILERPLATE_WORDS - len(lead.split()))
+                filler = _words_from_digest(f"{seed}:{kind}:boiler", need)
+                core = lead + " " + " ".join(filler)
+            self._cores[(kind, path)] = core
         return core
 
-    # -- rendered responses -----------------------------------------------------
+    # -- rendered bodies --------------------------------------------------------
 
-    def render(self, core: str, nonce: int) -> PageContent:
-        """Attach the dynamic noise line for one fetch.
+    def render(self, core: str, nonce: int) -> str:
+        """``core`` plus the dynamic noise token for one fetch.
 
-        The nonce line is a single token, tiny relative to the body, so
-        shingle similarity between two renders of the same core stays
-        above 99% while byte equality fails.
+        The token is tiny relative to the body, so shingle similarity
+        between two renders of the same core stays above 99% while
+        byte equality fails.
         """
         noise = hashlib.sha256(
             f"{self.site_seed}:nonce:{nonce}".encode()
         ).hexdigest()[:10]
-        return PageContent(body=f"{core} req{noise}", core=core)
-
-    def article(self, path: str, nonce: int) -> PageContent:
-        """One render of the page at ``path``."""
-        return self.render(self.article_core(path), nonce)
-
-    def homepage(self, nonce: int) -> PageContent:
-        """One render of the homepage."""
-        return self.render(self.homepage_core(), nonce)
-
-    def error_page(self, nonce: int) -> PageContent:
-        """One render of the site's not-found page."""
-        return self.render(self.error_core(), nonce)
-
-    def parked_page(self, nonce: int) -> PageContent:
-        """One render of the parked-domain lander."""
-        return self.render(self.parked_core(), nonce)
-
-    def login_page(self, nonce: int) -> PageContent:
-        """One render of the login page."""
-        return self.render(self.login_core(), nonce)
+        return f"{core} req{noise}"

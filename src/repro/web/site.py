@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from ..clock import SimTime, first_after
 from ..errors import ConnectionTimeout, NetworkSimError
 from ..net.http import HttpRequest, HttpResponse
-from ..textsim.content import ContentGenerator
+from ..textsim.content import ContentGenerator, PageText
 from ..urls.parse import QueryArgs
 from .behaviors import GeoPolicy, MissingPagePolicy, SiteState
 from .page import Page, PageStatus
@@ -151,13 +151,17 @@ class Site:
 
     # -- request handling -----------------------------------------------------------
 
-    def respond(self, request: HttpRequest, at: SimTime, nonce: int) -> HttpResponse:
-        """Answer a GET at instant ``at``.
+    def respond(
+        self, request: HttpRequest, at: SimTime, address: str
+    ) -> HttpResponse:
+        """Answer a GET at instant ``at`` to the site's DNS ``address``.
 
         Raises :class:`~repro.errors.ConnectionTimeout` for flaky or
         silently geo-blocked conditions; returns an
         :class:`~repro.net.http.HttpResponse` otherwise. Both carry the
-        answer's freshness horizon as ``fresh_until``.
+        answer's freshness horizon as ``fresh_until``. A page body is
+        a :class:`~repro.textsim.content.PageText`, whose noise token
+        derives from ``(address, url, day)``.
         """
         target = request.url
         url = str(target)
@@ -175,13 +179,16 @@ class Site:
                 fresh_until=until,
             )
 
+        def generated(kind: str, path: str = "") -> PageText:
+            return PageText(self._content, kind, path, address, url, int(at.days))
+
         if state.geo_active_at(at):
             if state.geo is GeoPolicy.BLOCKED_TIMEOUT:
                 raise ConnectionTimeout(self.hostname, fresh_until=until)
             return reply(403, "access denied")
 
         if state.parked_at(at):
-            return reply(200, self._content.parked_page(nonce).body)
+            return reply(200, generated("parked"))
 
         if state.outage_at(at):
             return reply(503, "service unavailable")
@@ -194,11 +201,11 @@ class Site:
         path = target.path
         query = target.query
         if path == "/" and not query:
-            return reply(200, self._content.homepage(nonce).body)
+            return reply(200, generated("homepage"))
         if path == ROBOTS_PATH:
             return reply(200, self.robots.render())
         if path == LOGIN_PATH:
-            return reply(200, self._content.login_page(nonce).body)
+            return reply(200, generated("login"))
 
         path_query = f"{path}?{query}" if query else path
         page = self._pages.get(path_query)
@@ -211,9 +218,7 @@ class Site:
             if status is PageStatus.SERVES:
                 # Content keyed by the page's canonical path, so every
                 # parameter ordering serves identical bytes.
-                return reply(
-                    200, self._content.article(page.path_query, nonce).body
-                )
+                return reply(200, generated("article", page.path_query))
             if status is PageStatus.REDIRECTS:
                 # A MOVED page always has moved_to (Page.__post_init__).
                 return reply(301, location=page.moved_to)
@@ -223,9 +228,9 @@ class Site:
         until = min(until, policy_days)
         policy = self.missing_policy_at(at)
         if policy is MissingPagePolicy.HARD_404:
-            return reply(404, self._content.error_page(nonce).body)
+            return reply(404, generated("errpage"))
         if policy is MissingPagePolicy.SOFT_404:
-            return reply(200, self._content.error_page(nonce).body)
+            return reply(200, generated("errpage"))
         if policy is MissingPagePolicy.REDIRECT_HOME:
             return reply(302, location=self.root_url)
         if policy is MissingPagePolicy.REDIRECT_LOGIN:

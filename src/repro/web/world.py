@@ -16,22 +16,12 @@ rely on it.
 
 from __future__ import annotations
 
-import hashlib
-
 from ..clock import SimTime
 from ..errors import NetworkSimError
 from ..net.dns import DnsRecord, DnsTable
 from ..net.fetch import Fetcher, FetchResult
 from ..net.http import HttpRequest, HttpResponse
 from .site import Site
-
-
-def _request_nonce(address: str, request: HttpRequest, at: SimTime) -> int:
-    """A deterministic nonce for one (address, url, day) request."""
-    digest = hashlib.sha256(
-        f"{address}|{request.url}|{int(at.days)}".encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class LiveWeb:
@@ -54,19 +44,9 @@ class LiveWeb:
         ``extra_hostnames`` lets several hostnames (e.g. with and
         without ``www.``) resolve to the same site.
         """
-        address = f"site:{site.hostname}"
-        if address in self._sites:
-            raise NetworkSimError(f"site {site.hostname!r} already registered")
-        self._sites[address] = site
-        for hostname in (site.hostname, *extra_hostnames):
-            self.dns.register(
-                DnsRecord(
-                    hostname=hostname,
-                    address=address,
-                    registered_at=site.created_at,
-                    expires_at=site.dns_dies_at,
-                )
-            )
+        self._register(
+            f"site:{site.hostname}", site, (site.hostname, *extra_hostnames)
+        )
 
     def add_parked_successor(self, original: Site, parked: Site) -> None:
         """Register a squatter's site on a lapsed hostname.
@@ -78,20 +58,23 @@ class LiveWeb:
             raise NetworkSimError(
                 f"{original.hostname!r} never expires; cannot be re-registered"
             )
-        address = f"parked:{parked.hostname}"
+        self._register(f"parked:{parked.hostname}", parked, (parked.hostname,))
+
+    def _register(self, address: str, site: Site, hostnames) -> None:
+        """Serve ``site`` at ``address``, which each of ``hostnames``
+        resolves to over the site's lifetime."""
         if address in self._sites:
-            raise NetworkSimError(
-                f"parked site {parked.hostname!r} already registered"
+            raise NetworkSimError(f"{address!r} already registered")
+        self._sites[address] = site
+        for hostname in hostnames:
+            self.dns.register(
+                DnsRecord(
+                    hostname=hostname,
+                    address=address,
+                    registered_at=site.created_at,
+                    expires_at=site.dns_dies_at,
+                )
             )
-        self._sites[address] = parked
-        self.dns.register(
-            DnsRecord(
-                hostname=parked.hostname,
-                address=address,
-                registered_at=parked.created_at,
-                expires_at=parked.dns_dies_at,
-            )
-        )
 
     # -- lookup ----------------------------------------------------------------------
 
@@ -108,19 +91,20 @@ class LiveWeb:
     def handle(self, address: str, request: HttpRequest, at: SimTime) -> HttpResponse:
         """Serve one GET; called by the fetcher after DNS resolution.
 
-        The per-response dynamic-noise nonce is derived from the
-        request itself rather than drawn from a shared counter, so a
-        fetch is a pure function of ``(url, at)`` — the property the
-        executor's fetch memo and sharded workers both rely on. Fetches
-        of *different* URLs (or on different days) still get distinct
-        noise tokens, which is all the soft-404 machinery needs. The
-        site stamps the response (or its timeout) with the answer's
-        freshness horizon, ``fresh_until``.
+        A body's dynamic-noise token is derived from the request itself
+        (``(address, url, day)``) rather than drawn from a shared
+        counter, so a fetch is a pure function of ``(url, at)`` — the
+        property the executor's fetch memo and sharded workers both
+        rely on. Fetches of *different* URLs (or on different days)
+        still get distinct noise tokens, which is all the soft-404
+        machinery needs. The token is only computed if something reads
+        the body. The site stamps the response (or its timeout) with
+        the answer's freshness horizon, ``fresh_until``.
         """
         site = self._sites.get(address)
         if site is None:
             raise NetworkSimError(f"DNS points at unknown address {address!r}")
-        return site.respond(request, at, _request_nonce(address, request, at))
+        return site.respond(request, at, address)
 
     # -- convenience -----------------------------------------------------------------------
 

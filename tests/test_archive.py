@@ -1,7 +1,12 @@
 """Tests for repro.archive — snapshots, store, availability, CDX, crawlers."""
 
+import importlib.util
+import json
+import os
 import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,9 +28,21 @@ from repro.errors import ArchiveTimeout
 from repro.faults.inject import FaultyOrigin
 from repro.faults.plan import FaultPlan
 from repro.net.fetch import Fetcher, FetchResult
+from repro.net.http import HttpRequest
 from repro.net.status import Outcome
+from repro.numerics import force_backend
 from repro.rng import Stream
 from repro.textsim import shingles
+from repro.textsim.content import PageCore
+from repro.web.behaviors import (
+    GeoPolicy,
+    MissingPagePolicy,
+    OutageWindow,
+    SiteState,
+)
+from repro.web.page import Page
+from repro.web.site import Site
+from repro.web.world import LiveWeb
 
 T2008 = SimTime.from_ymd(2008, 1, 1)
 T2010 = SimTime.from_ymd(2010, 1, 1)
@@ -229,15 +246,21 @@ class TestSnapshotStoreColumns:
         for at in (T2008, T2010, T2012):
             crawler.capture(ALIVE, at)
         # Cached rows travel too; every capture shares one pending sketch.
-        stem = store.snapshots(ALIVE)[0].__getstate__()[-1].stem
+        key = store.snapshots(ALIVE)[0].__getstate__()[-1].key
+        core = key.text()
         data = pickle.dumps(store)
         copy = pickle.loads(data)
         assert minhash_calls == []
-        assert data.count(stem.encode()) == 1
+        # The sketch travels as the page's identity, not as its text.
+        assert core.encode() not in data
         assert len(copy) == 3 and copy.all_urls() == (ALIVE,)
+        shared = {
+            id(row.__getstate__()[-1]) for row in copy.snapshots(ALIVE)
+        }
+        assert len(shared) == 1
         # Comparing reads both stores' sketches: MinHash once for each.
         assert copy.snapshots(ALIVE) == store.snapshots(ALIVE)
-        assert minhash_calls == [stem, stem]
+        assert minhash_calls == [core, core]
 
 
 class TestAvailabilityApi:
@@ -529,9 +552,12 @@ class TestLazySketch:
         data = pickle.dumps(snapshot)
         copy = pickle.loads(data)
         assert minhash_calls == []
-        # The pickle carries this snapshot's stem, not the sketcher's memo.
-        other_stem = other.__getstate__()[-1].stem
-        assert other_stem.encode() not in data
+        # The pickle carries this snapshot's page identity, neither its
+        # text nor the sketcher's memo.
+        key = snapshot.__getstate__()[-1].key
+        assert key.text().encode() not in data
+        other_key = other.__getstate__()[-1].key
+        assert other_key.path.encode() not in data
         assert copy.sketch == snapshot.sketch
         assert copy.sketch == shingles.minhash_sketch(minhash_calls[0])
         # A resolved sketch pickles as its tuple.
@@ -616,3 +642,129 @@ class TestTriggeredArchiver:
             TriggerEra(start=T2010, end=T2008, coverage=0.5, delay_median_days=1.0)
         with pytest.raises(ValueError):
             TriggerEra(start=T2008, end=T2010, coverage=1.5, delay_median_days=1.0)
+
+
+# -- a sketch keyed by page identity equals a sketch of the body's text ---------
+
+BACKENDS = ["stdlib"] + (
+    ["numpy"] if importlib.util.find_spec("numpy") is not None else []
+)
+
+
+def _stem(body: str) -> str:
+    """The body minus its last token: the text a stem names."""
+    cut = body.rfind(" ")
+    return body if cut < 0 else body[:cut]
+
+
+def _every_body_kind() -> dict[str, object]:
+    """One single-hop response of each kind of body the web serves."""
+    web = LiveWeb()
+
+    def site(hostname, policy=MissingPagePolicy.HARD_404, **state):
+        site = Site(
+            hostname=hostname, seed=f"seed-{hostname}", created_at=T2008,
+            missing_policy=policy, state=SiteState(**state),
+        )
+        site.add_page(Page(path_query="/p.html", created_at=T2008))
+        web.add_site(site)
+
+    site("a.example")
+    site("soft.example", MissingPagePolicy.SOFT_404)
+    site("home.example", MissingPagePolicy.REDIRECT_HOME)
+    site("parked.example", parked_from=T2008)
+    site("geo.example", geo=GeoPolicy.BLOCKED_403)
+    site("down.example", outages=(OutageWindow(start=T2008, end=T2014),))
+    requests = {
+        "article": "http://a.example/p.html",
+        "homepage": "http://a.example/",
+        "error_404": "http://a.example/missing.html",
+        "error_soft_200": "http://soft.example/missing.html",
+        "parked": "http://parked.example/p.html",
+        "login": "http://a.example/login",
+        "robots": "http://a.example/robots.txt",
+        "literal_403": "http://geo.example/p.html",
+        "literal_503": "http://down.example/p.html",
+        "empty_redirect": "http://home.example/missing.html",
+    }
+    return {
+        kind: web.handle(
+            f"site:{url.split('/')[2]}", HttpRequest.get(url), T2010
+        )
+        for kind, url in requests.items()
+    }
+
+
+BODY_KINDS = _every_body_kind()
+#: The kinds whose body is a generated page, carried by identity.
+GENERATED = (
+    "article", "homepage", "error_404", "error_soft_200", "parked", "login",
+)
+
+
+class TestSketchIdentity:
+    """``BodySketcher.pending`` keyed by identity ≡ keyed by stem text."""
+
+    def test_every_kind_is_served(self):
+        statuses = {kind: r.status for kind, r in BODY_KINDS.items()}
+        assert statuses == {
+            "article": 200, "homepage": 200, "error_404": 404,
+            "error_soft_200": 200, "parked": 200, "login": 200,
+            "robots": 200, "literal_403": 403, "literal_503": 503,
+            "empty_redirect": 302,
+        }
+        for kind, response in BODY_KINDS.items():
+            assert (type(response.content) is str) == (kind not in GENERATED)
+        assert BODY_KINDS["empty_redirect"].body == ""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", sorted(BODY_KINDS))
+    def test_identity_sketch_equals_text_sketch(self, kind, backend):
+        response = BODY_KINDS[kind]
+        prior = force_backend(backend)
+        try:
+            pending = BodySketcher().pending(response.content)
+            assert pending.resolve() == shingles.minhash_sketch(
+                _stem(response.body)
+            )
+        finally:
+            force_backend(prior)
+
+    def test_unresolved_pickle_carries_identity_only(self):
+        for kind in GENERATED:
+            pending = BodySketcher().pending(BODY_KINDS[kind].content)
+            assert type(pending.key) is PageCore
+            data = pickle.dumps(pending)
+            assert pending.key.text().encode() not in data
+            assert _stem(BODY_KINDS[kind].body).encode() not in data
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fresh_interpreter_resolves_the_same(self, backend, tmp_path):
+        kinds = sorted(BODY_KINDS)
+        path = tmp_path / "pending.pickle"
+        path.write_bytes(
+            pickle.dumps(
+                [BodySketcher().pending(BODY_KINDS[k].content) for k in kinds]
+            )
+        )
+        script = (
+            "import json, pickle, sys\n"
+            "from repro.numerics import backend_name\n"
+            "pending = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "print(json.dumps([backend_name(),"
+            " [list(p.resolve()) for p in pending]]))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, REPRO_ANALYSIS_BACKEND=backend)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        name, sketches = json.loads(proc.stdout)
+        assert name == backend
+        assert sketches == [
+            list(shingles.minhash_sketch(_stem(BODY_KINDS[k].body)))
+            for k in kinds
+        ]

@@ -6,6 +6,8 @@ causal structure and the direction of every effect, not calibrated
 percentages (benchmarks handle those at full scale).
 """
 
+import sys
+
 import pytest
 
 from repro.analysis.copies import census_link
@@ -143,6 +145,66 @@ class TestWorldGeneration:
         for link in collected:
             result = fetcher.fetch(link.url, link.marked_at)
             assert result.final_status != 200, link.url
+
+
+class TestPayOnce:
+    """Generation pays per distinct page and URL, not per request."""
+
+    def test_renders_parses_and_psl_lookups(self, monkeypatch):
+        import repro.urls.parse as parse_module
+        from repro.dataset.worldgen import WorldConfig, generate_world
+        from repro.net.fetch import FetchResult
+        from repro.textsim import content
+        from repro.urls.psl import PublicSuffixList
+
+        renders, reads, parses, lookups = [], [], [], []
+        words = content._words_from_digest
+        body = FetchResult.body
+        parse_url = parse_module.parse_url
+        domain_of = PublicSuffixList.registrable_domain
+
+        def counting_words(seed, count):
+            renders.append(seed)
+            return words(seed, count)
+
+        def counting_body(result):
+            reads.append(result.url)
+            return body.fget(result)
+
+        def counting_parse(url):
+            parses.append(url)
+            return parse_url(url)
+
+        def counting_domain(psl, host):
+            lookups.append(host)
+            return domain_of(psl, host)
+
+        monkeypatch.setattr(content, "_words_from_digest", counting_words)
+        monkeypatch.setattr(FetchResult, "body", property(counting_body))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                getattr(module, "parse_url", None) is parse_url
+            ):
+                monkeypatch.setattr(module, "parse_url", counting_parse)
+        # Start from an empty URL memo, as a fresh process does.
+        monkeypatch.setattr(parse_module, "_interned", {}, raising=False)
+        monkeypatch.setattr(
+            PublicSuffixList, "registrable_domain", counting_domain
+        )
+
+        world = generate_world(
+            WorldConfig(n_links=300, target_sample=300, seed=11)
+        )
+
+        # Page text is rendered only for bodies something reads.
+        assert len(renders) <= len(reads)
+        # Each URL string is parsed about once.
+        assert len(parses) <= 1.1 * len(set(parses))
+        # The public suffix list is read once per archived host.
+        hosts = {
+            parse_url(url).host_lower for url in world.store.all_urls()
+        }
+        assert len(lookups) <= len(hosts)
 
 
 class TestCollector:

@@ -12,6 +12,11 @@ from repro.textsim.shingles import (
 )
 
 
+def _body(gen: ContentGenerator, kind: str, nonce: int, path: str = "") -> str:
+    """One render of the page ``(kind, path)`` with noise ``nonce``."""
+    return gen.render(gen.core(kind, path), nonce)
+
+
 class TestTokenize:
     def test_lowercases_and_splits(self):
         assert tokenize("Hello, World 123!") == ["hello", "world", "123"]
@@ -80,14 +85,14 @@ class TestMinhash:
 
     def test_distinct_documents_similarity_low(self):
         gen = ContentGenerator("seed")
-        a = minhash_sketch(gen.article_core("/one"))
-        b = minhash_sketch(gen.article_core("/two"))
+        a = minhash_sketch(gen.core("article", "/one"))
+        b = minhash_sketch(gen.core("article", "/two"))
         assert sketch_similarity(a, b) < 0.2
 
     def test_near_identical_documents_similarity_high(self):
         gen = ContentGenerator("seed")
-        a = minhash_sketch(gen.error_page(1).body)
-        b = minhash_sketch(gen.error_page(2).body)
+        a = minhash_sketch(_body(gen, "errpage", 1))
+        b = minhash_sketch(_body(gen, "errpage", 2))
         assert sketch_similarity(a, b) > 0.8
 
     def test_mismatched_lengths_rejected(self):
@@ -102,45 +107,50 @@ class TestContentGenerator:
         # The §3 detector requires >99% shingle similarity between two
         # renders of the same boilerplate despite per-request noise.
         gen = ContentGenerator("site1")
-        sim = shingle_similarity(gen.error_page(1).body, gen.error_page(2).body)
+        sim = shingle_similarity(
+            _body(gen, "errpage", 1), _body(gen, "errpage", 2)
+        )
         assert sim > 0.99
 
     def test_parked_pages_exceed_detector_threshold(self):
         gen = ContentGenerator("site2")
-        sim = shingle_similarity(gen.parked_page(1).body, gen.parked_page(5).body)
+        sim = shingle_similarity(
+            _body(gen, "parked", 1), _body(gen, "parked", 5)
+        )
         assert sim > 0.99
 
     def test_renders_never_byte_identical(self):
         gen = ContentGenerator("site3")
-        assert gen.error_page(1).body != gen.error_page(2).body
+        assert _body(gen, "errpage", 1) != _body(gen, "errpage", 2)
 
     def test_articles_distinct_across_paths(self):
         gen = ContentGenerator("site4")
         sim = shingle_similarity(
-            gen.article("/a.html", 1).body, gen.article("/b.html", 1).body
+            _body(gen, "article", 1, "/a.html"),
+            _body(gen, "article", 1, "/b.html"),
         )
         assert sim < 0.05
 
     def test_article_vs_error_distinct(self):
         gen = ContentGenerator("site5")
         sim = shingle_similarity(
-            gen.article("/a.html", 1).body, gen.error_page(1).body
+            _body(gen, "article", 1, "/a.html"), _body(gen, "errpage", 1)
         )
         assert sim < 0.05
 
     def test_error_pages_differ_across_sites(self):
-        a = ContentGenerator("siteA").error_page(1).body
-        b = ContentGenerator("siteB").error_page(1).body
+        a = _body(ContentGenerator("siteA"), "errpage", 1)
+        b = _body(ContentGenerator("siteB"), "errpage", 1)
         assert shingle_similarity(a, b) < 0.1
 
     def test_boilerplate_padded_to_target(self):
         gen = ContentGenerator("site6")
-        assert len(gen.error_core().split()) >= BOILERPLATE_WORDS
+        assert len(gen.core("errpage").split()) >= BOILERPLATE_WORDS
 
     def test_article_core_cached(self):
         gen = ContentGenerator("site7")
-        assert gen.article_core("/x") is gen.article_core("/x")
+        assert gen.core("article", "/x") is gen.core("article", "/x")
 
     def test_login_page_mentions_credentials(self):
         gen = ContentGenerator("site8")
-        assert "password" in gen.login_page(1).body
+        assert "password" in _body(gen, "login", 1)

@@ -140,17 +140,19 @@ class TestQueryArgs:
 
 
 class TestUrlMemo:
+    """:func:`intern_url`, the one URL memo every reader shares."""
+
     def test_parses_each_string_once(self, monkeypatch):
         import repro.urls.parse as parse_module
 
         calls = []
         real = parse_module.parse_url
+        monkeypatch.setattr(parse_module, "_interned", {})
         monkeypatch.setattr(
             parse_module, "parse_url", lambda url: calls.append(url) or real(url)
         )
-        memo = parse_module.UrlMemo()
-        first = memo.parse("http://Example.com:8080/a/b?x=1")
-        assert memo.parse("http://Example.com:8080/a/b?x=1") is first
+        first = parse_module.intern_url("http://Example.com:8080/a/b?x=1")
+        assert parse_module.intern_url("http://Example.com:8080/a/b?x=1") is first
         assert calls == ["http://Example.com:8080/a/b?x=1"]
         assert first == real("http://Example.com:8080/a/b?x=1")
         assert first.host_lower == "example.com"
@@ -159,13 +161,14 @@ class TestUrlMemo:
     def test_bounded_and_never_memoises_errors(self, monkeypatch):
         import repro.urls.parse as parse_module
 
+        monkeypatch.setattr(parse_module, "_interned", {})
         monkeypatch.setattr(parse_module, "URL_MEMO_MAX", 2)
-        memo = parse_module.UrlMemo()
-        first = memo.parse("http://a.test/")
-        memo.parse("http://b.test/")
-        memo.parse("http://c.test/")  # full: the memo starts over
-        again = memo.parse("http://a.test/")
+        intern_url = parse_module.intern_url
+        first = intern_url("http://a.test/")
+        intern_url("http://b.test/")
+        intern_url("http://c.test/")  # full: the memo starts over
+        again = intern_url("http://a.test/")
         assert again == first and again is not first
         for _ in range(2):
             with pytest.raises(UrlError):
-                memo.parse("ftp://a.test/")
+                intern_url("ftp://a.test/")

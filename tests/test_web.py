@@ -155,8 +155,8 @@ class TestSiteState:
             SiteState(timeout_probability=1.5)
 
 
-def _get(site: Site, url: str, at: SimTime, nonce: int = 1):
-    return site.respond(HttpRequest.get(url), at, nonce)
+def _get(site: Site, url: str, at: SimTime):
+    return site.respond(HttpRequest.get(url), at, f"site:{site.hostname}")
 
 
 class TestSiteResponses:
@@ -194,7 +194,7 @@ class TestSiteResponses:
         site = self._site(policy=MissingPagePolicy.SOFT_404)
         response = _get(site, "http://s.example.org/nope", T2010)
         assert response.status == 200
-        probe = _get(site, "http://s.example.org/alsonope", T2010, nonce=2)
+        probe = _get(site, "http://s.example.org/alsonope", T2010)
         assert shingle_similarity(response.body, probe.body) > 0.99
 
     def test_redirect_home(self):
@@ -242,7 +242,7 @@ class TestSiteResponses:
             "            offsite_redirect_target='http://agg.example.net/')\n"
             "try:\n"
             "    site.respond(HttpRequest.get('http://s.example.org/nope'),\n"
-            "                 SimTime.from_ymd(2010, 1, 1), 1)\n"
+            "                 SimTime.from_ymd(2010, 1, 1), 'site:s.example.org')\n"
             "except NetworkSimError as exc:\n"
             "    print('raised:', exc)\n"
             "else:\n"
@@ -292,7 +292,7 @@ class TestSiteResponses:
     def test_parked_overrides_everything(self):
         site = self._site(state=SiteState(parked_from=T2016))
         real = _get(site, "http://s.example.org/real/page.html", T2020)
-        missing = _get(site, "http://s.example.org/nope", T2020, nonce=2)
+        missing = _get(site, "http://s.example.org/nope", T2020)
         assert real.status == 200 and missing.status == 200
         assert shingle_similarity(real.body, missing.body) > 0.99
 
