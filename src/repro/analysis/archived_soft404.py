@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ..archive.cdx import CdxApi, CdxQuery, MatchType
 from ..archive.snapshot import Snapshot
-from .columnar import sketch_similarity_batch
+from ..textsim.shingles import sketch_similarity
 
 #: Sketch similarity above which two captures are "the same boilerplate".
 BOILERPLATE_SIMILARITY = 0.9
@@ -46,13 +46,10 @@ def _body_is_boilerplate(snapshot: Snapshot, cdx: CdxApi) -> bool:
     """Does another URL on this host have the same content near this
     capture time?
 
-    The candidate scan (filters, blanket-redirect signature, the
-    examined-row budget) is unchanged from the per-record original;
-    only the sketch comparisons at the end run as one columnar batch
-    instead of a per-row call. The decision is identical: the original
-    returned True at the first similar candidate among the first
-    :data:`MAX_TWIN_CANDIDATES` examined, which is exactly "any
-    candidate similar" over the same set.
+    Looks at the first :data:`MAX_TWIN_CANDIDATES` independent 200
+    captures of other URLs on the host within
+    :data:`TWIN_WINDOW_DAYS`, and answers at the first near-identical
+    sketch (or the first blanket-redirect signature).
     """
     if not snapshot.sketch:
         return False
@@ -66,7 +63,6 @@ def _body_is_boilerplate(snapshot: Snapshot, cdx: CdxApi) -> bool:
         )
     )
     examined = 0
-    candidates: list[tuple[int, ...]] = []
     for row in rows:
         if row.final_status != 200 or not row.sketch:
             continue
@@ -81,10 +77,7 @@ def _body_is_boilerplate(snapshot: Snapshot, cdx: CdxApi) -> bool:
         examined += 1
         if examined > MAX_TWIN_CANDIDATES:
             break
-        candidates.append(row.sketch)
-    if not candidates:
-        return False
-    fractions = sketch_similarity_batch(
-        [(sketch, snapshot.sketch) for sketch in candidates]
-    )
-    return any(f >= BOILERPLATE_SIMILARITY for f in fractions)
+        similarity = sketch_similarity(row.sketch, snapshot.sketch)
+        if similarity >= BOILERPLATE_SIMILARITY:
+            return True
+    return False

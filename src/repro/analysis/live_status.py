@@ -7,13 +7,14 @@ paper's five buckets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from ..clock import SimTime
 from ..dataset.records import LinkRecord
 from ..net.fetch import Fetcher, FetchResult
 from ..net.status import FIGURE4_ORDER, Outcome
-from .columnar import bucket_counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +50,19 @@ def classify_links(
     ]
 
 
+def bucket_counts(labels: Iterable, order: Sequence) -> dict:
+    """Histogram of ``labels``, presentation-ordered.
+
+    Keys in ``order`` come first (zero when absent from ``labels``);
+    labels outside ``order`` follow in first-seen order.
+    """
+    counts = dict.fromkeys(order, 0)
+    # Counter tallies in C and keeps first-seen order for the extras.
+    for label, n in Counter(labels).items():
+        counts[label] = counts.get(label, 0) + n
+    return counts
+
+
 def outcome_counts(probes: list[LiveProbe]) -> dict[Outcome, int]:
     """Figure 4's bar heights, in presentation order.
 
@@ -56,6 +70,4 @@ def outcome_counts(probes: list[LiveProbe]) -> dict[Outcome, int]:
     probe recorded by an older taxonomy) are appended after the
     presentation-ordered five rather than crashing the whole report.
     """
-    return bucket_counts(
-        (probe.outcome for probe in probes), order=FIGURE4_ORDER
-    )
+    return bucket_counts((probe.outcome for probe in probes), FIGURE4_ORDER)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from ..archive.cdx import CdxApi, CdxQuery, MatchType
 from ..dataset.records import LinkRecord
 from ..errors import UrlError
-from ..urls.parse import QueryArgs, parse_url
+from ..urls.parse import QueryArgs, intern_url
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +47,7 @@ def canonical_key(url: str) -> tuple[str, tuple[tuple[str, str], ...]] | None:
     ``None`` for unparseable URLs.
     """
     try:
-        parsed = parse_url(url)
+        parsed = intern_url(url)
     except UrlError:
         return None
     base = f"{parsed.scheme}://{parsed.host_lower}{parsed.path}"
@@ -62,7 +62,7 @@ def find_reordered_variants(
     for record in records:
         report.examined += 1
         try:
-            parsed = parse_url(record.url)
+            parsed = intern_url(record.url)
         except UrlError:
             continue
         if not parsed.query:

@@ -22,7 +22,7 @@ from ..archive.cdx import CdxApi, CdxQuery, MatchType
 from ..archive.snapshot import Snapshot
 from ..clock import SimTime
 from ..errors import UrlError
-from ..urls.parse import parse_url
+from ..urls.parse import intern_url
 
 DEFAULT_WINDOW_DAYS = 90.0
 DEFAULT_MAX_SIBLINGS = 6
@@ -116,8 +116,8 @@ class RedirectValidator:
     def _structurally_erroneous(self, url: str, target: str) -> str | None:
         """Root/login targets are the canonical erroneous redirects."""
         try:
-            source = parse_url(url)
-            parsed_target = parse_url(target)
+            source = intern_url(url)
+            parsed_target = intern_url(target)
         except UrlError:
             return "unparseable redirect target"
         if parsed_target.path == "/" and not parsed_target.query:

@@ -24,8 +24,8 @@ from ..clock import SimTime
 from ..net.fetch import Fetcher
 from ..rng import Stream
 from ..urls.generate import UrlFactory
-from ..urls.parse import parse_url
-from .columnar import shingle_similarity_batch
+from ..textsim.shingles import shingle_similarity_batch
+from ..urls.parse import intern_url
 
 SIMILARITY_THRESHOLD = 0.99
 
@@ -80,7 +80,7 @@ class Soft404Detector:
         fetches (and the probe-URL RNG draws) happen strictly in list
         order, which is what keeps seeded runs reproducible — but the
         shingle similarities of all undecided pairs are computed by
-        one columnar batch kernel instead of a per-record loop.
+        one batch kernel instead of a per-record loop.
 
         ``ats`` gives each URL its own probe instant (the live
         pipeline re-checks records at per-record times); the RNG draw
@@ -93,7 +93,7 @@ class Soft404Detector:
         fetched = []
         for url, when in zip(urls, times):
             result = self._fetcher.fetch(url, when)
-            probe = self._factory.random_leaf_probe(parse_url(url))
+            probe = self._factory.random_leaf_probe(intern_url(url))
             probe_result = self._fetcher.fetch(probe, when)
             fetched.append((url, probe, result, probe_result))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..archive.cdx import CdxApi, CdxQuery, MatchType
 from ..dataset.records import LinkRecord
-from ..urls.parse import QueryArgs, parse_url
+from ..urls.parse import QueryArgs, intern_url
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +91,7 @@ def spatial_analysis(
                 exclude_self=True,
             )
         )
-        params = len(QueryArgs.parse(parse_url(record.url).query))
+        params = len(QueryArgs.parse(intern_url(record.url).query))
         report.records.append(
             SpatialRecord(
                 record=record,

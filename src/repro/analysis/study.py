@@ -344,7 +344,7 @@ def assemble_report(
         # the detector consumes a sequential RNG stream, so probing in
         # record order is what keeps seeded runs reproducible; the
         # shingle similarities of the whole population are computed by
-        # one columnar batch kernel.
+        # one batch kernel.
         detector = Soft404Detector(fetcher, rngs.stream("soft404"))
         with stats.phase("soft404", tracer=tracer):
             screened = [probe for probe in probes if probe.returned_200]

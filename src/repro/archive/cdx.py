@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from ..clock import SimTime
-from ..urls.parse import parse_url
+from ..urls.parse import intern_url
 from ..urls.psl import default_psl
 from .snapshot import Snapshot
 from .store import SnapshotStore
@@ -145,7 +145,7 @@ class CdxApi:
     def _candidate_urls(self, request: CdxQuery) -> tuple[str, ...]:
         if request.match_type is MatchType.EXACT:
             return (request.url,)
-        parsed = parse_url(request.url)
+        parsed = intern_url(request.url)
         if request.match_type is MatchType.DIRECTORY:
             urls = self._store.urls_in_directory(parsed.directory)
         elif request.match_type is MatchType.DOMAIN:

@@ -82,11 +82,9 @@ class BodySketcher:
     only when some reader first asks for a sketch of that stem;
     :meth:`sketch` resolves it at once.
 
-    Sketching runs on whichever numeric backend
-    :mod:`repro.numerics` selected — the numpy kernels when the
-    ``repro[numpy]`` extra is installed, value-identical pure-stdlib
-    kernels otherwise — so crawling works in a clean install
-    (``tests/test_install_smoke.py`` pins this).
+    :func:`~repro.textsim.shingles.minhash_sketch` has a pure-Python
+    path with identical sketches, so crawling works in a clean install
+    without extras (``tests/test_install_smoke.py`` pins this).
     """
 
     def __init__(self) -> None:

@@ -46,7 +46,7 @@ from ..faults.plan import FaultPlan
 from ..net.fetch import FetchResult, Fetcher
 from ..obs.trace import Tracer
 from ..retry import RetryCounters, RetryPolicy, call_with_retry
-from ..urls.parse import ParsedUrl, parse_url
+from ..urls.parse import ParsedUrl, intern_url
 from ..urls.psl import default_psl
 
 __all__ = [
@@ -71,7 +71,7 @@ def normalize_scope_query(request: CdxQuery) -> CdxQuery | None:
     """
     if request.limit or request.match_type not in _NORMALIZABLE:
         return None
-    parsed = parse_url(request.url)
+    parsed = intern_url(request.url)
     if request.match_type is MatchType.DIRECTORY:
         scope = parsed.directory
     elif request.match_type is MatchType.HOST:

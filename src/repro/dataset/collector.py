@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..clock import SimTime
 from ..wiki.api import WikiApi
 from ..wiki.encyclopedia import Encyclopedia, PERMADEAD_CATEGORY
-from ..urls.parse import parse_url
+from ..urls.parse import intern_url
 from ..errors import UrlError
 from .records import Dataset, LinkRecord
 
@@ -81,7 +81,7 @@ class Collector:
         for link in collected:
             ranking = None
             try:
-                hostname = parse_url(link.url).host_lower
+                hostname = intern_url(link.url).host_lower
             except UrlError:
                 hostname = ""
             if hostname:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..clock import SimTime
-from ..urls.parse import parse_url
+from ..urls.parse import intern_url
 from ..urls.psl import default_psl
 
 
@@ -29,7 +29,7 @@ class LinkRecord:
     @property
     def hostname(self) -> str:
         """Hostname per the paper's definition (lowercased, no port)."""
-        return parse_url(self.url).host_lower
+        return intern_url(self.url).host_lower
 
     @property
     def domain(self) -> str:
@@ -39,7 +39,7 @@ class LinkRecord:
     @property
     def directory(self) -> str:
         """URL prefix until the last '/'."""
-        return parse_url(self.url).directory
+        return intern_url(self.url).directory
 
 
 @dataclass

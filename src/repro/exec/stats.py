@@ -25,7 +25,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from ..numerics import backend_name
+from ..numerics import BACKEND
 from ..obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
@@ -143,17 +143,10 @@ class StudyStats:
         workers: int = 1,
         shards: int = 1,
         registry: MetricsRegistry | None = None,
-        analysis_backend: str | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.workers = workers
         self.shards = shards
-        #: Which columnar numeric backend ("numpy"/"stdlib") the
-        #: analysis tier ran on — a display tag, not a counter: it is
-        #: identical across shards and never folds.
-        self.analysis_backend = (
-            analysis_backend if analysis_backend is not None else backend_name()
-        )
 
     # -- executor topology (gauges) ----------------------------------------------
 
@@ -358,7 +351,7 @@ class StudyStats:
         return {
             "workers": self.workers,
             "shards": self.shards,
-            "analysis_backend": self.analysis_backend,
+            "analysis_backend": BACKEND,
             "total_seconds": self.total_seconds,
             "phase_seconds": self.phase_seconds,
             "registry": self.registry.snapshot(),
@@ -374,7 +367,7 @@ class StudyStats:
             f"executor: {self.workers} worker(s), "
             f"{self.shards} shard(s), "
             f"{self.total_seconds:.2f}s total, "
-            f"analysis backend {self.analysis_backend}"
+            f"analysis backend {BACKEND}"
         )
         if self.shard_wall_count:
             executor_line += (

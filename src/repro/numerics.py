@@ -1,23 +1,11 @@
-"""Numeric backend selection and dual-backend primitive kernels.
+"""Whether numpy is importable, decided once at import time.
 
-The analysis tier's columnar kernels (:mod:`repro.analysis.columnar`,
-:mod:`repro.textsim.shingles`, :mod:`repro.reporting.cdf`) all run on
-one of two interchangeable numeric backends:
-
-- ``numpy`` — vectorised array kernels, used automatically when numpy
-  is importable (install the extra: ``pip install 'repro[numpy]'``);
-- ``stdlib`` — pure-Python fallbacks over ``array``/``bytes``/ints,
-  used when numpy is absent so a clean ``pip install repro`` works
-  end-to-end (the archive crawler's MinHash sketching included).
-
-The backend is selected **once at import time**; every kernel pair is
-proven value-identical by the differential tests, so the choice affects
-wall time only — never a single byte of any report.
-
-Environment override::
-
-    REPRO_ANALYSIS_BACKEND=stdlib   # force the pure-Python kernels
-    REPRO_ANALYSIS_BACKEND=numpy    # require numpy (error if missing)
+Two kernels run on numpy when it is installed, because there it
+measurably wins: the MinHash of a page and the §3 soft-404 batch of
+shingle similarities (both in :mod:`repro.textsim.shingles`). Each
+has a pure-Python twin with identical values, which a clean
+``pip install repro`` (no ``repro[numpy]`` extra) runs instead; every
+other numeric kernel has one stdlib implementation.
 
 This module sits below both ``repro.textsim`` and ``repro.analysis``
 on purpose: it imports nothing from ``repro``, so either side can use
@@ -26,135 +14,12 @@ it without creating an import cycle.
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_right
-from typing import Iterable, Sequence
+try:
+    import numpy as np
+except ImportError:
+    np = None
 
-__all__ = [
-    "BACKEND",
-    "BACKEND_ENV",
-    "backend_name",
-    "force_backend",
-    "get_numpy",
-    "is_sorted",
-    "ks_distance",
-    "sorted_floats",
-]
+__all__ = ["BACKEND", "np"]
 
-#: Environment variable that forces a backend choice at import time.
-BACKEND_ENV = "REPRO_ANALYSIS_BACKEND"
-
-_STDLIB_NAMES = ("stdlib", "python", "pure")
-
-
-def _select():
-    forced = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if forced and forced != "numpy" and forced not in _STDLIB_NAMES:
-        raise ValueError(
-            f"{BACKEND_ENV} must be 'stdlib' or 'numpy', got {forced!r}"
-        )
-    if forced in _STDLIB_NAMES:
-        return None
-    try:
-        import numpy
-    except ImportError:
-        if forced == "numpy":
-            raise ImportError(
-                f"{BACKEND_ENV}=numpy but numpy is not installed; "
-                "install the extra: pip install 'repro[numpy]'"
-            ) from None
-        return None
-    return numpy
-
-
-_np = _select()
-
-#: Backend selected at import time ("numpy" or "stdlib"). Snapshot of
-#: the import-time decision; :func:`backend_name` reflects any later
-#: :func:`force_backend` override.
-BACKEND: str = "numpy" if _np is not None else "stdlib"
-
-
-def get_numpy():
-    """The active numpy module, or ``None`` on the stdlib backend."""
-    return _np
-
-
-def backend_name() -> str:
-    """Name of the currently active backend."""
-    return "numpy" if _np is not None else "stdlib"
-
-
-def force_backend(name: str) -> str:
-    """Switch the active backend at runtime; returns the prior name.
-
-    Exists for the differential tests and benchmarks, which prove the
-    two backends value-identical inside one process. Production code
-    should rely on the import-time selection (or :data:`BACKEND_ENV`).
-    """
-    global _np
-    prior = backend_name()
-    name = name.strip().lower()
-    if name in _STDLIB_NAMES:
-        _np = None
-    elif name == "numpy":
-        import numpy  # raises ImportError if the extra is missing
-
-        _np = numpy
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    return prior
-
-
-# -- float-sample kernels (ECDF construction, KS distance) -----------------------
-
-
-def sorted_floats(sample: Iterable[float]) -> tuple[float, ...]:
-    """``sample`` as a sorted tuple of floats (ECDF backing storage).
-
-    Value-identical across backends: both produce the ascending
-    multiset of ``float(v)`` for every ``v`` in ``sample``.
-    """
-    if _np is None:
-        return tuple(sorted(float(v) for v in sample))
-    arr = _np.asarray(list(sample), dtype=_np.float64)
-    arr.sort()
-    return tuple(arr.tolist())
-
-
-def is_sorted(values: Sequence[float]) -> bool:
-    """Whether ``values`` is non-decreasing."""
-    if len(values) < 2:
-        return True
-    if _np is None:
-        return not any(b < a for a, b in zip(values, values[1:]))
-    arr = _np.asarray(values, dtype=_np.float64)
-    return bool((arr[1:] >= arr[:-1]).all())
-
-
-def ks_distance(
-    a_values: Sequence[float], b_values: Sequence[float]
-) -> float:
-    """Kolmogorov-Smirnov statistic between two *sorted* samples.
-
-    ``max |F_a(x) - F_b(x)|`` over the union grid of both samples —
-    exactly the per-grid-point bisect formulation, vectorised. Either
-    sample being empty is the caller's special case (see
-    :meth:`repro.reporting.cdf.Ecdf.ks_distance`).
-    """
-    n_a, n_b = len(a_values), len(b_values)
-    if _np is None:
-        grid = sorted(set(a_values) | set(b_values))
-        return max(
-            abs(
-                bisect_right(a_values, x) / n_a
-                - bisect_right(b_values, x) / n_b
-            )
-            for x in grid
-        )
-    a = _np.asarray(a_values, dtype=_np.float64)
-    b = _np.asarray(b_values, dtype=_np.float64)
-    grid = _np.unique(_np.concatenate((a, b)))
-    f_a = _np.searchsorted(a, grid, side="right") / n_a
-    f_b = _np.searchsorted(b, grid, side="right") / n_b
-    return float(_np.abs(f_a - f_b).max())
+#: "numpy" when numpy imported, else "stdlib".
+BACKEND: str = "numpy" if np is not None else "stdlib"

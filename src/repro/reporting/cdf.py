@@ -11,23 +11,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-
-from ..numerics import is_sorted, ks_distance, sorted_floats
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class Ecdf:
-    """An empirical CDF over a sorted sample.
-
-    Construction and the KS statistic run on the columnar numeric
-    backend (:mod:`repro.numerics`): vectorised when numpy is
-    installed, pure stdlib otherwise, value-identical either way.
-    """
+    """An empirical CDF over a sorted sample."""
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not is_sorted(self.values):
+        values = self.values
+        if any(b < a for a, b in zip(values, values[1:])):
             raise ValueError("Ecdf values must be sorted")
 
     @property
@@ -87,6 +82,31 @@ class Ecdf:
         return ks_distance(self.values, other.values)
 
 
+def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """``max |F_a(x) - F_b(x)|`` over the union grid of two non-empty
+    *sorted* samples.
+
+    One merge walk over both samples: at each distinct value ``x`` the
+    two indices stop past every copy of ``x``, so ``i / n_a`` is
+    exactly ``bisect_right(a, x) / n_a``. Once one sample runs out its
+    F is 1 and the other's only grows, so later grid points cannot
+    raise the maximum.
+    """
+    n_a, n_b = len(a), len(b)
+    i = j = 0
+    best = 0.0
+    while i < n_a and j < n_b:
+        x = a[i] if a[i] <= b[j] else b[j]
+        while i < n_a and a[i] <= x:
+            i += 1
+        while j < n_b and b[j] <= x:
+            j += 1
+        gap = abs(i / n_a - j / n_b)
+        if gap > best:
+            best = gap
+    return best
+
+
 def ecdf(sample: list[float] | list[int]) -> Ecdf:
     """Build an :class:`Ecdf` from an unsorted sample."""
-    return Ecdf(values=sorted_floats(sample))
+    return Ecdf(values=tuple(sorted(float(v) for v in sample)))

@@ -34,6 +34,10 @@ class Stream(random.Random):
     log-normal days).
     """
 
+    def __new__(cls, seed: int, name: str = "") -> "Stream":
+        # Before 3.11, random.Random.__new__ takes at most the seed.
+        return super().__new__(cls, seed)
+
     def __init__(self, seed: int, name: str = "") -> None:
         super().__init__(seed)
         self.name = name

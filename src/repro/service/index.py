@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from ..analysis.live_status import bucket_counts
 from ..errors import ReproError
 from ..net.status import FIGURE4_ORDER
 from ..reporting.cdf import Ecdf, ecdf
@@ -170,11 +171,12 @@ class LinkStatusIndex:
         self._by_domain = MappingProxyType(by_domain)
         self._by_bucket = MappingProxyType(by_bucket)
 
-        # Figure-4 counts, in presentation order — same construction
-        # as analysis.live_status.outcome_counts over the batch probes.
-        counts = {outcome.value: 0 for outcome in FIGURE4_ORDER}
-        for entry in entries:
-            counts[entry.bucket] = counts.get(entry.bucket, 0) + 1
+        # Figure-4 counts, in presentation order — the helper
+        # analysis.live_status.outcome_counts uses for the batch report.
+        counts = bucket_counts(
+            (entry.bucket for entry in entries),
+            [outcome.value for outcome in FIGURE4_ORDER],
+        )
         self._counts = MappingProxyType(counts)
 
         # Aggregate ECDFs, built by the same reporting.cdf.ecdf() the

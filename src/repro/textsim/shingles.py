@@ -14,8 +14,9 @@ import functools
 import re
 import zlib
 from array import array
+from itertools import chain
 
-from ..numerics import get_numpy
+from ..numerics import np
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -79,6 +80,155 @@ def shingle_similarity(text_a: str, text_b: str, k: int = DEFAULT_K) -> float:
     return jaccard(shingle_set(text_a, k), shingle_set(text_b, k))
 
 
+def shingle_similarity_batch(
+    pairs: list[tuple[str, str]], k: int = DEFAULT_K
+) -> list[float]:
+    """Exact k-shingle Jaccard similarity for each ``(text_a, text_b)``.
+
+    Value-identical to :func:`shingle_similarity` per pair. The §3
+    soft-404 screen calls it once per study with every undecided
+    (body, random-sibling body) pair; boilerplate bodies repeat across
+    pairs, so each distinct text is shingled once per batch. Runs on
+    numpy when it is installed (:func:`_shingle_similarity_batch_np`),
+    else on memoised :func:`shingle_set` / :func:`jaccard`.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if np is not None and pairs:
+        return _shingle_similarity_batch_np(pairs, k)
+    return _shingle_similarity_batch_py(pairs, k)
+
+
+def _shingle_similarity_batch_py(
+    pairs: list[tuple[str, str]], k: int
+) -> list[float]:
+    """The batch as :func:`jaccard` over one :func:`shingle_set` per
+    distinct text."""
+    sets: dict[str, frozenset] = {}
+
+    def shingles_of(text: str) -> frozenset:
+        found = sets.get(text)
+        if found is None:
+            found = sets[text] = shingle_set(text, k)
+        return found
+
+    return [jaccard(shingles_of(a), shingles_of(b)) for a, b in pairs]
+
+
+def _sorted_distinct(values):
+    """The distinct values of a non-empty array, ascending.
+
+    A sort and a neighbour mask: for uint64 keys this is many times
+    faster than ``np.unique`` on numpy 2.x.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _shingle_similarity_batch_np(
+    pairs: list[tuple[str, str]], k: int
+) -> list[float]:
+    """The (non-empty) batch on uint64 arrays, exact, not estimated.
+
+    Tokens get dense ids from a per-batch vocabulary and each k-shingle
+    packs its k digits (``id + 1``; 0 pads sub-k documents) into one
+    base-``vocab+1`` integer. The packing is injective while
+    ``(vocab+1)**k <= 2**64``, so shingle-set sizes, and the Jaccard
+    values, equal :func:`shingle_set`'s; a batch past that bound takes
+    :func:`_shingle_similarity_batch_py` instead. Every window of every
+    distinct document comes from k strided operations over one
+    concatenated array, and one sort yields all per-document sets.
+    """
+    # Distinct documents, and per pair the ids of its two documents.
+    docs: dict[str, int] = {}
+    refs = [
+        (docs.setdefault(a, len(docs)), docs.setdefault(b, len(docs)))
+        for a, b in pairs
+    ]
+    vocab: dict[str, int] = {}
+    token_id = vocab.setdefault
+    ids = [
+        [token_id(token, len(vocab)) for token in tokenize(text)]
+        for text in docs
+    ]
+    base = len(vocab) + 1
+    span = base ** k
+    if span > 1 << 64:
+        return _shingle_similarity_batch_py(pairs, k)
+
+    lengths = [len(doc) for doc in ids]
+    concat = np.fromiter(
+        chain.from_iterable(ids), dtype=np.uint64, count=sum(lengths)
+    ) + np.uint64(1)
+    # Flat start index of every in-document window, documents in order.
+    counts = np.maximum(np.asarray(lengths, dtype=np.int64) - (k - 1), 0)
+    starts = np.cumsum(lengths, dtype=np.int64) - lengths
+    positions = (
+        np.arange(int(counts.sum()), dtype=np.int64)
+        - np.repeat(np.cumsum(counts) - counts, counts)
+        + np.repeat(starts, counts)
+    )
+    codes = concat[positions]
+    for offset in range(1, k):
+        codes = codes * np.uint64(base) + concat[positions + offset]
+
+    # Sorted distinct codes per distinct document. Documents shorter
+    # than k hold their single truncated shingle; empty ones nothing.
+    n_docs = len(ids)
+    sets: list = [np.zeros(0, dtype=np.uint64)] * n_docs
+    if codes.size and span < 1 << 64 and n_docs * span <= 1 << 64:
+        # Codes are in [1, span): with the owning document in the sort
+        # key, one global sort gives every document's set at once.
+        owner = np.repeat(np.arange(n_docs, dtype=np.uint64), counts)
+        keys = _sorted_distinct(owner * np.uint64(span) + codes)
+        bounds = np.searchsorted(
+            keys, np.arange(n_docs, dtype=np.uint64) * np.uint64(span)
+        ).tolist() + [keys.size]
+        keys %= np.uint64(span)
+        for doc in range(n_docs):
+            if bounds[doc + 1] > bounds[doc]:
+                sets[doc] = keys[bounds[doc]: bounds[doc + 1]]
+    else:
+        offset = 0
+        for doc, windows in enumerate(counts.tolist()):
+            if windows:
+                sets[doc] = _sorted_distinct(codes[offset: offset + windows])
+                offset += windows
+    for doc, n in enumerate(lengths):
+        if 0 < n < k:
+            code = 0
+            for digit in ids[doc]:
+                code = code * base + digit + 1
+            sets[doc] = np.asarray(
+                [code * base ** (k - n)], dtype=np.uint64
+            )
+
+    out: list[float] = []
+    for ia, ib in refs:
+        if ia == ib:
+            # J(S, S) == 1.0, including the empty-vs-empty convention.
+            out.append(1.0)
+            continue
+        a, b = sets[ia], sets[ib]
+        if a.size > b.size:
+            a, b = b, a
+        if not a.size:
+            out.append(1.0 if not b.size else 0.0)
+            continue
+        # Intersection size of two sorted distinct arrays: insertion
+        # points of the smaller into the larger, then equality.
+        found = np.searchsorted(b, a)
+        inside = found < b.size
+        inter = int((b[found[inside]] == a[inside]).sum())
+        # Python int division keeps every value bit-identical to
+        # shingle_similarity.
+        out.append(inter / (a.size + b.size - inter))
+    return out
+
+
 # -- MinHash sketches ---------------------------------------------------------
 #
 # Archived snapshots cannot store full bodies at simulation scale, so
@@ -88,11 +238,11 @@ def shingle_similarity(text_a: str, text_b: str, k: int = DEFAULT_K) -> float:
 # (similarity ~1) from "distinct documents" (similarity ~0), for which
 # a small number of hash functions suffices.
 #
-# Sketching runs on whichever numeric backend repro.numerics selected:
-# vectorised numpy when available, a pure-Python mirror otherwise.
-# The two paths produce bit-identical sketches — the pure path applies
-# the same multiply/xor/rotate pipeline in masked 64-bit arithmetic —
-# so an archive built without numpy matches one built with it.
+# Sketching runs on numpy when it is installed (0.16 ms against 5.8 ms
+# per 900-token page) and on a pure-Python mirror otherwise. The two
+# produce bit-identical sketches — the pure path applies the same
+# multiply/xor/rotate pipeline in masked 64-bit arithmetic — so an
+# archive built without numpy matches one built with it.
 
 NUM_MINHASHES = 16
 
@@ -172,12 +322,12 @@ def shingle_hash_values(tokens: list[str], k: int) -> list[int]:
 
 
 @functools.cache
-def _numpy_family(np, k: int) -> tuple:
+def _numpy_family(k: int) -> tuple:
     """numpy forms of the hash-family constants for ``k``-shingles:
     ``(7, 57, shingle multipliers, permutation multipliers, xors)``.
 
-    Built on first use, not at import (numpy may be absent, and import
-    time is start-up time); one entry per ``k`` in use.
+    Built on first use, not at import (import time is start-up time);
+    one entry per ``k`` in use.
     """
     return (
         np.uint64(7),
@@ -191,16 +341,15 @@ def _numpy_family(np, k: int) -> tuple:
 def shingle_hash_vector(tokens: list[str], k: int):
     """Vector of 64-bit hashes, one per k-shingle of ``tokens`` (numpy).
 
-    Only callable on the numpy backend; stdlib callers use
-    :func:`shingle_hash_values`. Array integer arithmetic wraps modulo
+    Only callable when numpy is installed; :func:`shingle_hash_values`
+    is the pure-Python twin. Array integer arithmetic wraps modulo
     2**64 without overflow checks, which is the masking the pure path
     spells out.
     """
-    np = get_numpy()
     hashes = np.frombuffer(array("Q", _token_hashes(tokens)), dtype=np.uint64)
     if len(tokens) < k:
         k = len(tokens)
-    seven, fifty_seven, mults, _, _ = _numpy_family(np, k)
+    seven, fifty_seven, mults, _, _ = _numpy_family(k)
     width = len(tokens) - k + 1
     mixed = np.zeros(width, dtype=np.uint64)
     for offset in range(k):
@@ -220,14 +369,14 @@ def _minhash_py(tokens: list[str], k: int) -> tuple[int, ...]:
     )
 
 
-def _minhash_np(np, tokens: list[str], k: int) -> tuple[int, ...]:
+def _minhash_np(tokens: list[str], k: int) -> tuple[int, ...]:
     """Vectorised MinHash over the shingle hashes.
 
     Repeated shingles are not removed first: a minimum over a multiset
     equals the minimum over its set, so the sketch is the same.
     """
     shingle_hashes = shingle_hash_vector(tokens, k)
-    _, _, _, mults, xors = _numpy_family(np, k)
+    _, _, _, mults, xors = _numpy_family(k)
     permuted = (shingle_hashes[None, :] ^ xors) * mults
     return tuple(permuted.min(axis=1).tolist())
 
@@ -237,15 +386,14 @@ def minhash_sketch(text: str, k: int = DEFAULT_K) -> tuple[int, ...]:
 
     Empty documents sketch to all-zeros sentinel values so that two
     empty bodies compare as identical. The sketch is a pure function
-    of the text — bit-identical on either numeric backend.
+    of the text — bit-identical with and without numpy.
     """
     tokens = tokenize(text)
     if not tokens:
         return (0,) * NUM_MINHASHES
-    np = get_numpy()
     if np is None:
         return _minhash_py(tokens, k)
-    return _minhash_np(np, tokens, k)
+    return _minhash_np(tokens, k)
 
 
 def sketch_similarity(a: tuple[int, ...], b: tuple[int, ...]) -> float:

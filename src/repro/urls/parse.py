@@ -171,12 +171,12 @@ def intern_url(url: str) -> ParsedUrl:
 
 def hostname_of(url: str) -> str:
     """The paper's hostname extraction, lowercased and without a port."""
-    return parse_url(url).host_lower
+    return intern_url(url).host_lower
 
 
 def directory_prefix(url: str) -> str:
     """The paper's directory prefix: everything until the last '/'."""
-    return parse_url(url).directory
+    return intern_url(url).directory
 
 
 def normalize(url: str) -> str:

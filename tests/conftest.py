@@ -14,6 +14,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,6 +165,56 @@ def artifact_dir(tmp_path):
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+#: Prepended to a child script by :func:`run_python`: makes every
+#: ``import numpy`` raise, as in an install without the numpy extra.
+_BLOCK_NUMPY = """\
+import sys
+
+
+class _NumpyBlocker:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked in this interpreter")
+        return None
+
+
+sys.meta_path.insert(0, _NumpyBlocker())
+"""
+
+
+def run_python(
+    script: str, *args: str, block_numpy: bool, stdin: str = ""
+) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``.
+
+    With ``block_numpy`` the child cannot import numpy, whether or not
+    it is installed here — the numpy-free install, in one process.
+    Returns the child's stdout; a non-zero exit fails the test with
+    its stderr.
+    """
+    if block_numpy:
+        script = _BLOCK_NUMPY + script
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, f"child interpreter failed:\n{proc.stderr}"
+    return proc.stdout
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """:func:`run_python`, for tests that need a fresh interpreter."""
+    return run_python
 
 
 #: ``REPRO_UPDATE_GOLDENS=1 pytest <files>`` re-records every golden the

@@ -2,11 +2,8 @@
 
 import importlib.util
 import json
-import os
 import pickle
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +27,6 @@ from repro.faults.plan import FaultPlan
 from repro.net.fetch import Fetcher, FetchResult
 from repro.net.http import HttpRequest
 from repro.net.status import Outcome
-from repro.numerics import force_backend
 from repro.rng import Stream
 from repro.textsim import shingles
 from repro.textsim.content import PageCore
@@ -719,16 +715,17 @@ class TestSketchIdentity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", sorted(BODY_KINDS))
-    def test_identity_sketch_equals_text_sketch(self, kind, backend):
+    def test_identity_sketch_equals_text_sketch(
+        self, kind, backend, monkeypatch
+    ):
+        if backend == "stdlib":
+            # minhash_sketch takes its pure-Python path without numpy.
+            monkeypatch.setattr(shingles, "np", None)
         response = BODY_KINDS[kind]
-        prior = force_backend(backend)
-        try:
-            pending = BodySketcher().pending(response.content)
-            assert pending.resolve() == shingles.minhash_sketch(
-                _stem(response.body)
-            )
-        finally:
-            force_backend(prior)
+        pending = BodySketcher().pending(response.content)
+        assert pending.resolve() == shingles.minhash_sketch(
+            _stem(response.body)
+        )
 
     def test_unresolved_pickle_carries_identity_only(self):
         for kind in GENERATED:
@@ -739,7 +736,9 @@ class TestSketchIdentity:
             assert _stem(BODY_KINDS[kind].body).encode() not in data
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fresh_interpreter_resolves_the_same(self, backend, tmp_path):
+    def test_fresh_interpreter_resolves_the_same(
+        self, backend, tmp_path, fresh_python
+    ):
         kinds = sorted(BODY_KINDS)
         path = tmp_path / "pending.pickle"
         path.write_bytes(
@@ -749,20 +748,16 @@ class TestSketchIdentity:
         )
         script = (
             "import json, pickle, sys\n"
-            "from repro.numerics import backend_name\n"
+            "from repro.numerics import BACKEND\n"
             "pending = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-            "print(json.dumps([backend_name(),"
+            "print(json.dumps([BACKEND,"
             " [list(p.resolve()) for p in pending]]))\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, REPRO_ANALYSIS_BACKEND=backend)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
+        name, sketches = json.loads(
+            fresh_python(
+                script, str(path), block_numpy=backend == "stdlib"
+            )
         )
-        assert proc.returncode == 0, proc.stderr
-        name, sketches = json.loads(proc.stdout)
         assert name == backend
         assert sketches == [
             list(shingles.minhash_sketch(_stem(BODY_KINDS[k].body)))

@@ -1,52 +1,40 @@
-"""Differential tests for the columnar analysis kernels.
+"""Differential tests for the numeric kernels.
 
-The contract of :mod:`repro.analysis.columnar` is *value identity*:
-every batch kernel, on either numeric backend, must equal the
-per-record reference implementation in :mod:`repro.textsim.shingles` /
-:mod:`repro.reporting.cdf` exactly — not approximately. These tests
-pin that with hypothesis-driven comparisons on both backends inside
-one process (via ``force_backend``), capped by a byte-compare of the
-whole golden study report rendered under each backend.
+Two kernels have a numpy implementation beside the pure-Python one,
+chosen by whether numpy imports (:mod:`repro.numerics`): MinHash
+sketching and the §3 soft-404 shingle-similarity batch, both in
+:mod:`repro.textsim.shingles`. Their contract is *value identity*:
+each numpy kernel must equal its pure-Python reference exactly, not
+approximately, which these tests pin by calling both directly. The
+stdlib-only kernels — the Figure 4 histogram, ECDF construction and
+the merge-walk KS distance — are pinned against their plain
+formulations. The whole-report byte compare without numpy lives in
+``tests/test_install_smoke.py``.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import math
 from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import columnar
-from repro.reporting.cdf import Ecdf, ecdf
+from repro.analysis.live_status import bucket_counts
+from repro.reporting.cdf import Ecdf, ecdf, ks_distance
+from repro.textsim import shingles
 from repro.textsim.shingles import (
     minhash_sketch,
     shingle_set,
     shingle_similarity,
+    shingle_similarity_batch,
     sketch_similarity,
+    tokenize,
 )
 
-NUMPY_AVAILABLE = importlib.util.find_spec("numpy") is not None
-
-BACKENDS = ["stdlib"] + (["numpy"] if NUMPY_AVAILABLE else [])
-
-
-def each_backend(check) -> None:
-    """Run ``check(backend_name)`` under every installed backend.
-
-    A loop rather than a fixture so hypothesis examples exercise both
-    backends without tripping the function-scoped-fixture health
-    check; the prior backend is always restored.
-    """
-    for name in BACKENDS:
-        prior = columnar.force_backend(name)
-        try:
-            check(name)
-        finally:
-            columnar.force_backend(prior)
-
+needs_numpy = pytest.mark.skipif(
+    shingles.np is None, reason="needs numpy for the numpy kernels"
+)
 
 # A small shared vocabulary (so shingle sets actually collide) plus
 # tokens that exercise tokenize(): case folding, punctuation
@@ -73,6 +61,14 @@ tie_prone_floats = st.one_of(
 )
 
 
+def _batch_kernels():
+    """Every implementation of the shingle-similarity batch."""
+    kernels = [shingles._shingle_similarity_batch_py]
+    if shingles.np is not None:
+        kernels.append(shingles._shingle_similarity_batch_np)
+    return kernels
+
+
 # -- shingle / MinHash kernels ----------------------------------------------------
 
 
@@ -81,82 +77,47 @@ class TestShingleKernels:
     @settings(max_examples=120, deadline=None)
     def test_shingle_similarity_batch_matches_reference(self, pairs, k):
         expected = [shingle_similarity(a, b, k) for a, b in pairs]
+        assert shingle_similarity_batch(pairs, k) == expected
+        # The dispatcher answers an empty batch itself.
+        for kernel in _batch_kernels() if pairs else ():
+            assert kernel(pairs, k) == expected
 
-        def check(name):
-            assert columnar.shingle_similarity_batch(pairs, k) == expected
-
-        each_backend(check)
-
-    @given(st.lists(texts, max_size=8), shingle_widths)
+    @needs_numpy
+    @given(texts.filter(lambda text: tokenize(text)), shingle_widths)
     @settings(max_examples=100, deadline=None)
-    def test_minhash_batch_matches_scalar_on_both_backends(self, docs, k):
-        results = {}
-
-        def check(name):
-            scalar = [minhash_sketch(t, k) for t in docs]
-            batch = columnar.minhash_sketch_batch(docs, k)
-            assert batch == scalar
-            results[name] = batch
-
-        each_backend(check)
-        # Bit-identical *across* backends, not just batch-vs-scalar
-        # within one: an archive built without numpy matches one
+    def test_minhash_numpy_matches_pure_python(self, text, k):
+        # Bit-identical: an archive built without numpy matches one
         # built with it.
-        assert len(set(map(tuple, results.values()))) == 1
-
-    @given(st.lists(texts, min_size=2, max_size=6))
-    @settings(max_examples=80, deadline=None)
-    def test_sketch_similarity_batch_matches_scalar(self, docs):
-        sketches = [minhash_sketch(t) for t in docs]
-        pairs = [
-            (a, b) for a in sketches for b in sketches
-        ]
-        expected = [sketch_similarity(a, b) for a, b in pairs]
-
-        def check(name):
-            assert columnar.sketch_similarity_batch(pairs) == expected
-
-        each_backend(check)
+        tokens = tokenize(text)
+        expected = shingles._minhash_py(tokens, k)
+        assert shingles._minhash_np(tokens, k) == expected
+        assert minhash_sketch(text, k) == expected
 
     def test_shingle_similarity_batch_rejects_bad_k(self):
-        def check(name):
-            with pytest.raises(ValueError):
-                columnar.shingle_similarity_batch([("a b", "a b")], 0)
+        with pytest.raises(ValueError):
+            shingle_similarity_batch([("a b", "a b")], 0)
 
-        each_backend(check)
-
-    def test_sketch_similarity_batch_rejects_ragged_pairs(self):
+    def test_sketch_similarity_rejects_ragged_pairs(self):
         good = minhash_sketch("alpha beta gamma delta epsilon")
-
-        def check(name):
-            with pytest.raises(ValueError):
-                columnar.sketch_similarity_batch([(good, good[:-1])])
-            with pytest.raises(ValueError):
-                columnar.sketch_similarity_batch([((), ())])
-
-        each_backend(check)
+        with pytest.raises(ValueError):
+            sketch_similarity(good, good[:-1])
+        with pytest.raises(ValueError):
+            sketch_similarity((), ())
 
     def test_wide_shingles_overflow_uint64_packing_exactly(self):
         """k wide enough that (vocab+1)**k > 2**64 stays exact.
 
         The numpy packing cannot be injective in uint64 here, so the
-        implementation must take its arbitrary-precision fallback
-        rather than return an approximate Jaccard.
+        kernel must take the pure-Python path rather than return an
+        approximate Jaccard.
         """
         a = " ".join(_WORDS[i % 10] for i in range(60))
         b = " ".join(_WORDS[(i + 3) % 10] for i in range(55))
+        pairs = [(a, b), (a, a), ("", b), ("alpha beta", b)]
         for k in (40, 64, 65):
-            expected = [
-                shingle_similarity(a, b, k),
-                shingle_similarity(a, a, k),
-                shingle_similarity("", b, k),
-            ]
-            pairs = [(a, b), (a, a), ("", b)]
-
-            def check(name):
-                assert columnar.shingle_similarity_batch(pairs, k) == expected
-
-            each_backend(check)
+            expected = [shingle_similarity(x, y, k) for x, y in pairs]
+            for kernel in _batch_kernels():
+                assert kernel(pairs, k) == expected
 
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
@@ -167,9 +128,7 @@ class TestShingleKernels:
         the lowercased text); the ASCII fast lane must never deviate,
         on ASCII or otherwise.
         """
-        from repro.textsim.shingles import _TOKEN_RE, tokenize
-
-        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+        assert tokenize(text) == shingles._TOKEN_RE.findall(text.lower())
 
     @given(texts, texts, shingle_widths)
     @settings(max_examples=60, deadline=None)
@@ -199,33 +158,23 @@ class TestBucketCounts:
         reference: dict[str, int] = {key: 0 for key in order}
         for label in labels:
             reference[label] = reference.get(label, 0) + 1
-
-        def check(name):
-            result = columnar.bucket_counts(labels, order)
-            assert result == reference
-            # dict equality ignores ordering; the Figure 4 contract
-            # does not — ordered keys first, extras in first-seen
-            # order.
-            assert list(result) == list(reference)
-
-        each_backend(check)
+        result = bucket_counts(labels, order)
+        assert result == reference
+        # dict equality ignores ordering; the Figure 4 contract does
+        # not — ordered keys first, extras in first-seen order.
+        assert list(result) == list(reference)
 
     def test_accepts_any_iterable(self):
-        def check(name):
-            result = columnar.bucket_counts(
-                (label for label in ["b", "a", "b"]), order=("a",)
-            )
-            assert result == {"a": 1, "b": 2}
-            assert list(result) == ["a", "b"]
-
-        each_backend(check)
+        result = bucket_counts((label for label in ["b", "a", "b"]), ("a",))
+        assert result == {"a": 1, "b": 2}
+        assert list(result) == ["a", "b"]
 
 
-# -- float kernels: sorted_floats / ks_distance -----------------------------------
+# -- float kernels: ECDF construction / ks_distance -------------------------------
 
 
 def _legacy_ks(a_values, b_values) -> float:
-    """The pre-columnar per-grid-point KS formulation."""
+    """The per-grid-point bisect formulation of the KS statistic."""
     grid = sorted(set(a_values) | set(b_values))
     return max(
         abs(
@@ -240,36 +189,27 @@ class TestFloatKernels:
     @given(st.lists(tie_prone_floats, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_sorted_floats_matches_sorted(self, sample):
-        expected = tuple(sorted(float(v) for v in sample))
-
-        def check(name):
-            assert columnar.sorted_floats(sample) == expected
-
-        each_backend(check)
+        assert ecdf(sample).values == tuple(sorted(float(v) for v in sample))
 
     @given(
         st.lists(tie_prone_floats, min_size=1, max_size=30),
         st.lists(tie_prone_floats, min_size=1, max_size=30),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_ks_distance_matches_legacy_bisect_form(self, a, b):
+        # Tie-prone draws give duplicates within a sample and values
+        # shared by both, the cases where a merge walk can go wrong.
         a_sorted = tuple(sorted(float(v) for v in a))
         b_sorted = tuple(sorted(float(v) for v in b))
         expected = _legacy_ks(a_sorted, b_sorted)
-
-        def check(name):
-            assert columnar.ks_distance(a_sorted, b_sorted) == expected
-
-        each_backend(check)
+        assert ks_distance(a_sorted, b_sorted) == expected
+        assert ks_distance(b_sorted, a_sorted) == expected
 
     def test_ecdf_ks_empty_conventions(self):
-        def check(name):
-            assert ecdf([]).ks_distance(ecdf([])) == 0.0
-            assert ecdf([]).ks_distance(ecdf([1.0])) == 1.0
-            assert ecdf([1.0]).ks_distance(ecdf([])) == 1.0
-            assert ecdf([1.0, 2.0]).ks_distance(ecdf([1.0, 2.0])) == 0.0
-
-        each_backend(check)
+        assert ecdf([]).ks_distance(ecdf([])) == 0.0
+        assert ecdf([]).ks_distance(ecdf([1.0])) == 1.0
+        assert ecdf([1.0]).ks_distance(ecdf([])) == 1.0
+        assert ecdf([1.0, 2.0]).ks_distance(ecdf([1.0, 2.0])) == 0.0
 
 
 # -- Ecdf properties --------------------------------------------------------------
@@ -290,12 +230,9 @@ class TestEcdfProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_quantile_is_smallest_value_reaching_q(self, sample, q):
-        def check(name):
-            curve = ecdf(sample)
-            oracle = next(v for v in curve.values if curve.at(v) >= q)
-            assert curve.quantile(q) == oracle
-
-        each_backend(check)
+        curve = ecdf(sample)
+        oracle = next(v for v in curve.values if curve.at(v) >= q)
+        assert curve.quantile(q) == oracle
 
     def test_quantile_rejects_bad_input(self):
         curve = ecdf([1.0, 2.0])
@@ -307,60 +244,16 @@ class TestEcdfProperties:
     @given(st.lists(tie_prone_floats, min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_series_dedupes_ties_and_closes_at_one(self, sample):
-        def check(name):
-            curve = ecdf(sample)
-            pairs = curve.series(points=10)
-            xs = [x for x, _ in pairs]
-            fs = [f for _, f in pairs]
-            # Strictly increasing x (tied sample values collapse to
-            # one point), consistent F, and the curve closes at
-            # (max, 1.0).
-            assert xs == sorted(set(xs))
-            assert fs == [curve.at(x) for x in xs]
-            assert pairs[-1] == (curve.values[-1], 1.0)
-
-        each_backend(check)
-
-    @given(st.lists(tie_prone_floats, max_size=40))
-    @settings(max_examples=80, deadline=None)
-    def test_ecdf_construction_identical_across_backends(self, sample):
-        built = {}
-
-        def check(name):
-            built[name] = ecdf(sample).values
-
-        each_backend(check)
-        assert len(set(built.values())) == 1
+        curve = ecdf(sample)
+        pairs = curve.series(points=10)
+        xs = [x for x, _ in pairs]
+        fs = [f for _, f in pairs]
+        # Strictly increasing x (tied sample values collapse to one
+        # point), consistent F, and the curve closes at (max, 1.0).
+        assert xs == sorted(set(xs))
+        assert fs == [curve.at(x) for x in xs]
+        assert pairs[-1] == (curve.values[-1], 1.0)
 
     def test_ecdf_rejects_unsorted_values(self):
-        def check(name):
-            with pytest.raises(ValueError):
-                Ecdf(values=(2.0, 1.0))
-
-        each_backend(check)
-
-
-# -- the capstone: whole-report byte identity -------------------------------------
-
-
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="needs both backends")
-def test_golden_report_bytes_identical_across_backends():
-    """The full golden study renders byte-identically per backend.
-
-    This is the end-to-end form of the kernel-level differential
-    tests above: world generation, every analysis phase, ECDF and
-    figure rendering — one run forced onto each backend, compared as
-    raw text. (The committed snapshot comparison lives in
-    ``tests/test_golden_report.py``; this test pins backend
-    independence even when the snapshot itself is regenerated.)
-    """
-    from repro.reporting.golden import render_golden_report
-
-    rendered = {}
-    for name in BACKENDS:
-        prior = columnar.force_backend(name)
-        try:
-            rendered[name] = render_golden_report()
-        finally:
-            columnar.force_backend(prior)
-    assert rendered["stdlib"] == rendered["numpy"]
+        with pytest.raises(ValueError):
+            Ecdf(values=(2.0, 1.0))

@@ -5,26 +5,21 @@ unconditionally, so a clean ``pip install repro`` (no extras) broke
 ``repro.archive.crawler`` — world generation died inside
 :class:`~repro.archive.crawler.BodySketcher` before a single capture.
 
-These tests recreate that clean-install world inside a subprocess by
-installing a ``sys.meta_path`` blocker that makes ``import numpy``
-raise, then drive the exact path that used to break: import the
-crawler, sketch bodies, and generate a whole (tiny) world. The parent
-process compares the subprocess's sketches and world census against
-its own — when numpy is installed here, that is a full cross-backend
-differential check riding along for free.
+These tests recreate that clean-install world inside a subprocess
+whose ``sys.meta_path`` makes ``import numpy`` raise (the
+``fresh_python`` fixture), then drive the exact path that used to
+break: import the crawler, sketch bodies, and generate a whole (tiny)
+world. The parent process compares the subprocess's sketches, world
+census and rendered golden report against its own — when numpy is
+installed here, that is a full differential check of the numpy and
+pure-Python kernels riding along for free.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Bodies covering the sketching edge cases: normal prose, repeated
 #: tokens, fewer tokens than the shingle width, one token, and empty.
@@ -42,16 +37,6 @@ TINY_WORLD = {"n_links": 80, "target_sample": 40, "seed": 11}
 
 _CHILD_SCRIPT = """
 import json, sys
-
-
-class _NumpyBlocker:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy is blocked by the install smoke test")
-        return None
-
-
-sys.meta_path.insert(0, _NumpyBlocker())
 
 import repro.numerics as numerics
 
@@ -82,31 +67,16 @@ print(
 """
 
 
-def _run_numpy_free_child() -> dict:
-    """Run the blocker subprocess; returns its JSON report."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    # The child must exercise *default* selection with numpy absent;
-    # a forced-numpy override from the parent run would (correctly)
-    # refuse to start under the blocker.
-    env.pop("REPRO_ANALYSIS_BACKEND", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD_SCRIPT],
-        input=json.dumps({"texts": SAMPLE_BODIES, "world": TINY_WORLD}),
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, (
-        f"numpy-free child failed:\n{proc.stderr}"
-    )
-    return json.loads(proc.stdout)
-
-
 @pytest.fixture(scope="module")
-def child_report() -> dict:
-    return _run_numpy_free_child()
+def child_report(fresh_python) -> dict:
+    """The numpy-free child's JSON report."""
+    return json.loads(
+        fresh_python(
+            _CHILD_SCRIPT,
+            block_numpy=True,
+            stdin=json.dumps({"texts": SAMPLE_BODIES, "world": TINY_WORLD}),
+        )
+    )
 
 
 def test_numpy_free_interpreter_selects_stdlib_backend(child_report):
@@ -138,3 +108,23 @@ def test_numpy_free_world_generation_crawls_cleanly(child_report):
     assert child_report["snapshot_urls"] == world.store.url_count()
     assert child_report["capture_attempts"] == world.crawler.capture_attempts
     assert child_report["sketch_misses"] == world.crawler._sketcher.misses
+
+
+def test_golden_report_bytes_identical_without_numpy(fresh_python):
+    """The golden study renders byte-identically without numpy.
+
+    The end-to-end form of the kernel differential tests in
+    ``tests/test_columnar.py``: world generation, every analysis
+    phase, ECDF and figure rendering in a numpy-free child, compared
+    as raw text with this process's render. (The committed snapshot
+    comparison lives in ``tests/test_golden_report.py``; this test
+    pins numpy independence even when the snapshot is regenerated.)
+    """
+    from repro.reporting.golden import render_golden_report
+
+    script = (
+        "import sys\n"
+        "from repro.reporting.golden import render_golden_report\n"
+        "sys.stdout.write(render_golden_report())\n"
+    )
+    assert fresh_python(script, block_numpy=True) == render_golden_report()

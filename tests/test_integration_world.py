@@ -206,6 +206,16 @@ class TestPayOnce:
         }
         assert len(lookups) <= len(hosts)
 
+        # The study after generation shares the memo: it parses only
+        # the URL strings it is the first to see, each once.
+        from repro.analysis.study import Study
+
+        seen = set(parses)
+        del parses[:]
+        Study.from_world(world).run()
+        assert parses
+        assert len(parses) <= len(set(parses) - seen)
+
 
 class TestCollector:
     def test_history_mining_matches_truth(self, small_world):

@@ -1,5 +1,7 @@
 """Tests for repro.rng."""
 
+import random
+
 import pytest
 
 from repro.rng import RngRegistry, Stream, derive_seed
@@ -81,6 +83,16 @@ class TestStream:
     def test_weighted_choice_empty_rejected(self):
         with pytest.raises(ValueError):
             Stream(1).weighted_choice(())
+
+    def test_named_stream_draws_equal_seeded_random(self):
+        # Python 3.10's random.Random.__new__ rejects a second argument.
+        stream = Stream(13, "soft404")
+        plain = random.Random(13)
+        assert stream.name == "soft404"
+        assert [stream.random() for _ in range(5)] == [
+            plain.random() for _ in range(5)
+        ]
+        assert stream.randrange(1000) == plain.randrange(1000)
 
     def test_chance_extremes(self):
         rng = Stream(7)
