@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.study import Study
-from repro.backends import StackConfig
 from repro.dataset.collector import Collector
 from repro.dataset.sampler import sample_iabot_marked
 from repro.dataset.worldgen import WorldConfig, generate_world
@@ -31,10 +30,6 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "11"))
 #: The paper samples 10,000; we sample proportionally to world size.
 BENCH_SAMPLE = int(os.environ.get("REPRO_BENCH_SAMPLE", "10000"))
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-#: Fault/retry posture for the session study (same env knobs as the
-#: CLIs: REPRO_FAULT_PLAN / REPRO_FAULT_RATE / REPRO_RETRIES …);
-#: defaults to the clean, retry-less stack the benchmarks report on.
-STACK_CONFIG = StackConfig.from_env()
 
 #: Where benches write their BENCH_*.json digests. Defaults to the
 #: repo root (the committed copies EXPERIMENTS.md quotes); the smoke
@@ -80,13 +75,10 @@ def world():
 
 @pytest.fixture(scope="session")
 def report(world):
-    """The full study over the benchmark universe."""
+    """The full study over the benchmark universe, on the clean,
+    retry-less stack the benchmarks report on."""
     executor = StudyExecutor(workers=BENCH_WORKERS)
-    return Study.from_world(
-        world,
-        faults=STACK_CONFIG.build_faults(),
-        retry_policy=STACK_CONFIG.build_retry_policy(),
-    ).run(executor=executor)
+    return Study.from_world(world).run(executor=executor)
 
 
 @pytest.fixture(scope="session")

@@ -88,7 +88,7 @@ class SnapshotStore:
             column.insert(index, days)
             captures.observations.insert(index, observation)
         else:
-            # Captures arrive in time order during replay.
+            # Captures arrive in time order during generation's crawl.
             column.append(days)
             captures.observations.append(observation)
         captures.rows = captures.served = None

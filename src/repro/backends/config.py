@@ -4,9 +4,7 @@ Six knobs shape a study's backends: fault plan, fault rate, fault
 seed, retry budget, trace path and metrics path. :class:`StackConfig`
 is their single home: one frozen dataclass, one ``add_stack_args`` /
 ``from_args`` pair for the ``python -m repro`` subcommands (flags read
-only argv), one ``from_env`` for the benchmark fixtures (the
-``REPRO_FAULT_*`` and ``REPRO_RETRIES`` variables), and builders that
-turn the knobs into the live objects
+only argv), and builders that turn the knobs into the live objects
 (:class:`~repro.faults.plan.FaultPlan`,
 :class:`~repro.retry.RetryPolicy`, :class:`~repro.obs.trace.Tracer`).
 """
@@ -14,10 +12,8 @@ turn the knobs into the live objects
 from __future__ import annotations
 
 import argparse
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 from ..faults.plan import FaultPlan
 from ..obs.trace import Tracer
@@ -108,19 +104,6 @@ class StackConfig:
             retries=args.retries,
             trace=args.trace,
             metrics_json=args.metrics_json,
-        )
-
-    @classmethod
-    def from_env(
-        cls, environ: Mapping[str, str] | None = None
-    ) -> "StackConfig":
-        """The config for flag-less consumers (benchmark fixtures)."""
-        env = os.environ if environ is None else environ
-        return cls(
-            fault_plan=env.get("REPRO_FAULT_PLAN", "everywhere"),
-            fault_rate=float(env.get("REPRO_FAULT_RATE", "0.0")),
-            fault_seed=int(env.get("REPRO_FAULT_SEED", "0")),
-            retries=int(env.get("REPRO_RETRIES", "0")),
         )
 
     # -- builders ----------------------------------------------------------------

@@ -8,7 +8,7 @@ also decides when the archive will attempt to capture each URL:
 - wiki-linked pages get an explicit *archive-attention profile*
   (captured while alive / captured only after breaking / never
   attempted), the calibration lever behind the paper's §4/§5 splits —
-  the capture *outcomes* still come from real fetches at replay time;
+  the capture *outcomes* still come from real fetches at crawl time;
 - sites' homepages and extra pages follow popularity-driven organic
   revisit schedules (they furnish Figure 6's coverage counts and the
   §4.2 sibling-redirect evidence).
@@ -78,7 +78,7 @@ class TruthRecord:
 
 @dataclass
 class BuiltWeb:
-    """Everything the builder hands to the replay stage."""
+    """Everything the builder hands to the crawl and replay stages."""
 
     web: LiveWeb
     seeds: list[CrawlSeed] = field(default_factory=list)
@@ -823,7 +823,7 @@ class WebBuilder:
         Profiles (probabilities in the config): captured while the URL
         still worked, captured only after it broke, or never attempted.
         Event-feed (WNRT/EventStream) captures are scheduled separately
-        by the replay assembler.
+        by world generation's capture planner.
         """
         config = self._config
         if not config.crawl_policy.crawlable(link.url):

@@ -1,7 +1,7 @@
 """Universe planning: which sites exist, which links live where.
 
-Planning is the first of three world-generation stages (plan → build →
-replay). It decides, for every external link the synthetic Wikipedia
+Planning is the first of four world-generation stages (plan → build →
+crawl → replay). It decides, for every external link the synthetic Wikipedia
 will ever carry:
 
 - which site hosts it (domain sizes follow Figure 3a's power law);

@@ -1,4 +1,4 @@
-"""World generation: plan → build → replay.
+"""World generation: plan → build → crawl → replay.
 
 :func:`generate_world` produces a complete, self-consistent universe:
 
@@ -6,20 +6,21 @@
    (:mod:`repro.dataset.planner`);
 2. **build** — the live web with page lifecycles and the archive's
    organic crawl seeds (:mod:`repro.dataset.builder`);
-3. **replay** — every event in strict time order: human edits post
+3. **crawl** — every organic, profile-scheduled and event-triggered
+   capture attempt, in time order, into the archive;
+4. **replay** — every wiki event in strict time order: human edits post
    links to articles, occasional humans annotate dead links, and
    InternetArchiveBot sweeps the wiki, patching what it can and
-   marking the rest permanently dead. The archive's organic and
-   event-triggered captures run in their own time order beside these
-   events: each sweep is preceded by every capture due at or before
-   its instant.
+   marking the rest permanently dead.
 
-Because the replay is chronological, nothing ever observes the future:
-a 2016 bot sweep sees only the snapshots captured by 2016, which is
-what makes the paper's §4.1 "copies existed before marking" analysis
-measurable rather than baked in. Only sweeps read the archive, and
-captures read nothing but the web, so running a capture at any point
-before the first sweep that could see it stores the same archive.
+Nothing observes the future: a sweep reads the archive only as it stood
+at the sweep's instant (captures at that instant included), so a 2016
+bot sweep sees only the snapshots captured by 2016, which is what makes
+the paper's §4.1 "copies existed before marking" analysis measurable
+rather than baked in. Captures read nothing but the web, and the store
+keeps each URL's captures sorted by time, so an as-of read is a cut of
+the finished archive and the whole crawl can run before the first
+event.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..archive.availability import AvailabilityApi, AvailabilityPolicy
@@ -45,7 +45,7 @@ from ..archive.store import SnapshotStore
 from ..clock import EVENTSTREAM_START, STUDY_TIME, SimTime, WNRT_START
 from ..errors import WorldGenError
 from ..iabot.archive_client import IABotArchiveClient
-from ..iabot.bot import InternetArchiveBot
+from ..iabot.bot import InternetArchiveBot, SweepShards
 from ..iabot.checker import LinkChecker
 from ..iabot.config import IABotConfig
 from ..net.fetch import Fetcher
@@ -283,7 +283,8 @@ def generate_world(config: WorldConfig | None = None) -> World:
     built = WebBuilder(config, rngs).build(plans)
     all_links = [link for plan in plans for link in plan.links]
 
-    events, captures = _assemble_events(config, rngs, built, all_links)
+    captures = _plan_captures(config, rngs, built, all_links)
+    events = _assemble_events(config, rngs, built, all_links)
 
     encyclopedia = Encyclopedia()
     store = SnapshotStore()
@@ -306,7 +307,12 @@ def generate_world(config: WorldConfig | None = None) -> World:
         ),
     )
 
-    _replay(events, captures, encyclopedia, crawler, bot, config.sweep_shards)
+    # The whole crawl runs first; each sweep then reads the archive as
+    # of its own instant.
+    capture_at = crawler.capture_at
+    for days, url in captures:
+        capture_at(url, days)
+    _replay(events, encyclopedia, bot, config.sweep_shards)
 
     return World(
         config=config,
@@ -338,8 +344,43 @@ class _Event(NamedTuple):
         return (self.days, int(self.kind), self.seq)
 
 
-#: One planned capture: ``(days, seq, url)``, ordered like the tuple.
-_Capture = tuple[float, int, str]
+def _plan_captures(
+    config: WorldConfig,
+    rngs: RngRegistry,
+    built: BuiltWeb,
+    all_links: list[LinkPlan],
+) -> list[tuple[float, str]]:
+    """Every capture attempt before the study as ``(days, url)`` pairs,
+    sorted by day; captures on one day keep plan order."""
+    captures: list[tuple[float, str]] = []
+
+    # Organic captures.
+    crawl_rng = rngs.stream("crawl.organic")
+    organic = OrganicCrawlPlanner(horizon=config.study_time)
+    for seed in built.seeds:
+        if not config.crawl_policy.crawlable(seed.url):
+            continue
+        for days in organic.plan_days(
+            seed.available_from, seed.rate_per_year, crawl_rng
+        ):
+            captures.append((days, seed.url))
+
+    # Profile-scheduled capture attempts for the wiki-linked URLs.
+    for url, instant in built.fixed_captures:
+        if instant < config.study_time:
+            captures.append((instant.days, url))
+
+    # Event-triggered captures (WNRT / EventStream).
+    trigger = TriggeredArchiver(config.trigger_eras(), rngs.stream("crawl.trigger"))
+    for link in all_links:
+        if not config.crawl_policy.crawlable(link.url):
+            continue
+        instant = trigger.capture_time_for(link.posted_at)
+        if instant is not None and instant < config.study_time:
+            captures.append((instant.days, link.url))
+
+    captures.sort(key=itemgetter(0))  # stable: ties keep plan order
+    return captures
 
 
 def _assemble_events(
@@ -347,20 +388,14 @@ def _assemble_events(
     rngs: RngRegistry,
     built: BuiltWeb,
     all_links: list[LinkPlan],
-) -> tuple[list[_Event], list[_Capture]]:
-    """The wiki, human-mark and sweep events, and the captures, each
-    sorted. Both draw sequence numbers from one counter, in plan order."""
+) -> list[_Event]:
+    """The wiki, human-mark and sweep events, sorted."""
     events: list[_Event] = []
-    captures: list[_Capture] = []
     seq = itertools.count()
 
     def push(days: float, kind: _EventKind, payload: tuple) -> None:
         """Append one replay event with a stable sequence number."""
         events.append(_Event(days, kind, next(seq), payload))
-
-    def push_capture(days: float, url: str) -> None:
-        """Append one capture with a stable sequence number."""
-        captures.append((days, next(seq), url))
 
     # Wiki edits: group links into articles, one creation edit plus one
     # edit per later link.
@@ -382,31 +417,6 @@ def _assemble_events(
                 _EventKind.ADD_LINK,
                 (title, link, wiki_rng.chance(0.8)),
             )
-
-    # Organic captures.
-    crawl_rng = rngs.stream("crawl.organic")
-    organic = OrganicCrawlPlanner(horizon=config.study_time)
-    for seed in built.seeds:
-        if not config.crawl_policy.crawlable(seed.url):
-            continue
-        for days in organic.plan_days(
-            seed.available_from, seed.rate_per_year, crawl_rng
-        ):
-            push_capture(days, seed.url)
-
-    # Profile-scheduled capture attempts for the wiki-linked URLs.
-    for url, instant in built.fixed_captures:
-        if instant < config.study_time:
-            push_capture(instant.days, url)
-
-    # Event-triggered captures (WNRT / EventStream).
-    trigger = TriggeredArchiver(config.trigger_eras(), rngs.stream("crawl.trigger"))
-    for link in all_links:
-        if not config.crawl_policy.crawlable(link.url):
-            continue
-        instant = trigger.capture_time_for(link.posted_at)
-        if instant is not None and instant < config.study_time:
-            push_capture(instant.days, link.url)
 
     # Occasional human dead-link annotations.
     human_rng = rngs.stream("wiki.humanmark")
@@ -435,10 +445,9 @@ def _assemble_events(
         push(sweep_at.days, _EventKind.SWEEP, (index % config.sweep_shards,))
 
     # Sequence numbers are unique, so tuple order is sort_key order and
-    # payloads and URLs are never compared.
+    # payloads are never compared.
     events.sort()
-    captures.sort()
-    return events, captures
+    return events
 
 
 def _plan_articles(
@@ -476,34 +485,13 @@ def _fresh_title(rng: Stream, used: set[str]) -> str:
 # -- replay -----------------------------------------------------------------------------
 
 
-def _sweep_shard(title: str, shards: int) -> int:
-    """Stable article-to-shard assignment for the bot's rolling pass."""
-    return derive_seed(0, f"shard:{title}") % shards
-
-
-def _run_captures(
-    crawler: ArchiveCrawler, captures: list[_Capture], start: int, until: float
-) -> int:
-    """Run ``captures[start:]`` due at or before ``until``; return the
-    index of the first capture left."""
-    stop = bisect_right(captures, (until, math.inf), lo=start)
-    capture_at = crawler.capture_at
-    for index in range(start, stop):
-        days, _, url = captures[index]
-        capture_at(url, days)
-    return stop
-
-
 def _replay(
     events: list[_Event],
-    captures: list[_Capture],
     encyclopedia: Encyclopedia,
-    crawler: ArchiveCrawler,
     bot: InternetArchiveBot,
     shards: int,
 ) -> None:
-    shard_of: dict[str, int] = {}
-    done = 0
+    sweep_shards = SweepShards(shards)
     for days, kind, _, payload in events:
         at = SimTime(days)
         if kind is _EventKind.CREATE_ARTICLE:
@@ -525,19 +513,9 @@ def _replay(
             title, url = payload
             _human_mark(encyclopedia, title, url, at)
         else:
-            # A sweep reads the archive, so first store every capture
-            # due at or before its instant.
-            done = _run_captures(crawler, captures, done, days)
             (shard,) = payload
-            titles = []
-            for title in encyclopedia.titles():
-                title_shard = shard_of.get(title)
-                if title_shard is None:
-                    title_shard = shard_of[title] = _sweep_shard(title, shards)
-                if title_shard == shard:
-                    titles.append(title)
-            bot.run_sweep(at, titles=tuple(titles))
-    _run_captures(crawler, captures, done, math.inf)
+            titles = sweep_shards.titles(encyclopedia.titles(), shard)
+            bot.run_sweep(at, titles=titles)
 
 
 def _ref_text(link: LinkPlan, as_cite: bool) -> str:

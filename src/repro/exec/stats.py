@@ -202,20 +202,6 @@ class StudyStats:
             if span is not None:
                 span.duration_s = elapsed
 
-    # -- cache counter intake ----------------------------------------------------
-
-    def add_fetch_counts(self, hits: int, misses: int) -> None:
-        """Fold one fetch cache's counters into the totals."""
-        add_fetch_counts(self.registry, hits, misses)
-
-    def add_cdx_counts(self, hits: int, misses: int) -> None:
-        """Fold one CDX cache's counters into the totals."""
-        add_cdx_counts(self.registry, hits, misses)
-
-    def add_retry_counts(self, **counts) -> None:
-        """Fold one client's retry counters into the totals."""
-        add_retry_counts(self.registry, **counts)
-
     def add_shard_wall(self, seconds: float) -> None:
         """Record one shard's wall time, folding min/max/total.
 

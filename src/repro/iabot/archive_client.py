@@ -23,6 +23,8 @@ bot the paper studied: one bounded attempt, give up, move on.
 
 from __future__ import annotations
 
+import math
+
 from ..archive.availability import AvailabilityApi
 from ..archive.snapshot import Snapshot
 from ..clock import SimTime
@@ -62,9 +64,14 @@ class IABotArchiveClient:
         self.errors = 0
         self.retry_counters = RetryCounters()
 
-    def find_copy(self, url: str, posted_at: SimTime) -> Snapshot | None:
+    def find_copy(
+        self, url: str, posted_at: SimTime, as_of: SimTime
+    ) -> Snapshot | None:
         """The usable archived copy closest to ``posted_at``, if any
         lookup attempt completes in time.
+
+        Only copies captured at or before ``as_of`` count: the archive
+        as a sweep at that instant sees it.
 
         Returns ``None`` when no qualifying copy exists, when every
         allowed attempt times out, and when the API errors transiently
@@ -72,26 +79,29 @@ class IABotArchiveClient:
         is precisely the paper's point.
         """
         if self._tracer is None:
-            return self._find_copy(url, posted_at)
+            return self._find_copy(url, posted_at, as_of)
         with self._tracer.span(
             "availability.lookup", kind="availability",
             sim=posted_at, url=url,
         ) as span:
             backoff_before = self.retry_counters.backoff_ms
-            snapshot = self._find_copy(url, posted_at, span)
+            snapshot = self._find_copy(url, posted_at, as_of, span)
             span.add_virtual_ms(
                 self.retry_counters.backoff_ms - backoff_before
             )
             return snapshot
 
     def _find_copy(
-        self, url: str, posted_at: SimTime, span=None
+        self, url: str, posted_at: SimTime, as_of: SimTime, span=None
     ) -> Snapshot | None:
         self.lookups += 1
+        # ``before`` is exclusive; ``nextafter`` keeps copies at ``as_of``.
+        before = SimTime(math.nextafter(as_of.days, math.inf))
         try:
             result = call_with_retry(
                 lambda: self._api.lookup(
-                    url, around=posted_at, timeout_ms=self._timeout_ms
+                    url, around=posted_at, timeout_ms=self._timeout_ms,
+                    before=before,
                 ),
                 self._retry_policy,
                 key=f"availability:{url}",

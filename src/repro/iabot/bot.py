@@ -7,7 +7,7 @@ Per article, per external-link reference:
 2. the link is checked on the live web; live links are left alone;
 3. for a dead link, the bot looks up an archived copy captured closest
    to the date the link was added (§2.1), under the availability
-   timeout;
+   timeout, among the copies captured by the sweep's instant;
 4. a found copy patches the reference; otherwise the reference is
    annotated ``{{dead link |bot=InternetArchiveBot |fix-attempted=yes}}``
    — the "permanent dead link" marking the paper studies.
@@ -20,8 +20,10 @@ as it does on the real Wikipedia.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..clock import SimTime
+from ..rng import derive_seed
 from ..wiki.article import Article
 from ..wiki.encyclopedia import Encyclopedia
 from ..wiki.templates import (
@@ -56,6 +58,28 @@ class BotStats:
         """Accumulate another stats object into this one."""
         for name in self.__dataclass_fields__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+class SweepShards:
+    """Stable article-to-shard assignment for the bot's rolling pass:
+    each sweep scans one of ``count`` shards, so ``count`` sweeps visit
+    every article once. Each title is hashed once."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self._shard_of: dict[str, int] = {}
+
+    def shard_of(self, title: str) -> int:
+        """The shard ``title`` belongs to."""
+        shard = self._shard_of.get(title)
+        if shard is None:
+            shard = derive_seed(0, f"shard:{title}") % self.count
+            self._shard_of[title] = shard
+        return shard
+
+    def titles(self, titles: Iterable[str], shard: int) -> tuple[str, ...]:
+        """The ``titles`` in ``shard``, in their given order."""
+        return tuple(title for title in titles if self.shard_of(title) == shard)
 
 
 class InternetArchiveBot:
@@ -137,7 +161,7 @@ class InternetArchiveBot:
         stats.links_dead += 1
         posted = article.first_revision_with_url(ref.url)
         posted_at = posted.timestamp if posted is not None else at
-        copy = self._archive.find_copy(ref.url, posted_at)
+        copy = self._archive.find_copy(ref.url, posted_at, as_of=at)
         if copy is not None:
             stats.patched += 1
             return self._patched_text(ref, copy.url, copy.captured_at, at)

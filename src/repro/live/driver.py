@@ -19,8 +19,8 @@ is exactly the invariant that keeps cached outcomes valid
 from __future__ import annotations
 
 from ..clock import SimTime
-from ..dataset.worldgen import _sweep_shard
 from ..errors import LiveError
+from ..iabot.bot import SweepShards
 from ..rng import derive_seed
 
 __all__ = ["WorldDriver"]
@@ -32,6 +32,7 @@ class WorldDriver:
     def __init__(self, world) -> None:
         self._world = world
         self.now: SimTime = world.study_time
+        self._sweep_shards = SweepShards(world.config.sweep_shards)
         self._sweep_cursor = 0
 
     def _advance(self, at: SimTime) -> SimTime:
@@ -55,13 +56,10 @@ class WorldDriver:
         the archive can cover.
         """
         self._advance(at)
-        shards = self._world.config.sweep_shards
-        shard = self._sweep_cursor % shards
+        shard = self._sweep_cursor % self._sweep_shards.count
         self._sweep_cursor += 1
-        titles = tuple(
-            title
-            for title in self._world.encyclopedia.titles()
-            if _sweep_shard(title, shards) == shard
+        titles = self._sweep_shards.titles(
+            self._world.encyclopedia.titles(), shard
         )
         return self._world.bot.run_sweep(at, titles=titles)
 

@@ -247,7 +247,9 @@ class TestAvailabilityFaults:
             for page in site.pages()[:1]:
                 url = f"http://{site.hostname}{page.path_query}"
                 records.append(
-                    (url, client.find_copy(url, world.study_time))
+                    (url, client.find_copy(
+                        url, world.study_time, world.study_time
+                    ))
                 )
         return records
 

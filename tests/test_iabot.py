@@ -133,7 +133,7 @@ class TestArchiveClient:
         _, store, _ = mini
         api = AvailabilityApi(store, AvailabilityPolicy(seed="c"))
         client = IABotArchiveClient(api, timeout_ms=None)
-        copy = client.find_copy(DEAD, posted_at=T2010)
+        copy = client.find_copy(DEAD, posted_at=T2010, as_of=T2017)
         assert copy is not None
         assert copy.initial_status == 200
 
@@ -141,7 +141,8 @@ class TestArchiveClient:
         _, store, _ = mini
         api = AvailabilityApi(store, AvailabilityPolicy(seed="c"))
         client = IABotArchiveClient(api, timeout_ms=None)
-        assert client.find_copy(DEAD_UNARCHIVED, posted_at=T2010) is None
+        copy = client.find_copy(DEAD_UNARCHIVED, posted_at=T2010, as_of=T2017)
+        assert copy is None
 
     def test_timeout_reads_as_no_copy(self, mini):
         _, store, _ = mini
@@ -149,7 +150,7 @@ class TestArchiveClient:
             store, AvailabilityPolicy(base_ms=100.0, seed="c")
         )
         client = IABotArchiveClient(api, timeout_ms=0.5)
-        assert client.find_copy(DEAD, posted_at=T2010) is None
+        assert client.find_copy(DEAD, posted_at=T2010, as_of=T2017) is None
         assert client.timeouts == 1
 
 

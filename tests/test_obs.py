@@ -397,7 +397,10 @@ class TestBackendTracing:
             ),
             timeout_ms=None,
         )
-        assert traced.find_copy(url, posted) == plain.find_copy(url, posted)
+        at = tiny_world.study_time
+        assert traced.find_copy(url, posted, at) == plain.find_copy(
+            url, posted, at
+        )
         (span,) = tracer.spans
         assert span.kind == "availability"
         assert span.attrs["resolved"] in {"found", "none"}

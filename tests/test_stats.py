@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec.stats import StudyStats, _rate
+from repro.exec.stats import (
+    StudyStats,
+    _rate,
+    add_cdx_counts,
+    add_fetch_counts,
+    add_retry_counts,
+)
 from repro.obs import MetricsRegistry, Tracer, phase_totals
 
 
@@ -28,8 +34,8 @@ class TestRate:
 class TestCounterIntake:
     def test_fetch_counts_accumulate(self):
         stats = StudyStats()
-        stats.add_fetch_counts(hits=3, misses=7)
-        stats.add_fetch_counts(hits=2, misses=0)
+        add_fetch_counts(stats.registry, hits=3, misses=7)
+        add_fetch_counts(stats.registry, hits=2, misses=0)
         assert stats.fetches == 12
         assert stats.fetch_cache_hits == 5
         assert stats.backend_fetches == 7
@@ -37,17 +43,18 @@ class TestCounterIntake:
 
     def test_cdx_counts_accumulate(self):
         stats = StudyStats()
-        stats.add_cdx_counts(hits=8, misses=2)
+        add_cdx_counts(stats.registry, hits=8, misses=2)
         assert stats.cdx_queries == 10
         assert stats.cdx_cache_hit_rate == pytest.approx(0.8)
 
     def test_retry_counts_accumulate_across_calls(self):
         stats = StudyStats()
-        stats.add_retry_counts(fetch_retries=2, backoff_ms=300.0)
-        stats.add_retry_counts(
+        add_retry_counts(stats.registry, fetch_retries=2, backoff_ms=300.0)
+        add_retry_counts(
+            stats.registry,
             fetch_retries=1, fetch_giveups=1, cdx_retries=4, backoff_ms=50.0
         )
-        stats.add_retry_counts(cdx_giveups=2)
+        add_retry_counts(stats.registry, cdx_giveups=2)
         assert stats.fetch_retries == 3
         assert stats.fetch_giveups == 1
         assert stats.cdx_retries == 4
@@ -237,9 +244,10 @@ class TestSummaryFormatting:
 
     def test_busy_run_renders_every_counter(self):
         stats = StudyStats(workers=4, shards=8)
-        stats.add_fetch_counts(hits=75, misses=25)
-        stats.add_cdx_counts(hits=40, misses=60)
-        stats.add_retry_counts(
+        add_fetch_counts(stats.registry, hits=75, misses=25)
+        add_cdx_counts(stats.registry, hits=40, misses=60)
+        add_retry_counts(
+            stats.registry,
             fetch_retries=12,
             fetch_giveups=1,
             cdx_retries=7,

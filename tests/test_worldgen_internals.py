@@ -1,7 +1,10 @@
 """Tests for world-generation internals: events, articles, sweeps."""
 
+import dataclasses
+
 import pytest
 
+from repro.archive.availability import AvailabilityApi
 from repro.archive.crawler import ArchiveCrawler
 from repro.archive.store import SnapshotStore
 from repro.clock import SimTime
@@ -13,9 +16,12 @@ from repro.dataset.worldgen import (
     _Event,
     _EventKind,
     _plan_articles,
+    _plan_captures,
     _replay,
-    _sweep_shard,
 )
+from repro.iabot.archive_client import IABotArchiveClient
+from repro.iabot.bot import InternetArchiveBot, SweepShards
+from repro.iabot.checker import LinkChecker
 from repro.rng import RngRegistry
 from repro.web.page import Page
 from repro.web.site import Site
@@ -30,23 +36,41 @@ def assembled():
     plans = plan_universe(config, rngs)
     built = WebBuilder(config, rngs).build(plans)
     links = [link for plan in plans for link in plan.links]
+    captures = _plan_captures(config, rngs, built, links)
     events = _assemble_events(config, rngs, built, links)
-    return config, plans, built, links, events
+    return config, plans, built, links, (events, captures)
 
 
 class TestEventAssembly:
-    # ``_assemble_events`` returns ``(events, captures)``: the wiki,
-    # human-mark and sweep events, and the captures as ``(days, seq,
-    # url)`` triples.
+    # ``_assemble_events`` returns the wiki, human-mark and sweep
+    # events; ``_plan_captures`` the captures as ``(days, url)`` pairs.
 
     def test_events_sorted(self, assembled):
-        _, _, _, _, (events, captures) = assembled
+        config, _, built, links, (events, captures) = assembled
         keys = [event.sort_key() for event in events]
         assert keys == sorted(keys)
-        assert captures == sorted(captures)
-        # One sequence counter numbers both lists.
-        seqs = [event.seq for event in events] + [seq for _, seq, _ in captures]
-        assert sorted(seqs) == list(range(len(seqs)))
+        seqs = sorted(event.seq for event in events)
+        assert seqs == list(range(len(events)))
+        days = [day for day, _ in captures]
+        assert days == sorted(days)
+        # Captures on one day keep plan order: organic before fixed,
+        # fixed in list order, whatever their URLs sort as.
+        tie_day, organic_url = next(
+            (day, url) for day, url in captures
+            if any(url == seed.url for seed in built.seeds)
+        )
+        tied = dataclasses.replace(
+            built,
+            fixed_captures=[
+                *built.fixed_captures,
+                ("http://tie.example/b", SimTime(tie_day)),
+                ("http://tie.example/a", SimTime(tie_day)),
+            ],
+        )
+        replanned = _plan_captures(config, RngRegistry(config.seed), tied, links)
+        assert [url for day, url in replanned if day == tie_day] == [
+            organic_url, "http://tie.example/b", "http://tie.example/a",
+        ]
 
     def test_every_link_posted_exactly_once(self, assembled):
         _, _, _, links, (events, _) = assembled
@@ -69,13 +93,13 @@ class TestEventAssembly:
     def test_captures_before_study(self, assembled):
         config, _, _, _, (_, captures) = assembled
         assert captures
-        for days, _, url in captures:
+        for days, url in captures:
             assert days < config.study_time.days
             assert url.startswith("http")
 
     def test_same_instant_ordering_prefers_edits(self, assembled):
         # CREATE < ADD_LINK < HUMAN_MARK < SWEEP at equal time; captures
-        # are not events (see TestSweepVisibility for where they run).
+        # are not events (they all run first; see TestSweepVisibility).
         assert _EventKind.CREATE_ARTICLE < _EventKind.ADD_LINK
         assert _EventKind.HUMAN_MARK < _EventKind.SWEEP
         assert set(_EventKind) == {
@@ -86,55 +110,50 @@ class TestEventAssembly:
         }
 
 
-class _SweepRecorder:
-    """A bot stand-in that records which URLs the archive held at each
-    sweep."""
-
-    def __init__(self, store: SnapshotStore) -> None:
-        self._store = store
-        self.seen: list[tuple[float, tuple[str, ...]]] = []
-
-    def run_sweep(self, at, titles=()):
-        self.seen.append((at.days, self._store.all_urls()))
-
-
 class TestSweepVisibility:
-    SWEEP_1 = SimTime.from_ymd(2016, 1, 1).days
-    SWEEP_2 = SimTime.from_ymd(2016, 4, 1).days
+    SWEEP = SimTime.from_ymd(2016, 1, 1).days
+    AT = "http://s.example/at.html"
+    AFTER = "http://s.example/after.html"
 
-    def _replay(self, captures):
+    def test_sweep_sees_a_capture_at_its_own_instant_only(self):
+        # The crawler archives a web where both pages work; the bot
+        # checks one where the site is gone, so both links are dead.
         web = LiveWeb()
         site = Site(
             hostname="s.example", seed="s", created_at=SimTime.from_ymd(2005, 1)
         )
         created = SimTime.from_ymd(2006, 1)
-        for path in ("/at.html", "/after.html", "/late.html"):
+        for path in ("/at.html", "/after.html"):
             site.add_page(Page(path_query=path, created_at=created))
         web.add_site(site)
         store = SnapshotStore()
         crawler = ArchiveCrawler(web.fetcher(), store)
-        bot = _SweepRecorder(store)
-        events = [
-            _Event(self.SWEEP_1, _EventKind.SWEEP, 0, (0,)),
-            _Event(self.SWEEP_2, _EventKind.SWEEP, 1, (0,)),
+        just_after = SimTime(self.SWEEP).plus_days(1e-6).days
+        for days, url in ((self.SWEEP, self.AT), (just_after, self.AFTER)):
+            crawler.capture_at(url, days)
+        assert [len(store.snapshots(url)) for url in (self.AT, self.AFTER)] == [
+            1, 1,
         ]
-        _replay(events, captures, Encyclopedia(), crawler, bot, shards=1)
-        return bot.seen, store
 
-    def test_sweep_sees_a_capture_at_its_own_instant_only(self):
-        at = "http://s.example/at.html"
-        after = "http://s.example/after.html"
-        late = "http://s.example/late.html"
-        just_after = SimTime(self.SWEEP_1).plus_days(1e-6).days
-        seen, store = self._replay(
-            [(self.SWEEP_1, 2, at), (just_after, 3, after), (3e5, 4, late)]
+        encyclopedia = Encyclopedia()
+        encyclopedia.create_article(
+            "Page", created, "Editor",
+            f"* [{self.AT} at]\n* [{self.AFTER} after]\n",
         )
-        assert seen == [
-            (self.SWEEP_1, (at,)),
-            (self.SWEEP_2, tuple(sorted((at, after)))),
-        ]
-        # Captures after the last sweep still run.
-        assert store.all_urls() == tuple(sorted((at, after, late)))
+        bot = InternetArchiveBot(
+            encyclopedia,
+            LinkChecker(LiveWeb().fetcher()),
+            IABotArchiveClient(AvailabilityApi(store), timeout_ms=None),
+        )
+        sweep = _Event(self.SWEEP, _EventKind.SWEEP, 0, (0,))
+        _replay([sweep], encyclopedia, bot, shards=1)
+
+        assert (bot.stats.patched, bot.stats.marked_permadead) == (1, 1)
+        refs = {
+            ref.url: ref for ref in encyclopedia.article("Page").link_refs()
+        }
+        assert refs[self.AT].archive_url is not None
+        assert refs[self.AFTER].is_permanently_dead
 
 
 class TestArticlePlanning:
@@ -161,11 +180,22 @@ class TestArticlePlanning:
 
 class TestSweepSharding:
     def test_stable_assignment(self):
-        assert _sweep_shard("Some Title", 8) == _sweep_shard("Some Title", 8)
+        first, second = SweepShards(8), SweepShards(8)
+        assert first.shard_of("Some Title") == second.shard_of("Some Title")
+        assert first.shard_of("Some Title") == first.shard_of("Some Title")
 
     def test_spread_across_shards(self):
-        shards = {_sweep_shard(f"Title {i}", 8) for i in range(200)}
+        sweep_shards = SweepShards(8)
+        titles = [f"Title {i}" for i in range(200)]
+        shards = {sweep_shards.shard_of(title) for title in titles}
         assert shards == set(range(8))
+        # Each title lands in exactly one shard's selection, in order.
+        picked = [sweep_shards.titles(titles, shard) for shard in range(8)]
+        assert sorted(title for chunk in picked for title in chunk) == sorted(
+            titles
+        )
+        assert all(list(chunk) == sorted(chunk, key=titles.index)
+                   for chunk in picked)
 
 
 class TestBuilderHelpers:
