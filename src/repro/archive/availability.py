@@ -118,11 +118,23 @@ class AvailabilityApi:
             self._timeouts += 1
             raise ArchiveTimeout(url, timeout_ms)
 
-        def good(snapshot: Snapshot) -> bool:
-            """The API's usable-copy filter (initial 200, time bound)."""
-            if not snapshot.initial_ok:
-                return False
-            return before is None or snapshot.captured_at < before
-
-        chosen = self._store.closest_to(url, around, predicate=good)
-        return AvailabilityResult(snapshot=chosen, latency_ms=latency)
+        # The API's usable-copy rule: initial 200, strictly before
+        # ``before``, nearest ``around``; ``min`` keeps the earliest tie.
+        hi = math.inf if before is None else before.days
+        target = around.days
+        best = min(
+            (
+                (days, observation)
+                for days, observation in self._store.captures(url, hi=hi)
+                if observation[0] == 200
+            ),
+            key=lambda pair: abs(pair[0] - target),
+            default=None,
+        )
+        if best is None:
+            return AvailabilityResult(snapshot=None, latency_ms=latency)
+        days, observation = best
+        return AvailabilityResult(
+            snapshot=Snapshot(url, SimTime(days), *observation),
+            latency_ms=latency,
+        )

@@ -14,12 +14,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..clock import SimTime
 from ..urls.parse import intern_url
 from ..urls.psl import default_psl
-from .snapshot import Snapshot
+from .snapshot import Observation, Snapshot
 from .store import SnapshotStore
 
 
@@ -45,8 +46,8 @@ class CdxQuery:
         from_time / to_time: inclusive lower / exclusive upper capture
             time bounds.
         limit: maximum number of rows returned (0 = unlimited).
-        exclude_self: for DIRECTORY/PREFIX/HOST scopes, drop captures
-            of the query URL itself (the paper's sibling queries).
+        exclude_self: for every scope but EXACT, drop captures of the
+            query URL itself (the paper's sibling queries).
     """
 
     url: str
@@ -111,13 +112,10 @@ class CdxApi:
     def query(self, request: CdxQuery) -> tuple[Snapshot, ...]:
         """All captures matching ``request``, ordered by URL then time."""
         self._queries += 1
-        urls = self._candidate_urls(request)
         rows: list[Snapshot] = []
-        for url in urls:
-            for snapshot in self._store.snapshots(url):
-                if not self._keep(snapshot, request):
-                    continue
-                rows.append(snapshot)
+        for url in self._candidate_urls(request):
+            for days, observation in self._matching(url, request):
+                rows.append(Snapshot(url, SimTime(days), *observation))
                 if request.limit and len(rows) >= request.limit:
                     return tuple(rows)
         return tuple(rows)
@@ -131,10 +129,8 @@ class CdxApi:
         self._queries += 1
         urls = []
         for url in self._candidate_urls(request):
-            if any(
-                self._keep(snapshot, request)
-                for snapshot in self._store.snapshots(url)
-            ):
+            # Each match is a non-empty pair, so ``any`` stops at the first.
+            if any(self._matching(url, request)):
                 urls.append(url)
                 if request.limit and len(urls) >= request.limit:
                     break
@@ -167,15 +163,15 @@ class CdxApi:
             urls = tuple(url for url in urls if url != request.url)
         return urls
 
-    @staticmethod
-    def _keep(snapshot: Snapshot, request: CdxQuery) -> bool:
-        if (
-            request.initial_status is not None
-            and snapshot.initial_status != request.initial_status
-        ):
-            return False
-        if request.from_time is not None and snapshot.captured_at < request.from_time:
-            return False
-        if request.to_time is not None and not snapshot.captured_at < request.to_time:
-            return False
-        return True
+    def _matching(
+        self, url: str, request: CdxQuery
+    ) -> Iterator[tuple[float, Observation]]:
+        """``url``'s non-failed ``(day, observation)`` captures inside
+        the request's time bounds and status filter, in time order."""
+        lo = -math.inf if request.from_time is None else request.from_time.days
+        hi = math.inf if request.to_time is None else request.to_time.days
+        status = request.initial_status
+        for days, observation in self._store.captures(url, lo, hi):
+            initial = observation[0]
+            if initial is not None and (status is None or initial == status):
+                yield days, observation

@@ -12,16 +12,19 @@ Each URL's captures are kept as two parallel columns sorted by capture
 time: the capture days, and a reference to what each capture observed
 (an :data:`~repro.archive.snapshot.Observation`). Every capture inside
 one freshness run of the crawler shares one observation tuple, so a
-capture costs two list appends. A URL's
-:class:`~repro.archive.snapshot.Snapshot` objects are built on its
-first read and kept until the next write to that URL, which makes
-closest-to-timestamp selection (IABot's snapshot choice) and
-first/last lookups cheap after the first.
+capture costs two list appends. Reads answer from the columns:
+:meth:`SnapshotStore.captures` bisects the day column for a time
+window, and the APIs scan its observations and build a
+:class:`~repro.archive.snapshot.Snapshot` only for a row they return.
+The store itself holds no snapshots.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
+from itertools import islice
 
 from ..clock import SimTime
 from ..urls.parse import intern_url
@@ -30,24 +33,15 @@ from .snapshot import Observation, Snapshot, observation_of
 
 
 class _Captures:
-    """One URL's capture columns plus its snapshots, once built."""
+    """One URL's capture columns."""
 
-    __slots__ = ("days", "observations", "rows", "served")
+    __slots__ = ("days", "observations")
 
     def __init__(self) -> None:
         #: Capture days, ascending; equal days keep arrival order.
         self.days: list[float] = []
         #: What each capture observed, parallel to :attr:`days`.
         self.observations: list[Observation] = []
-        #: Every capture as a snapshot (failed ones included), or
-        #: ``None`` until read.
-        self.rows: tuple[Snapshot, ...] | None = None
-        #: :attr:`rows` without failed captures, or ``None`` until read.
-        self.served: tuple[Snapshot, ...] | None = None
-
-
-def _days_of(snapshot: Snapshot) -> float:
-    return snapshot.captured_at.days
 
 
 class SnapshotStore:
@@ -91,7 +85,6 @@ class SnapshotStore:
             # Captures arrive in time order during generation's crawl.
             column.append(days)
             captures.observations.append(observation)
-        captures.rows = captures.served = None
 
     def add(self, snapshot: Snapshot) -> None:
         """Insert one capture a caller already holds as a snapshot."""
@@ -101,72 +94,35 @@ class SnapshotStore:
 
     # -- per-URL reads ------------------------------------------------------------
 
-    @staticmethod
-    def _rows(captures: _Captures, url: str) -> tuple[Snapshot, ...]:
-        """Every capture of ``url`` as a snapshot, built on first call."""
-        rows = captures.rows
-        if rows is None:
-            rows = captures.rows = tuple(
-                Snapshot(url, SimTime(days), *observation)
-                for days, observation in zip(
-                    captures.days, captures.observations
-                )
-            )
-        return rows
+    def captures(
+        self, url: str, lo: float = -math.inf, hi: float = math.inf
+    ) -> Iterator[tuple[float, Observation]]:
+        """``url``'s captures with ``lo <= day < hi`` as ``(day,
+        observation)`` pairs in time order, failed captures included.
+
+        The pairs are read lazily from the live columns, so a caller
+        that stops at its first match copies nothing; finish reading
+        before the next write to ``url``.
+        """
+        captures = self._by_url.get(url)
+        if captures is None:
+            return iter(())
+        days = captures.days
+        return islice(
+            zip(days, captures.observations),
+            bisect_left(days, lo),
+            bisect_left(days, hi),
+        )
 
     def snapshots(
         self, url: str, include_failed: bool = False
     ) -> tuple[Snapshot, ...]:
-        """All captures of ``url`` in time order."""
-        captures = self._by_url.get(url)
-        if captures is None:
-            return ()
-        if include_failed:
-            return self._rows(captures, url)
-        served = captures.served
-        if served is None:
-            served = captures.served = tuple(
-                row for row in self._rows(captures, url) if not row.failed
-            )
-        return served
-
-    def has_any(self, url: str) -> bool:
-        """Whether the archive holds at least one (non-failed) capture."""
-        return bool(self.snapshots(url))
-
-    def first_snapshot(self, url: str) -> Snapshot | None:
-        """The earliest capture of ``url``, if any."""
-        rows = self.snapshots(url)
-        return rows[0] if rows else None
-
-    def snapshots_before(self, url: str, cutoff: SimTime) -> tuple[Snapshot, ...]:
-        """Captures strictly before ``cutoff``, in time order."""
-        rows = self.snapshots(url)
-        return rows[: bisect_left(rows, cutoff.days, key=_days_of)]
-
-    def snapshots_after(self, url: str, cutoff: SimTime) -> tuple[Snapshot, ...]:
-        """Captures at or after ``cutoff``, in time order."""
-        rows = self.snapshots(url)
-        return rows[bisect_left(rows, cutoff.days, key=_days_of):]
-
-    def closest_to(
-        self,
-        url: str,
-        target: SimTime,
-        predicate=None,
-    ) -> Snapshot | None:
-        """The capture of ``url`` nearest ``target``, optionally filtered.
-
-        This is the Wayback Availability API's selection rule and the
-        one IABot uses to pick "that archived copy for the link which
-        was captured closest to when the link was added" (§2.1).
-        """
-        rows = self.snapshots(url)
-        if predicate is not None:
-            rows = tuple(row for row in rows if predicate(row))
-        if not rows:
-            return None
-        return min(rows, key=lambda row: abs(row.captured_at.days - target.days))
+        """All captures of ``url`` in time order, built on each call."""
+        return tuple(
+            Snapshot(url, SimTime(days), *observation)
+            for days, observation in self.captures(url)
+            if include_failed or observation[0] is not None
+        )
 
     # -- spatial reads ----------------------------------------------------------------
 

@@ -73,9 +73,12 @@ _TITLE_WORDS = (
 class WorldConfig:
     """All calibration knobs for one synthetic universe.
 
-    Defaults target the paper's 10,000-link study: roughly 13k links
-    end up marked permanently dead by IABot, from which the collector
-    samples ``target_sample``. Tests use much smaller ``n_links``.
+    ``target_sample`` is the paper's 10,000-link sample, but the
+    default world marks far fewer: in the committed 26,000-link,
+    seed-11 transcript (``examples/full_run_output.txt``, line 1) IABot
+    marks 3,636 links permanently dead, and the collector studies all
+    of them. ROADMAP.md item 6 covers a run at the paper's scale.
+    Tests use much smaller ``n_links``.
     """
 
     seed: int = 2022

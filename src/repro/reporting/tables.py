@@ -13,9 +13,9 @@ def render_table(
     Numeric cells are right-aligned and floats are shown with one
     decimal; everything else is left-aligned.
     """
-    rendered_rows = [[_cell(value) for value in row] for row in rows]
+    rendered = [[_cell(value) for value in row] for row in rows]
     widths = [len(header) for header in headers]
-    for row in rendered_rows:
+    for row in rendered:
         if len(row) != len(headers):
             raise ValueError("row width does not match headers")
         for index, cell in enumerate(row):
@@ -37,7 +37,7 @@ def render_table(
         lines.append(title)
     lines.append(fmt(headers, [False] * len(headers)))
     lines.append(fmt(["-" * w for w in widths], [False] * len(headers)))
-    for row in rendered_rows:
+    for row in rendered:
         lines.append(fmt(row, numeric))
     return "\n".join(lines)
 

@@ -193,7 +193,7 @@ class TestSavePageNow:
         result = spn.save("http://spn.example.com/good.html", T2012)
         assert result.outcome is SaveOutcome.SAVED
         assert result.link_looks_alive
-        assert store.has_any("http://spn.example.com/good.html")
+        assert store.snapshots("http://spn.example.com/good.html")
 
     def test_reports_error_page(self):
         web = _spn_web()

@@ -1,5 +1,6 @@
 """Tests for repro.archive — snapshots, store, availability, CDX, crawlers."""
 
+import gc
 import importlib.util
 import json
 import pickle
@@ -116,26 +117,27 @@ class TestSnapshotStore:
         assert store.url_count() == 3
 
     def test_first_snapshot(self):
-        assert self._store().first_snapshot(URL).captured_at == T2008
+        assert self._store().snapshots(URL)[0].captured_at == T2008
 
     def test_before_after_split(self):
-        store = self._store()
-        assert len(store.snapshots_before(URL, T2012)) == 1
-        assert len(store.snapshots_after(URL, T2012)) == 2
+        cdx = CdxApi(self._store())
+        assert len(cdx.query(CdxQuery(url=URL, to_time=T2012))) == 1
+        assert len(cdx.query(CdxQuery(url=URL, from_time=T2012))) == 2
 
     def test_closest_to(self):
-        store = self._store()
-        chosen = store.closest_to(URL, T2010)
-        assert chosen.captured_at in (T2008, T2012)
+        api = AvailabilityApi(self._store())
+        chosen = api.lookup(URL, around=T2014).snapshot
+        assert chosen.captured_at == T2016
 
-    def test_closest_with_predicate(self):
-        store = self._store()
-        chosen = store.closest_to(URL, T2010, predicate=lambda s: s.initial_ok)
+    def test_closest_skips_copies_without_initial_200(self):
+        # The 404 at 2012 is nearer 2010 than the 200 at 2008.
+        api = AvailabilityApi(self._store())
+        chosen = api.lookup(URL, around=T2010).snapshot
         assert chosen.captured_at == T2008
 
     def test_closest_no_match(self):
-        store = self._store()
-        assert store.closest_to("http://nowhere.com/x", T2010) is None
+        api = AvailabilityApi(self._store())
+        assert api.lookup("http://nowhere.com/x", around=T2010).snapshot is None
 
     def test_directory_index(self):
         urls = self._store().urls_in_directory("http://site.example.com/news/")
@@ -153,7 +155,6 @@ class TestSnapshotStore:
         store = SnapshotStore()
         store.add(Snapshot(url=URL, captured_at=T2010, initial_status=None))
         assert store.snapshots(URL) == ()
-        assert not store.has_any(URL)
         assert len(store.snapshots(URL, include_failed=True)) == 1
 
 
@@ -177,8 +178,8 @@ class _LocationlessFetcher:
 
 
 class TestSnapshotStoreColumns:
-    """The store keeps per-URL day and observation columns and builds a
-    URL's snapshots on first read; these pin what a read must see."""
+    """The store keeps per-URL day and observation columns and builds
+    snapshots only when read; these pin what a read must see."""
 
     def test_out_of_order_add_lands_after_equal_days(self):
         store = SnapshotStore()
@@ -199,15 +200,16 @@ class TestSnapshotStoreColumns:
         store.add(snap(at=T2014, status=404))
         after = store.snapshots(URL)
         assert after[:1] == before and after[1].initial_status == 404
-        assert store.closest_to(URL, T2016).initial_status == 404
-        assert store.snapshots(SIBLING) is sibling
+        assert CdxApi(store).query(
+            CdxQuery(url=URL, from_time=T2014)
+        ) == after[1:]
+        assert store.snapshots(SIBLING) == sibling
 
     def test_failed_capture_added_beside_good_ones(self):
         store = SnapshotStore()
         store.add(Snapshot(url=URL, captured_at=T2008, initial_status=None))
         store.add(snap(at=T2010, status=200))
-        assert store.has_any(URL)
-        assert store.first_snapshot(URL).captured_at == T2010
+        assert store.snapshots(URL)[0].captured_at == T2010
         assert [row.failed for row in store.snapshots(URL)] == [False]
         every = store.snapshots(URL, include_failed=True)
         assert [row.failed for row in every] == [True, False]
@@ -241,7 +243,7 @@ class TestSnapshotStoreColumns:
         crawler = ArchiveCrawler(micro_web.fetcher(), store)
         for at in (T2008, T2010, T2012):
             crawler.capture(ALIVE, at)
-        # Cached rows travel too; every capture shares one pending sketch.
+        # Every capture shares one pending sketch.
         key = store.snapshots(ALIVE)[0].__getstate__()[-1].key
         core = key.text()
         data = pickle.dumps(store)
@@ -257,6 +259,82 @@ class TestSnapshotStoreColumns:
         # Comparing reads both stores' sketches: MinHash once for each.
         assert copy.snapshots(ALIVE) == store.snapshots(ALIVE)
         assert minhash_calls == [core, core]
+
+
+@pytest.fixture
+def snapshot_builds(monkeypatch):
+    """A one-item list counting ``Snapshot`` constructions."""
+    built = [0]
+    original = Snapshot.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Snapshot, "__post_init__", counting)
+    return built
+
+
+def _snapshots_held_by(store: SnapshotStore) -> list[Snapshot]:
+    """Snapshots reachable through the store's own containers."""
+    found, seen, stack = [], set(), [store]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Snapshot):
+            found.append(obj)
+        elif isinstance(obj, (dict, list, tuple, set)) or (
+            type(obj).__module__ == SnapshotStore.__module__
+        ):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestPayOnce:
+    """The archive's reads answer from the store's columns and build a
+    ``Snapshot`` only for a row they return."""
+
+    @pytest.fixture
+    def world(self):
+        return generate_world(WorldConfig(n_links=60, target_sample=60, seed=5))
+
+    def test_archived_urls_builds_no_snapshot(self, world, snapshot_builds):
+        cdx = CdxApi(world.store)
+        found = 0
+        for url in world.store.all_urls():
+            found += len(
+                cdx.archived_urls(
+                    CdxQuery(url=url, match_type=MatchType.HOST)
+                )
+            )
+        assert found > 0 and snapshot_builds == [0]
+
+    def test_lookup_builds_at_most_one(self, world, snapshot_builds):
+        api = AvailabilityApi(world.store)
+        for url in world.store.all_urls():
+            before = snapshot_builds[0]
+            found = api.lookup(url, around=T2010).snapshot is not None
+            assert snapshot_builds[0] - before == found
+
+    def test_query_builds_one_per_returned_row(self, world, snapshot_builds):
+        cdx = CdxApi(world.store)
+        for url in world.store.all_urls():
+            for request in (
+                CdxQuery(url=url, match_type=MatchType.DIRECTORY),
+                CdxQuery(url=url, initial_status=200, to_time=T2014, limit=3),
+            ):
+                before = snapshot_builds[0]
+                rows = cdx.query(request)
+                assert snapshot_builds[0] - before == len(rows)
+
+    def test_store_keeps_no_snapshots(self, world):
+        store = world.store
+        for url in store.all_urls():
+            assert store.snapshots(url) == store.snapshots(url)
+        assert store.snapshots(store.all_urls()[0])
+        assert _snapshots_held_by(store) == []
 
 
 class TestAvailabilityApi:
@@ -462,7 +540,7 @@ class TestArchiveCrawler:
         )
         assert result is not None
         assert result.initial_status == 200
-        assert store.has_any("http://news.example.com/stays/alive.html")
+        assert store.snapshots("http://news.example.com/stays/alive.html")
 
     def test_capture_of_404(self, micro_web):
         store = SnapshotStore()

@@ -73,8 +73,8 @@ def test_every_benchmark_runs_at_toy_scale(tmp_path):
             "-q",
             "-p",
             "no:cacheprovider",
+            # No ``-x``: one failing benchmark must not hide the rest.
             "--benchmark-disable",
-            "-x",
         ],
         capture_output=True,
         text=True,
