@@ -6,10 +6,7 @@ The world scale is configurable so CI can run smaller:
 
 Defaults to 12,000 wiki links (~5,000 permanently dead links in the
 sample), which reproduces every shape at about a third of the paper's
-scale in a few minutes. ``REPRO_BENCH_WORKERS`` shards the session's
-study run across worker processes (default 1: serial keeps the
-benchmark numbers free of multiprocessing noise; any value yields the
-same report).
+scale in a few minutes.
 """
 
 from __future__ import annotations
@@ -23,13 +20,11 @@ from repro.analysis.study import Study
 from repro.dataset.collector import Collector
 from repro.dataset.sampler import sample_iabot_marked
 from repro.dataset.worldgen import WorldConfig, generate_world
-from repro.exec import StudyExecutor
 
 BENCH_LINKS = int(os.environ.get("REPRO_BENCH_LINKS", "12000"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "11"))
 #: The paper samples 10,000; we sample proportionally to world size.
 BENCH_SAMPLE = int(os.environ.get("REPRO_BENCH_SAMPLE", "10000"))
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 #: Where benches write their BENCH_*.json digests. Defaults to the
 #: repo root (the committed copies EXPERIMENTS.md quotes); the smoke
@@ -77,8 +72,7 @@ def world():
 def report(world):
     """The full study over the benchmark universe, on the clean,
     retry-less stack the benchmarks report on."""
-    executor = StudyExecutor(workers=BENCH_WORKERS)
-    return Study.from_world(world).run(executor=executor)
+    return Study.from_world(world).run()
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,10 @@
 Subcommands:
 
     python -m repro study [--links N] [--seed S]      run the full study: every
-                    [--workers W] [--markdown P]      ... figure and the headline
+                    [--markdown P]                    ... figure and the headline
                                                       ... table (or a Markdown report)
     python -m repro calibrate [--links N] [--seed S]  the headline table alone
-                    [--workers W]                     ... (exit 1 if a row is off)
+                                                      ... (exit 1 if a row is off)
     python -m repro medic [--links N] [--seed S]      WaybackMedic rescue run
     python -m repro serve [--requests M] [--rps R]    replay traffic at the service
                     [--shards N] [--replicas R]       ... through the sharded cluster
@@ -44,7 +44,6 @@ from .analysis.study import Study
 from .backends import StackConfig
 from .dataset.worldgen import WorldConfig, generate_world
 from .iabot.medic import WaybackMedic
-from .exec import StudyExecutor
 from .reporting.cdf import ecdf
 from .reporting.figures import render_bar_chart, render_cdf
 from .reporting.headlines import headline_table
@@ -62,8 +61,8 @@ def _build_world(args):
 
 
 def _run_study(args, world):
-    """Run the study under the subcommand's stack and worker flags,
-    printing its ``#`` stats header."""
+    """Run the study under the subcommand's stack flags, printing its
+    ``#`` stats header."""
     config = StackConfig.from_args(args)
     faults = config.build_faults()
     tracer = config.build_tracer()
@@ -71,7 +70,7 @@ def _run_study(args, world):
         world,
         faults=faults,
         retry_policy=config.build_retry_policy(),
-    ).run(executor=StudyExecutor(workers=args.workers), tracer=tracer)
+    ).run(tracer=tracer)
     if tracer is not None:
         tracer.write_jsonl(config.trace)
         print(f"# trace: {len(tracer.spans)} spans -> {config.trace}")
@@ -616,12 +615,6 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--seed", type=int, default=2022)
         if name in ("study", "calibrate"):
             StackConfig.add_stack_args(cmd)
-            cmd.add_argument(
-                "--workers",
-                type=int,
-                default=1,
-                help="worker processes for the study's sharded stage",
-            )
         if name == "study":
             cmd.add_argument(
                 "--markdown",

@@ -9,11 +9,10 @@ generator's ground truth.
 
 Execution is delegated to a :class:`~repro.exec.StudyExecutor`: the
 per-record stages (§3 probe, §4 census, §4.2 redirect validation) run
-sharded — in-process by default, across worker processes on request —
-behind memoizing CDX/fetch caches, and every run attaches a
-:class:`~repro.exec.StudyStats` with phase timings and cache hit
-rates. Results are merged in record order, so a seeded run produces a
-byte-identical report at any worker count.
+in contiguous shards (one by default) behind memoizing CDX/fetch
+caches, and every run attaches a :class:`~repro.exec.StudyStats` with
+phase timings and cache hit rates. Results are merged in record order,
+so a seeded run produces a byte-identical report at any shard count.
 """
 
 from __future__ import annotations
@@ -190,8 +189,8 @@ class Study:
 
     ``retry_policy`` is the study client's resilience posture: it
     drives the fetcher's transient-failure retries and is handed to
-    the executor for its caching wrappers (parent and worker shards
-    alike). ``None`` — the default, and the paper's configuration —
+    the executor for its caching wrappers (every shard and the later
+    phases alike). ``None`` — the default, and the paper's configuration —
     never retries.
     """
 
@@ -255,19 +254,19 @@ class Study:
     ) -> StudyReport:
         """Execute §3, §4, and §5 and assemble the report.
 
-        ``executor`` controls sharding; the default runs in-process.
-        Any worker count yields the same report — only the attached
+        ``executor`` controls sharding; the default runs one shard.
+        Any shard count yields the same report — only the attached
         :class:`~repro.exec.StudyStats` differs.
 
         ``tracer`` records the full span hierarchy (study → phase →
         shard → record → backend call) of the run; shards buffer
         their spans and the executor grafts them back in.
         Tracing never changes the measurement: a traced run's report
-        is byte-identical to an untraced one, and serial vs parallel
+        is byte-identical to an untraced one, and one-shard and N-shard
         traced runs agree on every aggregate metric (span ids and
         wall timings excluded, by definition).
         """
-        executor = executor if executor is not None else StudyExecutor(workers=1)
+        executor = executor if executor is not None else StudyExecutor()
         stats = StudyStats()
         dataset = Dataset(records=list(self.records), description="our dataset")
 
@@ -289,9 +288,6 @@ class Study:
                     retry_policy=self.retry_policy,
                 )
             stats.shards = stage.shards
-            stats.workers = stage.workers
-            if span is not None:
-                span.set(workers=stage.workers)
             return assemble_report(
                 dataset=dataset,
                 outcomes=list(stage.outcomes),

@@ -87,7 +87,7 @@ class FetchBackend:
 
     The §3 soft-404 detector re-fetches every 200-status URL the live
     probe just fetched; with the memo (optionally pre-seeded from
-    worker probe results) those duplicate fetches never touch the
+    the shards' probe results) those duplicate fetches never touch the
     network.
 
     A ``tracer`` records one ``kind="backend.fetch"`` span per memo
@@ -146,9 +146,8 @@ class FetchBackend:
     def seed(self, url: str, at: SimTime, result: FetchResult) -> None:
         """Pre-populate the memo with an already-observed result.
 
-        Used by the parallel executor to hand worker probe results to
-        the parent process, so follow-up phases hit instead of
-        re-fetching. Seeding counts as neither hit nor miss, and never
+        Used by the executor to hand the shards' probe results to the
+        phases that follow, so they hit instead of re-fetching. Seeding counts as neither hit nor miss, and never
         displaces an entry.
         """
         self._memo.setdefault((str(url), at.days), result)

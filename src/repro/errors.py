@@ -174,20 +174,3 @@ class LiveError(ReproError):
     instead of folding a stale delta.
     """
 
-
-class ShardWorkerError(ReproError):
-    """Raised when a study worker process dies before its shards return.
-
-    A worker killed mid-shard (out of memory, a segfault, ``os._exit``)
-    breaks the whole process pool; instead of blocking on results that
-    will never arrive, the executor fails fast with this error.
-    ``spans`` lists the ``(start, stop)`` record spans that did not come
-    back, in record order.
-    """
-
-    def __init__(self, spans) -> None:
-        self.spans = tuple(spans)
-        lost = ", ".join(f"[{start}, {stop})" for start, stop in self.spans)
-        super().__init__(
-            f"a study worker process died; shard spans lost: {lost}"
-        )

@@ -1,14 +1,13 @@
 """Sharded, cached execution of the measurement study.
 
-The paper's pipeline is embarrassingly parallel over its sampled links
-and enormously repetitive in its archive-API traffic. This package
-supplies the three pieces that turn the serial pipeline into a
-production-shaped one without changing a single measured number:
+The paper's pipeline is independent per sampled link and enormously
+repetitive in its archive-API traffic. This package supplies the three
+pieces that run the per-link stage without changing a single measured
+number:
 
-- :class:`StudyExecutor` — cuts the record list into spans and runs
-  each through one shard function, in-process with one worker or in a
-  process pool otherwise, then merges results in record order; a
-  worker that dies raises :class:`~repro.errors.ShardWorkerError`;
+- :class:`StudyExecutor` — cuts the record list into contiguous spans,
+  runs each through one shard function in the calling process, and
+  merges the results in record order;
 - the memoizing backend stacks it builds per shard —
   :class:`~repro.backends.stacks.FetchBackend` /
   :class:`~repro.backends.stacks.CdxBackend`, exact memo caches over
@@ -22,9 +21,9 @@ production-shaped one without changing a single measured number:
 Observability threads through the same seams (see :mod:`repro.obs`):
 pass ``tracer=`` to :meth:`StudyExecutor.execute` (or to
 ``Study.run``) and every shard, record, and backend call records a
-span; worker shards buffer spans and registries that the executor
-grafts back on merge. All of it is opt-in and inert — traced and
-untraced runs produce byte-identical reports.
+span; shards buffer spans and registries that the executor grafts
+back on merge. All of it is opt-in and inert — traced and untraced
+runs produce byte-identical reports.
 """
 
 from .executor import StageResult, StudyExecutor

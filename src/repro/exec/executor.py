@@ -3,47 +3,32 @@
 :class:`StudyExecutor` splits the record list into contiguous spans
 and runs the per-record stage (§3 probe, §4.1 census, §4.2 redirect
 validation, §3 post-marking check) over each with
-:func:`~repro.exec.worker.run_shard` — directly in-process when there
-is one worker, otherwise in a
-:class:`concurrent.futures.ProcessPoolExecutor`. Either way every
-shard builds its own caches and reports back the same
-:class:`~repro.exec.worker.ShardResult`, which the parent folds one
-way. Shard outputs are merged back in record order, so a seeded study
-run produces a byte-identical report whichever way it executed: the
-stage is a pure function of each record, and everything
-order-sensitive (the soft-404 detector's RNG stream, the §5
-aggregations) stays in the parent process.
+:func:`~repro.exec.worker.run_shard`, one after another in the calling
+process. Every shard builds its own caches and reports back a
+:class:`~repro.exec.worker.ShardResult`, which the executor folds in
+record order, so a seeded study run produces a byte-identical report
+whatever the shard count: the stage is a pure function of each
+record, and everything order-sensitive (the soft-404 detector's RNG
+stream, the §5 aggregations) runs after the stage.
 
-The parent also receives a fetch memo pre-seeded with every probe
+The caller also receives a fetch memo pre-seeded with every probe
 result, so follow-up phases (soft-404 re-fetches) hit the memo instead
-of the network. A worker process that dies mid-shard raises
-:class:`~repro.errors.ShardWorkerError` instead of hanging the run.
+of the network.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..archive.cdx import CdxApi
 from ..backends.stacks import CdxBackend, FetchBackend
 from ..clock import SimTime
 from ..dataset.records import LinkRecord
-from ..errors import ShardWorkerError
 from ..net.fetch import Fetcher
 from ..obs.trace import Tracer
 from ..retry import RetryPolicy
 from .stats import StudyStats
-from .worker import (
-    RecordOutcome,
-    ShardResult,
-    WorkerContext,
-    run_shard,
-    set_context,
-)
+from .worker import RecordOutcome, ShardContext, run_shard
 
 
 @dataclass
@@ -52,41 +37,31 @@ class StageResult:
 
     Attributes:
         outcomes: one :class:`RecordOutcome` per record, in input order.
-        fetcher: parent-side memoizing fetch stack, pre-seeded with
+        fetcher: caller-side memoizing fetch stack, pre-seeded with
             every probe result — later phases should fetch through it.
-        cdx: parent-side memoizing CDX stack for the later phases.
+        cdx: caller-side memoizing CDX stack for the later phases.
         shards: how many shards actually ran.
-        workers: how many workers ran them; ``1`` when the single
-            shard ran in-process.
     """
 
     outcomes: list[RecordOutcome]
     fetcher: FetchBackend
     cdx: CdxBackend
     shards: int = 1
-    workers: int = 1
-
-
-def _default_workers() -> int:
-    return max(os.cpu_count() or 1, 1)
 
 
 @dataclass
 class StudyExecutor:
-    """Runs the per-record stage, sharded across worker processes.
+    """Runs the per-record stage as contiguous in-process shards.
 
     Args:
-        workers: worker process count; ``None`` means one per CPU, and
-            ``1`` runs the single shard in-process (no worker
-            processes at all).
+        workers: how many shards to cut the records into, each with
+            fresh memo caches (never more than there are records).
+            Any count yields the same outcomes, as the
+            shard-equivalence tests check; more shards only lose
+            cache reuse.
     """
 
-    workers: int | None = None
-
-    @property
-    def resolved_workers(self) -> int:
-        """The concrete worker count this executor will use."""
-        return self.workers if self.workers else _default_workers()
+    workers: int = 1
 
     def execute(
         self,
@@ -107,7 +82,7 @@ class StudyExecutor:
         builds (``None`` never retries; the fetcher retries inside
         itself). Each shard's metrics registry, wall time and trace
         spans are folded into ``stats`` / ``tracer`` immediately; the
-        returned parent-side caches carry their own counters (and emit
+        returned caller-side caches carry their own counters (and emit
         into ``tracer``) for the phases that follow.
 
         ``at_overrides`` gives individual records their own probe
@@ -115,13 +90,8 @@ class StudyExecutor:
         ``bound_archive`` freezes each record's CDX horizon at its
         probe instant — the live pipeline's posture, where records
         carry different staleness and the archive keeps growing.
-
-        Raises:
-            ShardWorkerError: a worker process died before its shards
-                came back.
         """
-        workers = min(self.resolved_workers, max(len(records), 1))
-        context = WorkerContext(
+        context = ShardContext(
             records=records,
             fetcher=fetcher,
             cdx=cdx,
@@ -131,15 +101,12 @@ class StudyExecutor:
             at_overrides=at_overrides,
             bound_archive=bound_archive,
         )
-        if workers <= 1:
-            shards = [run_shard((0, len(records)), context)]
-        else:
-            shards = _run_pool(
-                context, _shard_spans(len(records), workers), workers
-            )
-
+        # No records (a live build with nothing dirty) still runs one
+        # empty shard, so the stats report one shard and its wall.
+        spans = _shard_spans(len(records), self.workers) or [(0, 0)]
         outcomes: list[RecordOutcome] = []
-        for shard in shards:
+        for span in spans:
+            shard = run_shard(span, context)
             outcomes.extend(shard.outcomes)
             if stats is not None:
                 stats.registry.merge(shard.metrics)
@@ -147,55 +114,20 @@ class StudyExecutor:
             if tracer is not None:
                 tracer.adopt(shard.trace_spans)
 
-        parent_fetcher = FetchBackend(fetcher, tracer=tracer)
+        stage_fetcher = FetchBackend(fetcher, tracer=tracer)
         overrides = at_overrides or {}
         for outcome in outcomes:
-            parent_fetcher.seed(
+            stage_fetcher.seed(
                 outcome.record.url,
                 overrides.get(outcome.record.url, at),
                 outcome.probe.result,
             )
         return StageResult(
             outcomes=outcomes,
-            fetcher=parent_fetcher,
+            fetcher=stage_fetcher,
             cdx=CdxBackend(cdx, retry_policy=retry_policy, tracer=tracer),
-            shards=len(shards),
-            workers=workers,
+            shards=len(spans),
         )
-
-
-def _run_pool(
-    context: WorkerContext, spans: list[tuple[int, int]], workers: int
-) -> list[ShardResult]:
-    """Run every span in a process pool; results come back in span order.
-
-    Workers fork where the platform offers it, so they inherit the
-    world instead of unpickling it; elsewhere the initializer ships
-    the context once per worker.
-    """
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:  # no fork on this platform
-        mp_context = multiprocessing.get_context()
-    results: list[ShardResult] = []
-    lost: list[tuple[int, int]] = []
-    broken: BrokenProcessPool | None = None
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=mp_context,
-        initializer=set_context,
-        initargs=(context,),
-    ) as pool:
-        futures = [pool.submit(run_shard, span) for span in spans]
-        for span, future in zip(spans, futures):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool as exc:
-                lost.append(span)
-                broken = exc
-    if lost:
-        raise ShardWorkerError(lost) from broken
-    return results
 
 
 def _shard_spans(n_records: int, shards: int) -> list[tuple[int, int]]:
@@ -203,7 +135,7 @@ def _shard_spans(n_records: int, shards: int) -> list[tuple[int, int]]:
 
     Contiguity matters: sampled records keep collection order, so links
     from one directory tend to sit near each other — sharding them
-    together maximises each worker's cache locality.
+    together maximises each shard's cache locality.
     """
     shards = min(max(shards, 1), max(n_records, 1))
     base, extra = divmod(n_records, shards)

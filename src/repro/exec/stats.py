@@ -10,7 +10,7 @@ PR (``python -m repro study`` and the benchmark suite both print it).
 
 Since the observability PR, ``StudyStats`` is a thin *view* over a
 :class:`~repro.obs.metrics.MetricsRegistry`: every counter it exposes
-is a named registry instrument, so worker shards can buffer their own
+is a named registry instrument, so shards can buffer their own
 registries and the executor folds them in exactly (the same motion the
 retry-counter deltas use), and ``python -m repro study --metrics-json``
 can dump the whole registry machine-readably. The public attribute
@@ -48,9 +48,9 @@ def _rate(hits: int, total: int) -> float:
 
 # -- counter intake over a bare registry --------------------------------------
 #
-# Worker shards fold into a private registry that the parent merges; a
-# ``StudyStats`` there would also write the ``executor.*`` gauges, and
-# the merge would overwrite the parent's topology with the shard's.
+# Shards fold into a private registry that the executor merges; a
+# ``StudyStats`` there would also write the ``executor.shards`` gauge,
+# and the merge would overwrite the run's topology with the shard's.
 
 
 def add_fetch_counts(
@@ -95,7 +95,7 @@ def backend_counts(
     should be fresh at entry. Retry counters are folded as their delta
     across the block: the fetch client's are its raw fetcher's, which
     retries below the memo and may be shared with other blocks. Every
-    worker shard and the parent phases fold through here, so each
+    shard and the later phases fold through here, so each
     retry anywhere is counted exactly once.
     """
     fetch_rc, cdx_rc = fetcher.retry_counters, cdx.retry_counters
@@ -120,7 +120,6 @@ class StudyStats:
     Attributes:
         registry: the backing :class:`~repro.obs.metrics.MetricsRegistry`
             (shared with the executor's fold-on-merge path).
-        workers: worker processes the executor ran with (1 = serial).
         shards: number of record shards the stage was split into.
         phase_seconds: wall time per pipeline phase, in execution order.
         fetches: live-web ``fetch()`` calls the analyses issued.
@@ -139,24 +138,12 @@ class StudyStats:
     """
 
     def __init__(
-        self,
-        workers: int = 1,
-        shards: int = 1,
-        registry: MetricsRegistry | None = None,
+        self, shards: int = 1, registry: MetricsRegistry | None = None
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.workers = workers
         self.shards = shards
 
-    # -- executor topology (gauges) ----------------------------------------------
-
-    @property
-    def workers(self) -> int:
-        return int(self.registry.gauge("executor.workers").value)
-
-    @workers.setter
-    def workers(self, value: int) -> None:
-        self.registry.gauge("executor.workers").set(value)
+    # -- executor topology (gauge) -----------------------------------------------
 
     @property
     def shards(self) -> int:
@@ -205,9 +192,9 @@ class StudyStats:
     def add_shard_wall(self, seconds: float) -> None:
         """Record one shard's wall time, folding min/max/total.
 
-        Each shard times itself where it runs, so worker imbalance —
-        one slow shard pinning the stage — is visible in the summary
-        and the metrics dump. The figure travels beside the shard's
+        Each shard times itself, so imbalance — one slow shard
+        pinning the stage — is visible in the summary and the metrics
+        dump. The figure travels beside the shard's
         registry rather than in it: a registry merge makes gauges take
         the incoming value, so min/max cannot fold through one.
         """
@@ -335,7 +322,6 @@ class StudyStats:
     def as_dict(self) -> dict:
         """Machine-readable dump: topology, phases, and the registry."""
         return {
-            "workers": self.workers,
             "shards": self.shards,
             "analysis_backend": BACKEND,
             "total_seconds": self.total_seconds,
@@ -350,8 +336,7 @@ class StudyStats:
             for name, seconds in self.phase_seconds.items()
         )
         executor_line = (
-            f"executor: {self.workers} worker(s), "
-            f"{self.shards} shard(s), "
+            f"executor: {self.shards} shard(s), "
             f"{self.total_seconds:.2f}s total, "
             f"analysis backend {BACKEND}"
         )
@@ -386,7 +371,7 @@ class StudyStats:
 
     def __repr__(self) -> str:
         return (
-            f"StudyStats(workers={self.workers}, shards={self.shards}, "
+            f"StudyStats(shards={self.shards}, "
             f"fetches={self.fetches}, cdx_queries={self.cdx_queries}, "
             f"total_seconds={self.total_seconds:.3f})"
         )

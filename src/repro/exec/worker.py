@@ -4,14 +4,14 @@ One record's §3 live probe, §4.1 census, §4.2 redirect validation, and
 §3 first-post-marking-copy check depend only on that record plus the
 (read-only) live web and archive — never on any other record. That
 independence is what lets :class:`~repro.exec.executor.StudyExecutor`
-shard the record list across processes and still merge a byte-identical
+cut the record list into shards and still merge a byte-identical
 result: this module is the unit of work each shard runs.
 
-:func:`run_shard` runs one contiguous span of records, in-process or
-in a pool worker alike. It builds fresh memo caches, counts into a
-private :class:`~repro.obs.metrics.MetricsRegistry` (cache hits and
-misses, retry deltas, record buckets), and buffers its trace spans, so
-the parent folds every shard the same way: one registry merge, one
+:func:`run_shard` runs one contiguous span of records. It builds fresh
+memo caches, counts into a private
+:class:`~repro.obs.metrics.MetricsRegistry` (cache hits and misses,
+retry deltas, record buckets), and buffers its trace spans, so the
+executor folds every shard the same way: one registry merge, one
 wall-time reading, one span adoption. Each record stage also measures
 its own wall time and backend-counter deltas into a
 :class:`~repro.obs.provenance.RecordProvenance` (and, when tracing is
@@ -75,17 +75,16 @@ class RecordOutcome:
 
 @dataclass(frozen=True, slots=True)
 class ShardResult:
-    """One shard's outcomes plus everything the parent folds from it.
+    """One shard's outcomes plus everything the executor folds from it.
 
     ``metrics`` is the shard's registry: fetch and CDX hits and misses,
     retry deltas, record buckets and wall histograms, under the names
     :class:`~repro.exec.stats.StudyStats` reads. ``wall_seconds`` is
     the shard's own wall time, kept apart because shard walls fold by
     min/max (see :meth:`~repro.exec.stats.StudyStats.add_shard_wall`);
-    ``trace_spans`` is its buffered trace, adopted by the parent tracer.
+    ``trace_spans`` is its buffered trace, adopted by the caller's tracer.
     """
 
-    start: int
     outcomes: tuple[RecordOutcome, ...]
     wall_seconds: float
     metrics: MetricsRegistry
@@ -180,7 +179,7 @@ def run_record_stage(
 # -- shards ---------------------------------------------------------------------
 
 @dataclass
-class WorkerContext:
+class ShardContext:
     """Everything a shard needs besides its span."""
 
     records: list[LinkRecord]
@@ -188,7 +187,7 @@ class WorkerContext:
     cdx: CdxApi
     at: SimTime
     retry_policy: RetryPolicy | None = None
-    #: Whether shards should buffer trace spans for the parent tracer.
+    #: Whether shards should buffer trace spans for the caller's tracer.
     trace: bool = False
     #: Per-URL probe instants overriding ``at`` (live pipeline).
     at_overrides: dict[str, SimTime] | None = None
@@ -196,36 +195,17 @@ class WorkerContext:
     bound_archive: bool = False
 
 
-#: A pool worker's context, installed once per process by the pool
-#: initializer (under ``fork`` the initializer's arguments are
-#: inherited, not pickled).
-_CONTEXT: WorkerContext | None = None
-
-
-def set_context(context: WorkerContext | None) -> None:
-    """Install the worker context in this process."""
-    global _CONTEXT
-    _CONTEXT = context
-
-
-def run_shard(
-    span: tuple[int, int], context: WorkerContext | None = None
-) -> ShardResult:
+def run_shard(span: tuple[int, int], context: ShardContext) -> ShardResult:
     """Run the record stage over ``records[start:stop]`` of the context.
 
-    ``context`` defaults to the one :func:`set_context` installed in
-    this process (a pool worker); the in-process path passes it.
-
-    Each shard gets fresh memo caches: links in one shard share sibling
-    scopes far more often than links across shards, so per-shard caches
-    capture most of the repetition without any cross-process traffic.
-    Its counters, trace spans (ids prefixed ``w{start}.`` so parent
-    adoption cannot collide) and wall clock all travel back in the
-    :class:`ShardResult`.
+    Each shard gets fresh memo caches. A record's outcome must not
+    depend on which records share them: partial reruns
+    (:class:`~repro.live.incremental.IncrementalStudy`) execute only
+    the dirty records, and the one-shard ≡ N-shard tests guard it.
+    Its counters, trace spans (ids prefixed ``w{start}.`` so
+    adoption into the caller's tracer cannot collide) and wall clock
+    all travel back in the :class:`ShardResult`.
     """
-    context = context if context is not None else _CONTEXT
-    if context is None:
-        raise RuntimeError("worker context not initialised")
     start, stop = span
     tracer = Tracer(prefix=f"w{start}.") if context.trace else None
     metrics = MetricsRegistry()
@@ -253,7 +233,6 @@ def run_shard(
             for record in context.records[start:stop]
         )
     return ShardResult(
-        start=start,
         outcomes=outcomes,
         wall_seconds=time.perf_counter() - wall_start,
         metrics=metrics,

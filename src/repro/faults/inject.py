@@ -13,16 +13,18 @@ index)``: the channel derives a named stream seed via
 :func:`repro.rng.derive_seed` (names like ``faults.dns``), then hashes
 the operation key through it. No injector consults shared sequential
 RNG state, so the fault pattern a key experiences is independent of
-how many other operations ran before it or which worker process runs
-it — which is what lets the differential harness compare serial,
+how many other operations ran before it or which shard runs it —
+which is what lets the differential harness compare serial,
 sharded, retried, and retry-less runs of the same plan.
 
 *Transience* is per key: a faulted key fails its first ``depth``
 attempts (``depth`` drawn in ``1..max_repeats``) and then clears, so a
 retry budget of ``plan.required_retries()`` provably masks every
-transient channel. Attempt indices are tracked per injector instance;
-forked workers start fresh, which keeps first-contact decisions
-identical across process topologies.
+transient channel. Attempt indices are tracked per injector instance,
+and every shard of a run goes through the same instance, so each
+key's faults are spent once per run whatever the shard count: a
+masked run reports the same measurements and the same retry totals
+in one shard or many.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class FaultyOrigin:
 
     Fault keys are the requested URL string, so one flaky page does
     not condemn its whole site and decisions replay identically
-    whichever worker fetches the page first.
+    whichever shard fetches the page first.
     """
 
     def __init__(self, inner: OriginServer, plan: FaultPlan) -> None:

@@ -27,7 +27,7 @@ The contract (pinned by the golden differential tests in
 ``tests/test_live.py``): the report of every generation is
 byte-identical — same index ``version`` hash, same wire answers — to
 :func:`reference_study` run from scratch at the same sim instant,
-whatever the cursor schedule and whatever the worker count.
+whatever the cursor schedule and whatever the shard count.
 
 Why cached outcomes stay valid while the world grows: every event and
 capture appended after a build happens strictly later than that build
@@ -259,7 +259,7 @@ class IncrementalStudy:
             )
         if at < self._baseline:
             raise LiveError("cannot build before the study baseline")
-        executor = executor if executor is not None else StudyExecutor(workers=1)
+        executor = executor if executor is not None else StudyExecutor()
 
         consumed, dirty_articles = self._consume_events(at)
         collected = self._collect(dirty_articles)
@@ -306,7 +306,6 @@ class IncrementalStudy:
                 retry_policy=self._retry_policy,
             )
         stats.shards = stage.shards
-        stats.workers = stage.workers
         stats.registry.counter("live.dirty.executed").inc(len(dirty_records))
         stats.registry.counter("live.clean.folded").inc(
             len(records) - len(dirty_records)

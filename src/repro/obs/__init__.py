@@ -1,6 +1,6 @@
 """Observability for the study pipeline: tracing, metrics, provenance.
 
-Three layers, all opt-in and all fold-exact across worker processes:
+Three layers, all opt-in and all fold-exact across shards:
 
 - :mod:`repro.obs.trace` — a span-based :class:`Tracer` recording the
   hierarchy study → phase → shard → record → backend call on both the
@@ -8,8 +8,8 @@ Three layers, all opt-in and all fold-exact across worker processes:
   append-only JSONL event log;
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and fixed-bound histograms that
-  :class:`~repro.exec.stats.StudyStats` is a thin view over; worker
-  shards buffer their own registry and the executor folds them
+  :class:`~repro.exec.stats.StudyStats` is a thin view over; shards
+  buffer their own registry and the executor folds them
   exactly on merge;
 - :mod:`repro.obs.provenance` — a :class:`RecordProvenance` attached
   to every record outcome: span id, Figure-4 bucket, and the

@@ -1,23 +1,23 @@
 """A small, exact, fold-friendly metrics registry.
 
-The study pipeline runs the same logical work whether it executes
-serially or sharded across worker processes, and its accounting must
-say so: every counter in this module folds by plain addition, every
-histogram by bucket-wise addition, so a parent process can merge the
-registries its workers buffered and end up with *exactly* the numbers
-a serial run would have produced (for shape-independent metrics) or
-exactly the sum of what every process did (for shape-dependent ones).
+The study pipeline runs the same logical work whether it executes as
+one shard or many, and its accounting must say so: every counter in
+this module folds by plain addition, every histogram by bucket-wise
+addition, so the executor can merge the registries its shards
+buffered and end up with *exactly* the numbers a one-shard run would
+have produced (for shape-independent metrics) or exactly the sum of
+what every shard did (for shape-dependent ones).
 
 Three instrument types:
 
 - :class:`Counter` — a monotonically increasing float total;
-- :class:`Gauge` — a last-written value (worker counts, shard wall
+- :class:`Gauge` — a last-written value (shard counts, shard wall
   extrema — things that are *states*, not totals);
 - :class:`Histogram` — fixed, deterministic bucket bounds chosen at
   registration time, so two processes observing into histograms of the
   same name always produce mergeable bucket vectors.
 
-Nothing here is thread-safe by design: each process owns its registry
+Nothing here is thread-safe by design: each shard owns its registry
 and folding happens at well-defined merge points (the executor's
 shard-result loop), mirroring how the retry-counter deltas already
 flow.

@@ -15,8 +15,8 @@ stage, read duck-typed off whatever backend stack is in play (raw
 
 Caveat: cache-hit/miss splits are execution-shape-dependent (a shard's
 private memo misses where a serial run's shared memo hits), so
-per-record ``backend_*`` counts may differ between serial and parallel
-runs of the same study. The *issued* counts and the bucket are
+per-record ``backend_*`` counts may differ between one-shard and
+N-shard runs of the same study. The *issued* counts and the bucket are
 shape-independent.
 """
 

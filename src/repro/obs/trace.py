@@ -15,14 +15,14 @@ the simulation cares about:
 
 Tracing is strictly opt-in: every hook in the pipeline takes
 ``tracer=None`` and skips all span work when it is absent, so the
-untraced hot path stays untouched. Worker processes buffer spans in
-their own tracer (ids namespaced by a per-shard prefix) and ship them
-back inside the shard result; the parent re-parents them under its own
-span tree with :meth:`Tracer.adopt` — the same buffer-then-fold motion
+untraced hot path stays untouched. Shards buffer spans in their own
+tracer (ids namespaced by a per-shard prefix) and hand them back
+inside the shard result; the executor re-parents them under the
+caller's span tree with :meth:`Tracer.adopt` — the same buffer-then-fold motion
 the metrics and retry counters use.
 
 Span ids and wall timestamps are explicitly *not* part of any
-equivalence contract: a serial and a parallel run of the same seeded
+equivalence contract: a one-shard and an N-shard run of the same seeded
 study produce the same aggregate metrics and byte-identical reports,
 but their span trees differ in ids, interleaving, and wall durations.
 """
@@ -44,8 +44,8 @@ class Span:
     """One traced operation: identity, position in the tree, two clocks.
 
     Attributes:
-        span_id: tracer-unique id (string; worker tracers prefix theirs
-            so adoption into the parent tree never collides).
+        span_id: tracer-unique id (string; shard tracers prefix theirs
+            so adoption into the caller's tree never collides).
         parent_id: enclosing span's id, or ``None`` for a root.
         name: human-readable operation name (``"probe+census"``,
             ``"record"``, ...).

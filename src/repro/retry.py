@@ -16,7 +16,7 @@ waited. Delays are deterministic: jitter is derived by hashing the
 policy seed, the operation key, and the attempt number through
 :func:`repro.rng.derive_seed`, never by consuming shared RNG state —
 so a retry schedule is a pure function of ``(policy, key)`` and
-replays identically at any worker count.
+replays identically at any shard count.
 
 The zero-retry default (``max_retries=0``) is byte-for-byte the
 pre-retry behaviour: the operation runs once and any exception

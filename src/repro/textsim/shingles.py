@@ -273,7 +273,7 @@ def _shingle_multipliers(k: int) -> list[int]:
 #: Token-hash memo bound. Page text draws from a small per-site
 #: vocabulary, so in practice the cache converges far below this; the
 #: bound exists so a long crawl over many worlds (or a long-lived
-#: worker process) cannot grow it without limit. crc32 is pure, so
+#: process) cannot grow it without limit. crc32 is pure, so
 #: clearing the memo never changes a sketch.
 TOKEN_CACHE_MAX = 1 << 16
 

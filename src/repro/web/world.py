@@ -94,8 +94,8 @@ class LiveWeb:
         A body's dynamic-noise token is derived from the request itself
         (``(address, url, day)``) rather than drawn from a shared
         counter, so a fetch is a pure function of ``(url, at)`` — the
-        property the executor's fetch memo and sharded workers both
-        rely on. Fetches of *different* URLs (or on different days)
+        property the executor's fetch memo and its per-shard caches
+        both rely on. Fetches of *different* URLs (or on different days)
         still get distinct noise tokens, which is all the soft-404
         machinery needs. The token is only computed if something reads
         the body. The site stamps the response (or its timeout) with

@@ -70,10 +70,14 @@ def test_every_benchmark_runs_at_toy_scale(tmp_path):
             str(REPO_ROOT / "benchmarks"),
             "-o",
             "addopts=",  # drop the marker filter and -q from pyproject
-            "-q",
             "-p",
             "no:cacheprovider",
             # No ``-x``: one failing benchmark must not hide the rest.
+            # ``-rf`` lists every failure in the short summary, and
+            # ``-vv`` keeps each line's message (a gate's reading)
+            # whole instead of trimming it to the terminal width.
+            "-rf",
+            "-vv",
             "--benchmark-disable",
         ],
         capture_output=True,
@@ -82,8 +86,10 @@ def test_every_benchmark_runs_at_toy_scale(tmp_path):
         cwd=REPO_ROOT,
         timeout=1800,
     )
+    summary = proc.stdout.partition("short test summary info")[2]
     assert proc.returncode == 0, (
         f"toy-scale benchmark run failed:\n"
+        f"--- short test summary ---\n{summary}\n"
         f"--- stdout (tail) ---\n{proc.stdout[-4000:]}\n"
         f"--- stderr (tail) ---\n{proc.stderr[-4000:]}"
     )

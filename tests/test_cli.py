@@ -14,11 +14,6 @@ def run(argv, capsys) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-def measured_lines(out: str) -> list[str]:
-    """Every line but the ``#`` timing and metadata header."""
-    return [line for line in out.splitlines() if not line.startswith("#")]
-
-
 def headline_block(out: str) -> str:
     """The headline table as printed: title, header, rule, one row each."""
     lines = out.splitlines()
@@ -30,7 +25,11 @@ class TestCli:
     def test_study(self, capsys):
         assert main(["study", "--links", "400", "--seed", "6"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 4" in out
+        for figure in (
+            "Figure 3(a)", "Figure 3(b)", "Figure 3(c)", "Figure 4",
+            "Figure 5", "Figure 6", HEADLINE_TITLE,
+        ):
+            assert figure in out, figure
         assert "permanently dead links studied" in out
 
     def test_study_markdown(self, tmp_path, capsys):
@@ -85,19 +84,6 @@ class TestCli:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["fault_events"] > 0
-
-    def test_study_workers_print_the_same_measurements(self, capsys):
-        code, serial = run(["study", *WORLD, "--workers", "1"], capsys)
-        assert code == 0
-        code, sharded = run(["study", *WORLD, "--workers", "2"], capsys)
-        assert code == 0
-        assert "# executor: 2 worker(s)" in sharded
-        assert measured_lines(sharded) == measured_lines(serial)
-        for figure in (
-            "Figure 3(a)", "Figure 3(b)", "Figure 3(c)", "Figure 4",
-            "Figure 5", "Figure 6", HEADLINE_TITLE,
-        ):
-            assert figure in serial, figure
 
     def test_calibrate_grades_the_table_study_prints(self, capsys):
         code, out = run(["calibrate", *WORLD], capsys)

@@ -234,7 +234,7 @@ class TestShardWall:
 class TestSummaryFormatting:
     def test_quiet_run_renders_zeroes_not_errors(self):
         text = StudyStats().summary()
-        assert "1 worker(s), 1 shard(s)" in text
+        assert "executor: 1 shard(s)" in text
         assert "phases: none recorded" in text
         assert "cache hit rate 0.0%" in text
         assert (
@@ -243,7 +243,7 @@ class TestSummaryFormatting:
         )
 
     def test_busy_run_renders_every_counter(self):
-        stats = StudyStats(workers=4, shards=8)
+        stats = StudyStats(shards=8)
         add_fetch_counts(stats.registry, hits=75, misses=25)
         add_cdx_counts(stats.registry, hits=40, misses=60)
         add_retry_counts(
@@ -255,7 +255,7 @@ class TestSummaryFormatting:
             backoff_ms=1234.56,
         )
         text = stats.summary()
-        assert "4 worker(s), 8 shard(s)" in text
+        assert "executor: 8 shard(s)" in text
         assert "fetches: 100 issued, 25 reached the network" in text
         assert "cache hit rate 75.0%" in text
         assert "cdx queries: 100 issued, 60 reached the API" in text
