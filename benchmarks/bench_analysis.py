@@ -274,7 +274,7 @@ def test_columnar_analysis_speedup(
 
     # -- interleaved timing, phase-attributed ----------------------------------
     stats = StudyStats()
-    tracer = Tracer(prefix="bench.")
+    tracer = Tracer()
 
     def one_round(variant: str, phase: str) -> dict[str, float]:
         gc.collect()

@@ -259,8 +259,8 @@ class Study:
         :class:`~repro.exec.StudyStats` differs.
 
         ``tracer`` records the full span hierarchy (study → phase →
-        shard → record → backend call) of the run; shards buffer
-        their spans and the executor grafts them back in.
+        shard → record → backend call) of the run in one tree; every
+        shard opens its spans on it directly.
         Tracing never changes the measurement: a traced run's report
         is byte-identical to an untraced one, and one-shard and N-shard
         traced runs agree on every aggregate metric (span ids and
@@ -287,7 +287,6 @@ class Study:
                     bound_archive=self.bound_archive,
                     retry_policy=self.retry_policy,
                 )
-            stats.shards = stage.shards
             return assemble_report(
                 dataset=dataset,
                 outcomes=list(stage.outcomes),

@@ -5,9 +5,9 @@ repetitive in its archive-API traffic. This package supplies the three
 pieces that run the per-link stage without changing a single measured
 number:
 
-- :class:`StudyExecutor` — cuts the record list into contiguous spans,
-  runs each through one shard function in the calling process, and
-  merges the results in record order;
+- :class:`StudyExecutor` — cuts the record list into contiguous spans
+  and runs each as a shard in the calling process, keeping outcomes in
+  record order;
 - the memoizing backend stacks it builds per shard —
   :class:`~repro.backends.stacks.FetchBackend` /
   :class:`~repro.backends.stacks.CdxBackend`, exact memo caches over
@@ -15,15 +15,14 @@ number:
   :mod:`repro.backends`);
 - :class:`StudyStats` — per-phase wall time plus fetch/query/cache
   counters, attached to every study report; a thin view over a
-  :class:`~repro.obs.metrics.MetricsRegistry`, so every shard counts
-  into a registry of its own and the executor folds it with one merge.
+  :class:`~repro.obs.metrics.MetricsRegistry` that every shard counts
+  into directly.
 
 Observability threads through the same seams (see :mod:`repro.obs`):
 pass ``tracer=`` to :meth:`StudyExecutor.execute` (or to
 ``Study.run``) and every shard, record, and backend call records a
-span; shards buffer spans and registries that the executor grafts
-back on merge. All of it is opt-in and inert — traced and untraced
-runs produce byte-identical reports.
+span in that one tracer. All of it is opt-in and inert — traced and
+untraced runs produce byte-identical reports.
 """
 
 from .executor import StageResult, StudyExecutor

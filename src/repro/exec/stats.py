@@ -8,14 +8,11 @@ caches absorbed, and how the work was sharded. Every run of
 report, which is what makes the perf trajectory measurable from PR to
 PR (``python -m repro study`` and the benchmark suite both print it).
 
-Since the observability PR, ``StudyStats`` is a thin *view* over a
+``StudyStats`` is a thin *view* over a
 :class:`~repro.obs.metrics.MetricsRegistry`: every counter it exposes
-is a named registry instrument, so shards can buffer their own
-registries and the executor folds them in exactly (the same motion the
-retry-counter deltas use), and ``python -m repro study --metrics-json``
-can dump the whole registry machine-readably. The public attribute
-surface (``fetches``, ``phase_seconds``, ``summary()`` …) is
-unchanged.
+is a named registry instrument, every shard of the executor counts
+straight into it, and ``python -m repro study --metrics-json`` can
+dump the whole registry machine-readably.
 """
 
 from __future__ import annotations
@@ -46,11 +43,7 @@ def _rate(hits: int, total: int) -> float:
     return hits / total if total else 0.0
 
 
-# -- counter intake over a bare registry --------------------------------------
-#
-# Shards fold into a private registry that the executor merges; a
-# ``StudyStats`` there would also write the ``executor.shards`` gauge,
-# and the merge would overwrite the run's topology with the shard's.
+# -- counter intake -----------------------------------------------------------
 
 
 def add_fetch_counts(
@@ -119,7 +112,7 @@ class StudyStats:
 
     Attributes:
         registry: the backing :class:`~repro.obs.metrics.MetricsRegistry`
-            (shared with the executor's fold-on-merge path).
+            (every shard of the executor counts straight into it).
         shards: number of record shards the stage was split into.
         phase_seconds: wall time per pipeline phase, in execution order.
         fetches: live-web ``fetch()`` calls the analyses issued.
@@ -192,11 +185,9 @@ class StudyStats:
     def add_shard_wall(self, seconds: float) -> None:
         """Record one shard's wall time, folding min/max/total.
 
-        Each shard times itself, so imbalance — one slow shard
+        The executor times each shard, so imbalance — one slow shard
         pinning the stage — is visible in the summary and the metrics
-        dump. The figure travels beside the shard's
-        registry rather than in it: a registry merge makes gauges take
-        the incoming value, so min/max cannot fold through one.
+        dump.
         """
         count = self.registry.counter("shard.wall.count")
         minimum = self.registry.gauge("shard.wall.min_s")

@@ -4,18 +4,12 @@ One record's §3 live probe, §4.1 census, §4.2 redirect validation, and
 §3 first-post-marking-copy check depend only on that record plus the
 (read-only) live web and archive — never on any other record. That
 independence is what lets :class:`~repro.exec.executor.StudyExecutor`
-cut the record list into shards and still merge a byte-identical
-result: this module is the unit of work each shard runs.
-
-:func:`run_shard` runs one contiguous span of records. It builds fresh
-memo caches, counts into a private
-:class:`~repro.obs.metrics.MetricsRegistry` (cache hits and misses,
-retry deltas, record buckets), and buffers its trace spans, so the
-executor folds every shard the same way: one registry merge, one
-wall-time reading, one span adoption. Each record stage also measures
-its own wall time and backend-counter deltas into a
-:class:`~repro.obs.provenance.RecordProvenance` (and, when tracing is
-on, a ``kind="record"`` span).
+cut the record list into shards and still produce a byte-identical
+result: :func:`run_record_stage` is the unit of work each shard runs
+over its records. It measures its own wall time and backend-counter
+deltas into a :class:`~repro.obs.provenance.RecordProvenance` (and,
+when tracing is on, a ``kind="record"`` span), and counts its bucket
+into the run's :class:`~repro.obs.metrics.MetricsRegistry`.
 
 ``repro.analysis.study`` imports this package back, and importing any
 ``repro.analysis`` submodule runs the package ``__init__`` (which
@@ -38,9 +32,7 @@ from ..dataset.records import LinkRecord
 from ..net.fetch import Fetcher
 from ..obs.metrics import MetricsRegistry
 from ..obs.provenance import RecordProvenance, backend_snapshot
-from ..obs.trace import Span, Tracer
-from ..retry import RetryPolicy
-from .stats import backend_counts
+from ..obs.trace import Tracer
 
 if TYPE_CHECKING:
     from ..analysis.copies import CopyCensus
@@ -73,24 +65,6 @@ class RecordOutcome:
         return self.probe.record
 
 
-@dataclass(frozen=True, slots=True)
-class ShardResult:
-    """One shard's outcomes plus everything the executor folds from it.
-
-    ``metrics`` is the shard's registry: fetch and CDX hits and misses,
-    retry deltas, record buckets and wall histograms, under the names
-    :class:`~repro.exec.stats.StudyStats` reads. ``wall_seconds`` is
-    the shard's own wall time, kept apart because shard walls fold by
-    min/max (see :meth:`~repro.exec.stats.StudyStats.add_shard_wall`);
-    ``trace_spans`` is its buffered trace, adopted by the caller's tracer.
-    """
-
-    outcomes: tuple[RecordOutcome, ...]
-    wall_seconds: float
-    metrics: MetricsRegistry
-    trace_spans: tuple[Span, ...] = ()
-
-
 def run_record_stage(
     record: LinkRecord,
     fetcher: Fetcher | FetchBackend,
@@ -105,7 +79,7 @@ def run_record_stage(
 
     Always attaches provenance (the counter deltas are nearly free);
     ``tracer`` adds a ``record`` span enclosing the stage's backend
-    spans, and ``metrics`` buffers the record's bucket and wall time.
+    spans, and ``metrics`` counts the record's bucket and wall time.
 
     ``at`` is the record's probe instant (the live pipeline hands each
     record its own); ``bound_archive`` additionally clamps every CDX
@@ -175,66 +149,3 @@ def run_record_stage(
         provenance=provenance,
     )
 
-
-# -- shards ---------------------------------------------------------------------
-
-@dataclass
-class ShardContext:
-    """Everything a shard needs besides its span."""
-
-    records: list[LinkRecord]
-    fetcher: Fetcher
-    cdx: CdxApi
-    at: SimTime
-    retry_policy: RetryPolicy | None = None
-    #: Whether shards should buffer trace spans for the caller's tracer.
-    trace: bool = False
-    #: Per-URL probe instants overriding ``at`` (live pipeline).
-    at_overrides: dict[str, SimTime] | None = None
-    #: Clamp CDX queries to each record's probe instant (live pipeline).
-    bound_archive: bool = False
-
-
-def run_shard(span: tuple[int, int], context: ShardContext) -> ShardResult:
-    """Run the record stage over ``records[start:stop]`` of the context.
-
-    Each shard gets fresh memo caches. A record's outcome must not
-    depend on which records share them: partial reruns
-    (:class:`~repro.live.incremental.IncrementalStudy`) execute only
-    the dirty records, and the one-shard ≡ N-shard tests guard it.
-    Its counters, trace spans (ids prefixed ``w{start}.`` so
-    adoption into the caller's tracer cannot collide) and wall clock
-    all travel back in the :class:`ShardResult`.
-    """
-    start, stop = span
-    tracer = Tracer(prefix=f"w{start}.") if context.trace else None
-    metrics = MetricsRegistry()
-    fetcher = FetchBackend(context.fetcher, tracer=tracer)
-    cdx = CdxBackend(
-        context.cdx, retry_policy=context.retry_policy, tracer=tracer
-    )
-    overrides = context.at_overrides or {}
-    wall_start = time.perf_counter()
-    with backend_counts(metrics, fetcher, cdx), (
-        tracer.span("shard", kind="shard", start=start, stop=stop)
-        if tracer is not None
-        else nullcontext()
-    ):
-        outcomes = tuple(
-            run_record_stage(
-                record,
-                fetcher,
-                cdx,
-                overrides.get(record.url, context.at),
-                tracer=tracer,
-                metrics=metrics,
-                bound_archive=context.bound_archive,
-            )
-            for record in context.records[start:stop]
-        )
-    return ShardResult(
-        outcomes=outcomes,
-        wall_seconds=time.perf_counter() - wall_start,
-        metrics=metrics,
-        trace_spans=tuple(tracer.spans) if tracer is not None else (),
-    )

@@ -305,7 +305,6 @@ class IncrementalStudy:
                 at_overrides=probe_map, bound_archive=True,
                 retry_policy=self._retry_policy,
             )
-        stats.shards = stage.shards
         stats.registry.counter("live.dirty.executed").inc(len(dirty_records))
         stats.registry.counter("live.clean.folded").inc(
             len(records) - len(dirty_records)

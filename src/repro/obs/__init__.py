@@ -1,6 +1,7 @@
 """Observability for the study pipeline: tracing, metrics, provenance.
 
-Three layers, all opt-in and all fold-exact across shards:
+Three layers, all opt-in, each agreeing across shard counts on every
+shape-independent aggregate:
 
 - :mod:`repro.obs.trace` — a span-based :class:`Tracer` recording the
   hierarchy study → phase → shard → record → backend call on both the
@@ -8,9 +9,8 @@ Three layers, all opt-in and all fold-exact across shards:
   append-only JSONL event log;
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and fixed-bound histograms that
-  :class:`~repro.exec.stats.StudyStats` is a thin view over; shards
-  buffer their own registry and the executor folds them
-  exactly on merge;
+  :class:`~repro.exec.stats.StudyStats` is a thin view over; every
+  shard counts straight into the run's registry;
 - :mod:`repro.obs.provenance` — a :class:`RecordProvenance` attached
   to every record outcome: span id, Figure-4 bucket, and the
   fetch/CDX/retry deltas that record cost.

@@ -8,7 +8,7 @@ of the observability world speaks:
   (``# TYPE`` headers, ``_total`` counter suffix, cumulative
   ``_bucket{le="…"}`` histogram series with OpenMetrics-style
   exemplar annotations). Per-replica families published by
-  :meth:`~repro.obs.metrics.MetricsRegistry.merge_prefixed` render as
+  a prefixed :meth:`~repro.obs.metrics.MetricsRegistry.merge` render as
   their own sanitized families (``service_replica_s0r1_…``) next to
   the fleet rollup.
 - :func:`render_json` — a canonical, byte-stable JSON snapshot

@@ -1,12 +1,9 @@
 """A small, exact, fold-friendly metrics registry.
 
-The study pipeline runs the same logical work whether it executes as
-one shard or many, and its accounting must say so: every counter in
-this module folds by plain addition, every histogram by bucket-wise
-addition, so the executor can merge the registries its shards
-buffered and end up with *exactly* the numbers a one-shard run would
-have produced (for shape-independent metrics) or exactly the sum of
-what every shard did (for shape-dependent ones).
+Every counter in this module folds by plain addition and every
+histogram by bucket-wise addition, so merging registries is exact: the
+cluster tier folds its replicas' registries into one fleet rollup
+whose totals are exactly the sums of what every replica counted.
 
 Three instrument types:
 
@@ -17,10 +14,9 @@ Three instrument types:
   registration time, so two processes observing into histograms of the
   same name always produce mergeable bucket vectors.
 
-Nothing here is thread-safe by design: each shard owns its registry
-and folding happens at well-defined merge points (the executor's
-shard-result loop), mirroring how the retry-counter deltas already
-flow.
+Nothing here is thread-safe by design: each registry has one owner,
+and folding happens at one well-defined merge point (the cluster's
+replica fold).
 """
 
 from __future__ import annotations
@@ -373,25 +369,14 @@ class MetricsRegistry:
             name: c.value for name, c in items if name.startswith(prefix)
         }
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters and histograms add,
-        gauges take the incoming value."""
-        for name, counter in other._counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).set(gauge.value)
-        for name, histogram in other._histograms.items():
-            self.histogram(name, histogram.bounds).merge(histogram)
+    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
+        """Fold another registry in, exactly: counters and histograms
+        add, gauges take the incoming value.
 
-    def merge_prefixed(self, other: "MetricsRegistry", prefix: str) -> None:
-        """Fold another registry in under a name prefix, exactly.
-
-        Same fold semantics as :meth:`merge` — counters and histograms
-        add, gauges take the incoming value — but every incoming
-        instrument lands at ``prefix + name``. This is how the cluster
-        tier publishes per-replica metric families
+        Every incoming instrument lands at ``prefix + name``. This is
+        how the cluster tier publishes per-replica metric families
         (``service.replica.<rid>.…``) next to the fleet-wide rollup it
-        gets from a plain :meth:`merge` of the same registries: the
+        gets from an unprefixed merge of the same registries: the
         rollup totals are then, by construction, the exact sums of the
         per-replica families.
         """

@@ -15,11 +15,8 @@ the simulation cares about:
 
 Tracing is strictly opt-in: every hook in the pipeline takes
 ``tracer=None`` and skips all span work when it is absent, so the
-untraced hot path stays untouched. Shards buffer spans in their own
-tracer (ids namespaced by a per-shard prefix) and hand them back
-inside the shard result; the executor re-parents them under the
-caller's span tree with :meth:`Tracer.adopt` — the same buffer-then-fold motion
-the metrics and retry counters use.
+untraced hot path stays untouched. The executor's shards open their
+spans on the run's own tracer, so one tree holds the whole run.
 
 Span ids and wall timestamps are explicitly *not* part of any
 equivalence contract: a one-shard and an N-shard run of the same seeded
@@ -33,7 +30,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from ..clock import SimTime
@@ -44,8 +41,8 @@ class Span:
     """One traced operation: identity, position in the tree, two clocks.
 
     Attributes:
-        span_id: tracer-unique id (string; shard tracers prefix theirs
-            so adoption into the caller's tree never collides).
+        span_id: tracer-unique id (the tracer's issue counter, as a
+            string).
         parent_id: enclosing span's id, or ``None`` for a root.
         name: human-readable operation name (``"probe+census"``,
             ``"record"``, ...).
@@ -112,16 +109,9 @@ class Span:
 
 
 class Tracer:
-    """Collects spans in completion order; writes them as JSONL.
+    """Collects spans in completion order; writes them as JSONL."""
 
-    Args:
-        prefix: prepended to every span id this tracer issues. Worker
-            shards use ``"w{start}."`` so their ids stay unique when
-            the parent adopts them.
-    """
-
-    def __init__(self, prefix: str = "") -> None:
-        self._prefix = prefix
+    def __init__(self) -> None:
         self._issued = 0
         self._stack: list[Span] = []
         #: Finished spans, in completion order (children before parents).
@@ -163,7 +153,7 @@ class Tracer:
 
     def _new_id(self) -> str:
         self._issued += 1
-        return f"{self._prefix}{self._issued}"
+        return str(self._issued)
 
     def defer_span(
         self,
@@ -245,24 +235,6 @@ class Tracer:
             # Append without draining the deferred buffer: a serving
             # loop closing its root span must not pay for span
             # materialization inside the measured region.
-            self._spans.append(span)
-
-    def adopt(
-        self, spans: Iterable[Span], parent_id: str | None = None
-    ) -> None:
-        """Graft spans buffered by another tracer into this tree.
-
-        Root spans (``parent_id is None``) are re-parented under
-        ``parent_id`` when given, else under the currently open span.
-        Non-root spans keep their internal parentage. The donor tracer
-        must have used a distinct id prefix.
-        """
-        graft_parent = parent_id if parent_id is not None else self.current_id
-        if self._deferred:
-            self._drain()
-        for span in spans:
-            if span.parent_id is None:
-                span.parent_id = graft_parent
             self._spans.append(span)
 
     def write_jsonl(self, path) -> int:

@@ -534,7 +534,7 @@ class ClusterService:
         self.metrics.counter("service.cluster.dispatches").inc(self._dispatched)
         for replica in self._all_replicas:
             self.metrics.merge(replica.metrics)
-            self.metrics.merge_prefixed(
+            self.metrics.merge(
                 replica.metrics, f"service.replica.{replica.replica_id}."
             )
             replica.rebind_metrics()  # each registry folds exactly once

@@ -16,7 +16,7 @@ from repro.analysis.study import Study, StudyReport
 from repro.archive.cdx import CdxQuery, MatchType
 from repro.backends import CdxBackend, FetchBackend
 from repro.dataset.worldgen import WorldConfig, generate_world
-from repro.exec import StudyExecutor
+from repro.exec import StudyExecutor, StudyStats
 from repro.exec.executor import _shard_spans
 from repro.faults import FaultPlan
 from repro.obs.trace import Tracer
@@ -169,6 +169,23 @@ class TestShardSpans:
         if sizes:
             assert max(sizes) - min(sizes) <= 1
         assert len(spans) <= max(shards, 1)
+
+
+class TestStudyExecutorArgs:
+    @pytest.mark.parametrize("workers", [0, -3, None, True, False, 2.0, "2"])
+    def test_rejects_anything_but_a_positive_int(self, workers):
+        # A bad count must fail at construction, typed, not as one
+        # silent shard or a TypeError deep inside the span split.
+        with pytest.raises(ValueError, match="workers"):
+            StudyExecutor(workers=workers)
+
+    def test_execute_records_the_shard_count(self, tiny_world):
+        study = _fresh_study(tiny_world)
+        stats = StudyStats()
+        StudyExecutor(workers=3).execute(
+            study.records, study.fetcher, study.cdx, study.at, stats=stats
+        )
+        assert stats.shards == 3
 
 
 # -- executor equivalence ----------------------------------------------------------

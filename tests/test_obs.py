@@ -104,25 +104,6 @@ class TestTracer:
                 pass
         assert a.parent_id == b.parent_id == parent.span_id
 
-    def test_ids_carry_the_prefix(self):
-        tracer = Tracer(prefix="w40.")
-        with tracer.span("shard"):
-            pass
-        assert tracer.spans[0].span_id == "w40.1"
-
-    def test_adopt_reparents_roots_only(self):
-        worker = Tracer(prefix="w0.")
-        with worker.span("shard") as shard:
-            with worker.span("record") as record:
-                pass
-        parent = Tracer()
-        with parent.span("study") as study:
-            parent.adopt(worker.spans)
-        assert shard.parent_id == study.span_id
-        assert record.parent_id == shard.span_id  # internal edge untouched
-        ids = {s.span_id for s in parent.spans}
-        assert len(ids) == 3  # prefixing kept worker ids collision-free
-
     def test_jsonl_round_trip(self, tmp_path):
         tracer = Tracer()
         with tracer.span("study", kind="study") as study:
@@ -143,7 +124,7 @@ class TestTracer:
         assert rec.attrs == {"url": "http://x/", "bucket": "404"}
         assert rec.duration_s == pytest.approx(record.duration_s)
         # Appending a second tracer's spans accumulates, never truncates.
-        other = Tracer(prefix="b.")
+        other = Tracer()
         with other.span("extra"):
             pass
         other.write_jsonl(path)
@@ -461,8 +442,8 @@ class TestTracedStudy:
         assert kinds["phase"] == 5
         assert kinds["shard"] == report.stats.shards == 3
         assert kinds["record"] == len(report.probes)
-        # Every parent id resolves inside the trace: adoption grafted
-        # the worker spans onto the parent tree without dangling edges.
+        # Every parent id resolves inside the trace: the shards traced
+        # into the run's own tree, without dangling edges.
         ids = {s.span_id for s in tracer.spans}
         assert len(ids) == len(tracer.spans)
         for span in tracer.spans:
@@ -472,9 +453,13 @@ class TestTracedStudy:
         for span in tracer.spans:
             if span.kind == "phase":
                 assert span.parent_id == study_span.span_id
+        (stage_span,) = (s for s in tracer.spans if s.name == "probe+census")
+        shard_ids = {s.span_id for s in tracer.spans if s.kind == "shard"}
         for span in tracer.spans:
             if span.kind == "shard":
-                assert span.span_id.startswith("w")  # worker-buffered
+                assert span.parent_id == stage_span.span_id
+            elif span.kind == "record":
+                assert span.parent_id in shard_ids
 
     def test_trace_phase_totals_match_stats_exactly(self, tiny_world):
         tracer = Tracer()

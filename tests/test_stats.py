@@ -142,9 +142,8 @@ class TestShardWall:
         assert len(stats.summary().splitlines()) == 5  # format unchanged
 
     def test_worker_registry_merge_adds_counters_exactly(self):
-        # The executor's fold path: worker shards buffer private
-        # registries (record buckets, wall histograms) that merge into
-        # the stats' registry by plain addition.
+        # Registries (record buckets, wall histograms) merge into the
+        # stats' registry by plain addition.
         stats = StudyStats()
         stats.registry.counter("records.traced").inc(3)
         for n in (2, 5):
@@ -169,7 +168,7 @@ class TestShardWall:
                 float(lookups)
             )
             fleet.merge(replica)
-            fleet.merge_prefixed(replica, f"service.replica.{rid}.")
+            fleet.merge(replica, f"service.replica.{rid}.")
         assert fleet.counter("service.index.lookups").int_value == 8
         assert (
             fleet.counter("service.replica.s0r0.service.index.lookups").value
@@ -192,26 +191,26 @@ class TestShardWall:
         other = MetricsRegistry()
         other.histogram("lat", (2.0,)).observe(0.5)
         with pytest.raises(ValueError, match="bounds"):
-            fleet.merge_prefixed(other, "service.replica.r.")
+            fleet.merge(other, "service.replica.r.")
 
     def test_merge_prefixed_empty_source_is_a_no_op(self):
         fleet = MetricsRegistry()
         fleet.counter("c").inc(2)
         before = fleet.snapshot()
-        fleet.merge_prefixed(MetricsRegistry(), "service.replica.r.")
+        fleet.merge(MetricsRegistry(), "service.replica.r.")
         assert fleet.snapshot() == before
 
     def test_merge_prefixed_repeated_prefix_folds_additively(self):
         # Folding the same source twice under one prefix adds counters
         # and histograms (and re-takes gauges) — the same contract as
-        # merge(), just namespaced.
+        # an unprefixed merge(), just namespaced.
         fleet = MetricsRegistry()
         source = MetricsRegistry()
         source.counter("lookups").inc(3)
         source.gauge("depth").set(7)
         source.histogram("lat", (1.0,)).observe(0.5)
-        fleet.merge_prefixed(source, "r.")
-        fleet.merge_prefixed(source, "r.")
+        fleet.merge(source, "r.")
+        fleet.merge(source, "r.")
         assert fleet.counter("r.lookups").int_value == 6
         assert fleet.gauge("r.depth").value == 7
         assert fleet.histogram("r.lat", (1.0,)).count == 2
@@ -223,9 +222,9 @@ class TestShardWall:
         replica = MetricsRegistry()
         replica.counter("lookups").inc(4)
         cell = MetricsRegistry()
-        cell.merge_prefixed(replica, "replica.s0r0.")
+        cell.merge(replica, "replica.s0r0.")
         region = MetricsRegistry()
-        region.merge_prefixed(cell, "cell.a.")
+        region.merge(cell, "cell.a.")
         assert (
             region.counter("cell.a.replica.s0r0.lookups").int_value == 4
         )
