@@ -36,9 +36,7 @@ def archived_copy_erroneous(snapshot: Snapshot, cdx: CdxApi) -> bool:
     """Whether an archived copy records an error rather than content."""
     if snapshot.looks_erroneous_by_status:
         return True
-    if snapshot.initial_redirected:
-        # Redirect that did land on a 200: judge the landing content.
-        return _body_is_boilerplate(snapshot, cdx)
+    # A 200, or a redirect that landed on one: judge the content.
     return _body_is_boilerplate(snapshot, cdx)
 
 

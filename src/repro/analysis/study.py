@@ -370,11 +370,13 @@ def assemble_report(
             1 for o in outcomes if o.has_valid_redirect_copy
         )
 
-        # §3's single-check justification (needs the census).
-        with_post = [c for c in censuses if c.first_post_marking is not None]
-        n_post_erroneous = sum(
-            1 for o in outcomes if o.first_post_marking_erroneous
-        )
+        # §3's single-check justification: the stage judged the first
+        # post-marking copy of every record that has one.
+        post_verdicts = [
+            o.first_post_marking_erroneous
+            for o in outcomes
+            if o.first_post_marking_erroneous is not None
+        ]
 
         # §5.1 temporal + §5.2 spatial/typos, over the seeded caches.
         with stats.phase("temporal", tracer=tracer):
@@ -397,8 +399,8 @@ def assemble_report(
             n_final_200=sum(1 for p in probes if p.returned_200),
             n_genuinely_alive=len(alive_probes),
             n_alive_via_redirect=sum(1 for p in alive_probes if p.redirected),
-            n_with_post_marking_copy=len(with_post),
-            n_first_post_marking_erroneous=n_post_erroneous,
+            n_with_post_marking_copy=len(post_verdicts),
+            n_first_post_marking_erroneous=sum(post_verdicts),
             n_pre_marking_200=len(pre200),
             n_rest=len(rest),
             n_rest_with_any_copy=len(rest_with_copy),

@@ -54,7 +54,7 @@ def find_typos(records: list[LinkRecord], cdx: CdxApi) -> TypoReport:
                 exclude_self=True,
             )
         )
-        match = unique_neighbor(record.url, list(candidates), distance=1)
+        match = unique_neighbor(record.url, candidates)
         if match is not None:
             report.findings.append(
                 TypoFinding(record=record, corrected_url=match)

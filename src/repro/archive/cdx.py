@@ -14,8 +14,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from ..clock import SimTime
 from ..urls.parse import intern_url
@@ -59,6 +60,54 @@ class CdxQuery:
     exclude_self: bool = False
 
 
+class CdxRows(Sequence):
+    """A CDX answer as three parallel columns: each row's URL, capture
+    day and observation (the store's own reference), in answer order.
+
+    Reading a row, by index or by iterating, builds its
+    :class:`~repro.archive.snapshot.Snapshot` each time; its length,
+    slices, :meth:`where` and the columns build none. Equal to any
+    tuple (or other answer) of equal snapshots in the same order.
+    """
+
+    __slots__ = ("urls", "days", "observations")
+
+    def __init__(self, urls: list, days: list, observations: list) -> None:
+        self.urls = urls
+        self.days = days
+        self.observations = observations
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CdxRows(
+                self.urls[index], self.days[index], self.observations[index]
+            )
+        day, observation = self.days[index], self.observations[index]
+        return Snapshot(self.urls[index], SimTime(day), *observation)
+
+    def __iter__(self) -> Iterator[Snapshot]:
+        columns = zip(self.urls, self.days, self.observations)
+        for url, day, observation in columns:
+            yield Snapshot(url, SimTime(day), *observation)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (CdxRows, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def where(self, keep: Callable[[str, Observation], bool]) -> CdxRows:
+        """The rows whose URL and observation pass ``keep``, in order."""
+        mask = [keep(*row) for row in zip(self.urls, self.observations)]
+        return CdxRows(
+            list(compress(self.urls, mask)),
+            list(compress(self.days, mask)),
+            list(compress(self.observations, mask)),
+        )
+
+
 class AsOfCdx:
     """A CDX endpoint bounded at an instant (captures at or before it).
 
@@ -90,7 +139,7 @@ class AsOfCdx:
             return dataclasses.replace(request, to_time=self._bound)
         return request
 
-    def query(self, request: CdxQuery) -> tuple[Snapshot, ...]:
+    def query(self, request: CdxQuery) -> CdxRows:
         return self._inner.query(self._clamp(request))
 
     def archived_urls(self, request: CdxQuery) -> tuple[str, ...]:
@@ -109,16 +158,24 @@ class CdxApi:
         """Number of queries served (for efficiency accounting)."""
         return self._queries
 
-    def query(self, request: CdxQuery) -> tuple[Snapshot, ...]:
-        """All captures matching ``request``, ordered by URL then time."""
+    def query(self, request: CdxQuery) -> CdxRows:
+        """All captures matching ``request``, ordered by URL then time.
+
+        The rows come back as columns (see :class:`CdxRows`): the
+        query itself builds no snapshot.
+        """
         self._queries += 1
-        rows: list[Snapshot] = []
+        urls: list[str] = []
+        days: list[float] = []
+        observations: list[Observation] = []
         for url in self._candidate_urls(request):
-            for days, observation in self._matching(url, request):
-                rows.append(Snapshot(url, SimTime(days), *observation))
-                if request.limit and len(rows) >= request.limit:
-                    return tuple(rows)
-        return tuple(rows)
+            for day, observation in self._matching(url, request):
+                urls.append(url)
+                days.append(day)
+                observations.append(observation)
+                if request.limit and len(days) >= request.limit:
+                    return CdxRows(urls, days, observations)
+        return CdxRows(urls, days, observations)
 
     def archived_urls(self, request: CdxQuery) -> tuple[str, ...]:
         """Distinct URLs with at least one capture matching ``request``.

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import replace as dataclass_replace
 from dataclasses import dataclass
 
-from ..archive.cdx import CdxApi, CdxQuery, MatchType
+from ..archive.cdx import CdxApi, CdxQuery, CdxRows, MatchType
 from ..clock import SimTime
 from ..faults.inject import faulty_availability, faulty_cdx, faulty_fetcher
 from ..faults.plan import FaultPlan
@@ -179,7 +179,7 @@ class CdxBackend:
         self._retry_policy = retry_policy
         self._tracer = tracer
         self.retry_counters = RetryCounters()
-        self._memo: dict[tuple[str, CdxQuery], tuple] = {}
+        self._memo: dict[tuple[str, CdxQuery], CdxRows | tuple] = {}
         self.hits = 0
         self.misses = 0
 
@@ -194,7 +194,7 @@ class CdxBackend:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def _call(self, op: str, request: CdxQuery) -> tuple:
+    def _call(self, op: str, request: CdxQuery) -> CdxRows | tuple:
         """One memoized backend read; ``op`` is ``query`` or ``urls``."""
         key = (op, request)
         rows = self._memo.get(key)
@@ -222,8 +222,10 @@ class CdxBackend:
         self._memo[key] = rows
         return rows
 
-    def _retried(self, op: str, request: CdxQuery) -> tuple:
+    def _retried(self, op: str, request: CdxQuery) -> CdxRows | tuple:
         read = self.inner.query if op == "query" else self.inner.archived_urls
+        if self._retry_policy is None:
+            return read(request)
         return call_with_retry(
             lambda: read(request),
             self._retry_policy,
@@ -238,7 +240,7 @@ class CdxBackend:
             return self._call("query", request)
         rows = self._call("query", base)
         if request.exclude_self:
-            rows = tuple(row for row in rows if row.url != request.url)
+            rows = rows.where(lambda url, _: url != request.url)
         return rows
 
     def archived_urls(self, request: CdxQuery):

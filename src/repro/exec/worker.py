@@ -13,9 +13,10 @@ into the run's :class:`~repro.obs.metrics.MetricsRegistry`.
 
 ``repro.analysis.study`` imports this package back, and importing any
 ``repro.analysis`` submodule runs the package ``__init__`` (which
-imports ``study``), so analysis imports here are deferred to call time
-in :func:`run_record_stage` — that keeps ``repro.exec`` importable on
-its own, whichever side of the cycle loads first.
+imports ``study``), so the analysis imports here are deferred to the
+first :func:`run_record_stage` call, which makes them once — that
+keeps ``repro.exec`` importable on its own, whichever side of the
+cycle loads first.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
-from ..archive.cdx import CdxApi
+from ..archive.cdx import AsOfCdx, CdxApi
 from ..backends.stacks import CdxBackend, FetchBackend
 from ..clock import SimTime
 from ..dataset.records import LinkRecord
@@ -65,6 +67,17 @@ class RecordOutcome:
         return self.probe.record
 
 
+@cache
+def _analysis():
+    """The analysis callables the stage runs, imported on first use."""
+    from ..analysis.archived_soft404 import archived_copy_erroneous
+    from ..analysis.copies import census_link
+    from ..analysis.live_status import LiveProbe
+    from ..analysis.redirects import RedirectValidator
+
+    return archived_copy_erroneous, census_link, LiveProbe, RedirectValidator
+
+
 def run_record_stage(
     record: LinkRecord,
     fetcher: Fetcher | FetchBackend,
@@ -87,12 +100,9 @@ def run_record_stage(
     :class:`~repro.archive.cdx.AsOfCdx`), the posture under which a
     cached outcome stays valid while the archive keeps growing.
     """
-    from ..analysis.archived_soft404 import archived_copy_erroneous
-    from ..analysis.copies import census_link
-    from ..analysis.live_status import LiveProbe
-    from ..analysis.redirects import RedirectValidator
-    from ..archive.cdx import AsOfCdx
-
+    (
+        archived_copy_erroneous, census_link, LiveProbe, RedirectValidator
+    ) = _analysis()
     stage_cdx = AsOfCdx(cdx, at) if bound_archive else cdx
     before = backend_snapshot(fetcher, cdx)
     start = time.perf_counter()

@@ -33,8 +33,7 @@ import hashlib
 from dataclasses import replace
 
 from ..archive.availability import AvailabilityApi, AvailabilityResult
-from ..archive.cdx import CdxApi, CdxQuery
-from ..archive.snapshot import Snapshot
+from ..archive.cdx import CdxApi, CdxQuery, CdxRows
 from ..clock import SimTime
 from ..errors import (
     ArchiveTimeout,
@@ -198,7 +197,7 @@ class FaultyCdxApi:
         """Total faults raised across both channels."""
         return self.rate_limit_channel.injected + self.error_channel.injected
 
-    def query(self, request: CdxQuery) -> tuple[Snapshot, ...]:
+    def query(self, request: CdxQuery) -> CdxRows:
         """Rows from the wrapped API, gated by the fault channels."""
         self._gate(f"query:{request!r}")
         return self._inner.query(request)

@@ -8,7 +8,7 @@ redirect validation (§4.2) and the spatial coverage analysis (§5.2),
 and typo detection uses edit distance over full URLs (§5.2).
 """
 
-from .editdist import edit_distance, within_distance
+from .editdist import edit_distance, one_edit_apart
 from .parse import ParsedUrl, directory_prefix, hostname_of, parse_url
 from .psl import PublicSuffixList, default_psl, registrable_domain
 
@@ -19,7 +19,7 @@ __all__ = [
     "directory_prefix",
     "edit_distance",
     "hostname_of",
+    "one_edit_apart",
     "parse_url",
     "registrable_domain",
-    "within_distance",
 ]

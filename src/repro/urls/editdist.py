@@ -2,12 +2,16 @@
 
 The paper deems a permanently dead link a potential typo *"if there
 exists only one archived URL with an edit distance of exactly 1"* under
-the same domain. We implement Levenshtein distance (insert / delete /
-substitute, unit costs) with a banded early-exit variant so scanning a
-domain's archived URL inventory stays fast.
+the same domain. :func:`edit_distance` is the Levenshtein distance
+(insert / delete / substitute, unit costs) as a dynamic program; the
+typo scan never runs it. Scanning a domain's archived URL inventory
+only asks whether a candidate is *exactly one* edit away, which
+:func:`one_edit_apart` answers in linear time with no dynamic program.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -38,59 +42,42 @@ def edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-def within_distance(a: str, b: str, limit: int) -> bool:
-    """Whether ``edit_distance(a, b) <= limit``, with early exit.
+def one_edit_apart(a: str, b: str) -> bool:
+    """Whether ``edit_distance(a, b) == 1``, in O(len) time.
 
-    Uses the banded variant: cells farther than ``limit`` from the
-    diagonal can never contribute to a result <= limit, so each row
-    only evaluates a 2*limit+1 window and the scan aborts as soon as a
-    whole row exceeds the limit.
+    Distinct strings are one edit apart exactly when their lengths
+    differ by at most one and, past their common prefix, the rest
+    matches once the first differing character is dropped: from both
+    strings when the lengths are equal (a substitution), from the
+    longer one otherwise (an insertion or deletion). The common prefix
+    is found by bisection over slice comparisons, which run in C.
     """
-    if abs(len(a) - len(b)) > limit:
-        return False
-    if a == b:
-        return True
-    if limit <= 0:
-        return False
     if len(a) < len(b):
         a, b = b, a
-    big = limit + 1
-    previous = [j if j <= limit else big for j in range(len(b) + 1)]
-    for i, char_a in enumerate(a, start=1):
-        lo = max(1, i - limit)
-        hi = min(len(b), i + limit)
-        current = [big] * (len(b) + 1)
-        if lo == 1:
-            current[0] = i if i <= limit else big
-        for j in range(lo, hi + 1):
-            cost = 0 if char_a == b[j - 1] else 1
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + cost,
-            )
-        if min(current[lo - 1: hi + 1]) > limit:
-            return False
-        previous = current
-    return previous[len(b)] <= limit
+    longer = len(a) - len(b)
+    if longer > 1 or a == b:
+        return False
+    lo, hi = 0, len(b)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.startswith(b[:mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return a[lo + 1:] == b[lo + 1 - longer:]
 
 
-def unique_neighbor(target: str, candidates: list[str], distance: int = 1) -> str | None:
-    """The single candidate at exactly ``distance`` from ``target``, if unique.
+def unique_neighbor(target: str, candidates: Iterable[str]) -> str | None:
+    """The single candidate exactly one edit from ``target``, if unique.
 
-    Returns ``None`` when zero or more than one candidate lies at the
-    requested distance — the paper's criterion for flagging a typo only
-    when the correction is unambiguous.
+    Returns ``None`` when zero or more than one candidate is one edit
+    away — the paper's criterion for flagging a typo only when the
+    correction is unambiguous. ``target`` itself is never a neighbour.
     """
     found: str | None = None
     for candidate in candidates:
-        if candidate == target:
-            continue
-        if not within_distance(target, candidate, distance):
-            continue
-        if edit_distance(target, candidate) != distance:
-            continue
-        if found is not None:
-            return None
-        found = candidate
+        if one_edit_apart(target, candidate):
+            if found is not None:
+                return None
+            found = candidate
     return found

@@ -187,6 +187,31 @@ class TestCopyCensus:
         assert not census.has_pre_marking_3xx
         assert census.first_snapshot.captured_at == T2010
 
+    def test_copies_after_marking_do_not_count_before_it(self):
+        store = SnapshotStore()
+        url = "http://e.com/a/z.html"
+        after = SimTime.from_ymd(2018, 1, 1)
+        store.add(
+            Snapshot(url=url, captured_at=T2014, initial_status=404,
+                     final_status=404, final_url=url)
+        )
+        store.add(
+            Snapshot(url=url, captured_at=T2016, initial_status=301,
+                     redirect_location="http://e.com/", final_status=200,
+                     final_url="http://e.com/")
+        )
+        store.add(
+            Snapshot(url=url, captured_at=after, initial_status=200,
+                     final_status=200, final_url=url)
+        )
+        census = census_link(record(url, marked=T2016), CdxApi(store))
+        assert census.has_any_copy
+        assert not census.has_pre_marking_200
+        assert not census.has_pre_marking_3xx
+        assert census.pre_marking_3xx == ()
+        assert census.first_post_marking.captured_at == T2016
+        assert [row.captured_at for row in census.post_marking] == [T2016, after]
+
     def test_no_copies(self):
         census = census_link(record("http://e.com/a/y.html"), CdxApi(SnapshotStore()))
         assert not census.has_any_copy

@@ -9,7 +9,11 @@ import sys
 import pytest
 
 from repro.archive.availability import AvailabilityApi, AvailabilityPolicy
-from repro.archive.cdx import CdxApi, CdxQuery, MatchType
+from repro.analysis import archived_soft404
+from repro.analysis.copies import CopyCensus, census_link
+from repro.analysis.redirects import RedirectValidator
+from repro.analysis.study import Study
+from repro.archive.cdx import AsOfCdx, CdxApi, CdxQuery, MatchType
 from repro.archive.crawler import (
     ArchiveCrawler,
     BodySketcher,
@@ -20,6 +24,7 @@ from repro.archive.crawler import (
 )
 from repro.archive.snapshot import PendingSketch, Snapshot
 from repro.archive.store import SnapshotStore
+from repro.backends.stacks import CdxBackend
 from repro.clock import SimTime
 from repro.dataset.worldgen import WorldConfig, generate_world
 from repro.errors import ArchiveTimeout
@@ -319,6 +324,8 @@ class TestPayOnce:
             assert snapshot_builds[0] - before == found
 
     def test_query_builds_one_per_returned_row(self, world, snapshot_builds):
+        """A query, its slices and filters build nothing; each row
+        read builds its snapshot."""
         cdx = CdxApi(world.store)
         for url in world.store.all_urls():
             for request in (
@@ -327,7 +334,94 @@ class TestPayOnce:
             ):
                 before = snapshot_builds[0]
                 rows = cdx.query(request)
+                rows[1:].where(lambda url, observation: True)
+                assert snapshot_builds[0] == before
+                assert len(list(rows)) == len(rows)
                 assert snapshot_builds[0] - before == len(rows)
+
+    def test_study_builds_only_the_rows_it_hands_out(
+        self, world, snapshot_builds, monkeypatch
+    ):
+        """``Study.run`` builds at most one ``Snapshot`` per row handed
+        to a caller outside the archive: a copy it validates (§4.2), or
+        a first / first post-marking copy it reads. Rows the validator
+        and the boilerplate check read from their own sibling queries
+        are theirs, and are counted apart."""
+        handed, inside = [0], [0]
+
+        def handing(prop):
+            def read(census):
+                snapshot = prop.fget(census)
+                handed[0] += snapshot is not None
+                return snapshot
+
+            return property(read)
+
+        for name in ("first_snapshot", "first_post_marking"):
+            monkeypatch.setattr(
+                CopyCensus, name, handing(getattr(CopyCensus, name))
+            )
+
+        def reading(function, hands):
+            def call(*args):
+                handed[0] += hands
+                before = snapshot_builds[0]
+                try:
+                    return function(*args)
+                finally:
+                    inside[0] += snapshot_builds[0] - before
+
+            return call
+
+        monkeypatch.setattr(
+            RedirectValidator,
+            "validate",
+            reading(RedirectValidator.validate, hands=1),
+        )
+        monkeypatch.setattr(
+            archived_soft404,
+            "_body_is_boilerplate",
+            reading(archived_soft404._body_is_boilerplate, hands=0),
+        )
+
+        study = Study.from_world(world)
+        before = snapshot_builds[0]
+        report = study.run()
+        built = snapshot_builds[0] - before - inside[0]
+        rows = sum(
+            len(census.pre_marking) + len(census.post_marking)
+            for census in report.censuses
+        )
+        assert 0 < handed[0] < rows
+        assert built <= handed[0]
+
+    @pytest.mark.parametrize("bound_archive", [False, True])
+    def test_census_answers_match_query_rows(self, world, bound_archive):
+        """Every census answer equals the one read off ``cdx.query``'s
+        snapshots, unclamped (the batch study) and clamped at each
+        record's probe instant (``bound_archive``)."""
+        study = Study.from_world(world)
+        backend = CdxBackend(CdxApi(world.store))
+        for record in study.records:
+            for at in (record.marked_at, study.at):
+                cdx = AsOfCdx(backend, at) if bound_archive else backend
+                census = census_link(record, cdx)
+                rows = tuple(cdx.query(CdxQuery(url=record.url)))
+                marked = record.marked_at
+                pre = [row for row in rows if row.captured_at < marked]
+                post = [row for row in rows if not row.captured_at < marked]
+                assert census.has_any_copy == bool(rows)
+                assert census.has_pre_marking_200 == any(
+                    row.initial_ok for row in pre
+                )
+                assert census.has_pre_marking_3xx == any(
+                    row.initial_redirected for row in pre
+                )
+                assert census.first_snapshot == (rows[0] if rows else None)
+                assert census.first_post_marking == (post[0] if post else None)
+                assert tuple(census.pre_marking_3xx) == tuple(
+                    row for row in pre if row.initial_redirected
+                )
 
     def test_store_keeps_no_snapshots(self, world):
         store = world.store

@@ -2,7 +2,8 @@
 
 import string
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clock import SimTime
@@ -15,7 +16,7 @@ from repro.textsim.shingles import (
     shingle_similarity,
     sketch_similarity,
 )
-from repro.urls.editdist import edit_distance, within_distance
+from repro.urls.editdist import edit_distance, one_edit_apart, unique_neighbor
 from repro.urls.parse import parse_url
 from repro.urls.psl import default_psl
 
@@ -65,9 +66,82 @@ class TestEditDistanceMetric:
     def test_bounded_by_longer_length(self, a, b):
         assert edit_distance(a, b) <= max(len(a), len(b))
 
-    @given(_small_strings, _small_strings, st.integers(min_value=0, max_value=6))
-    def test_within_distance_agrees(self, a, b, limit):
-        assert within_distance(a, b, limit) == (edit_distance(a, b) <= limit)
+
+_url_chars = string.ascii_lowercase + string.digits + "/-._?=&"
+
+
+@st.composite
+def _edited(draw, source, max_edits=2):
+    """``source`` after up to ``max_edits`` random single-character
+    insertions, deletions and substitutions."""
+    text = draw(source)
+    for _ in range(draw(st.integers(0, max_edits))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "substitute")))
+        char = draw(st.sampled_from(_url_chars))
+        if op == "insert":
+            text = text[:at] + char + text[at:]
+        elif at < len(text):
+            text = text[:at] + ("" if op == "delete" else char) + text[at + 1:]
+    return text
+
+
+def _reference_unique_neighbor(target, candidates):
+    """The paper's rule, by the dynamic program: the one candidate at
+    Levenshtein distance exactly 1, or ``None``."""
+    near = [c for c in candidates if c != target and edit_distance(target, c) == 1]
+    return near[0] if len(near) == 1 else None
+
+
+#: Edge cases the linear check must get right, with their answers.
+_ONE_EDIT_EDGES = [
+    ("", "", False),                      # empty strings
+    ("", "a", True),
+    ("", "ab", False),
+    ("http://e.com/a", "http://e.com/a/", True),    # a prefix of the other
+    ("http://e.com/a", "http://e.com/a/b", False),
+    ("http://e.com/a.html", "http://e.com/a.htmx", True),  # last character
+    ("http://e.com/a.html", "http://e.com/a.htm", True),
+    ("http://e.com/ab", "http://e.com/ba", False),
+    ("http://e.com/page1", "http://e.com/page123", False),  # lengths differ by 2
+    ("http://e.com/xpage", "http://e.com/pagey", False),
+]
+
+
+class TestOneEditDifferential:
+    """The linear one-edit check against ``edit_distance`` as reference."""
+
+    @given(_edited(_urls), _edited(_urls))
+    @example("", "")
+    @example("abc", "abcd")
+    @example("abc", "abd")
+    @example("abc", "a")
+    def test_one_edit_apart_agrees_with_reference(self, a, b):
+        assert one_edit_apart(a, b) == (a != b and edit_distance(a, b) == 1)
+
+    @given(st.data())
+    def test_near_pairs_agree_with_reference(self, data):
+        a = data.draw(_urls)
+        b = data.draw(_edited(st.just(a)))
+        assert one_edit_apart(a, b) == (a != b and edit_distance(a, b) == 1)
+
+    @pytest.mark.parametrize("a, b, expected", _ONE_EDIT_EDGES)
+    def test_edge_cases(self, a, b, expected):
+        assert (edit_distance(a, b) == 1) == expected
+        assert one_edit_apart(a, b) == expected
+        assert one_edit_apart(b, a) == expected
+
+    @given(st.data())
+    def test_unique_neighbor_matches_the_old_rule(self, data):
+        target = data.draw(_urls)
+        candidates = data.draw(
+            st.lists(
+                st.one_of(_edited(st.just(target)), _urls), max_size=8
+            )
+        )
+        assert unique_neighbor(target, candidates) == (
+            _reference_unique_neighbor(target, candidates)
+        )
 
 
 class TestUrlParseProperties:

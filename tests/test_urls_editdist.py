@@ -1,6 +1,6 @@
 """Tests for repro.urls.editdist."""
 
-from repro.urls.editdist import edit_distance, unique_neighbor, within_distance
+from repro.urls.editdist import edit_distance, one_edit_apart, unique_neighbor
 
 
 class TestEditDistance:
@@ -42,24 +42,26 @@ class TestEditDistance:
         assert edit_distance(a, b) == 1
 
 
-class TestWithinDistance:
+class TestOneEditApart:
     def test_agrees_with_exact_distance(self):
         pairs = [
             ("abc", "abc", 0),
             ("abc", "abd", 1),
+            ("abc", "ab", 1),
+            ("abc", "xabc", 1),
             ("abc", "xyz", 3),
             ("short", "muchlongerstring", 13),
         ]
         for a, b, d in pairs:
-            for limit in range(0, 5):
-                assert within_distance(a, b, limit) == (d <= limit)
+            assert one_edit_apart(a, b) == (d == 1)
+            assert one_edit_apart(b, a) == (d == 1)
 
     def test_length_difference_shortcut(self):
-        assert not within_distance("a", "abcde", 2)
+        assert not one_edit_apart("a", "abc")
 
-    def test_zero_limit(self):
-        assert within_distance("same", "same", 0)
-        assert not within_distance("same", "sane", 0)
+    def test_identical_strings_are_not_one_edit_apart(self):
+        assert not one_edit_apart("same", "same")
+        assert one_edit_apart("same", "sane")
 
 
 class TestUniqueNeighbor:
