@@ -382,3 +382,12 @@ def stack_golden() -> JsonGolden:
     """``tests/golden/stack_differential.json``: one report digest per
     backend-stack scenario (see ``tests/test_backends.py``)."""
     return JsonGolden("stack_differential.json")
+
+
+@pytest.fixture(scope="session")
+def registry_golden() -> JsonGolden:
+    """``tests/golden/registry_snapshot.json``: the full
+    ``MetricsRegistry.snapshot()`` (every counter, gauge and histogram,
+    exemplars included once materialized) of three serve runs, see
+    ``tests/test_cluster.py`` and ``tests/test_reconfig.py``."""
+    return JsonGolden("registry_snapshot.json")

@@ -23,12 +23,17 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultSpec
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.service import (
+    AuditLog,
     ClusterConfig,
     ClusterService,
     LinkStatusIndex,
@@ -316,6 +321,82 @@ def test_policies_agree_on_answers(service_index):
     wires = {policy: wire(run) for policy, run in runs.items()}
     assert wires["round_robin"] == wires["least_outstanding"]
     assert wires["round_robin"] == wires["power_of_two"]
+
+
+# -- the fleet registry: pinned, and paid per run --------------------------------
+
+
+def registry_snapshot(result) -> dict:
+    """The run's full registry snapshot as its JSON golden reads back
+    (materializing any deferred exemplars first)."""
+    return json.loads(json.dumps(result.metrics.snapshot()))
+
+
+def test_single_node_registry_snapshot_matches_golden(
+    service_index, registry_golden
+):
+    """Every counter, gauge and histogram (bounds, buckets, count,
+    float sum) of the single node's mixed run, as recorded."""
+
+    def run():
+        return registry_snapshot(
+            LinkStatusService(service_index).serve(
+                mixed_workload(service_index)
+            )
+        )
+
+    assert run() == registry_golden.section("single_node_mixed", run)
+
+
+def test_traced_audited_cluster_registry_snapshot_matches_golden(
+    service_index, registry_golden
+):
+    """A 2×2 fleet under a tracer and an audit log: per-replica
+    families, the rollup, and the exemplars the deferred observation
+    log backfills, as recorded."""
+
+    def run():
+        return registry_snapshot(
+            ClusterService(
+                service_index,
+                cluster=ClusterConfig(n_shards=2, replicas_per_shard=2),
+                tracer=Tracer(),
+                audit=AuditLog(),
+            ).serve(mixed_workload(service_index))
+        )
+
+    assert run() == registry_golden.section("cluster_2x2_traced_audited", run)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the serving loop still looks instruments up per request"
+)
+@pytest.mark.parametrize("shards,replicas", [(1, 1), (2, 2)])
+def test_serve_resolves_instruments_per_run(
+    service_index, monkeypatch, shards, replicas
+):
+    """Faults off, a serve looks each instrument up by name a fixed
+    number of times per run: doubling the requests adds no lookups."""
+    lookups = [0]
+    for method in ("counter", "gauge", "histogram"):
+        original = getattr(MetricsRegistry, method)
+
+        def counted(self, *args, _original=original, **kwargs):
+            lookups[0] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, method, counted)
+
+    def serve_lookups(n: int) -> int:
+        service = ClusterService(
+            service_index,
+            cluster=ClusterConfig(n_shards=shards, replicas_per_shard=replicas),
+        )
+        before = lookups[0]
+        service.serve(mixed_workload(service_index, n=n))
+        return lookups[0] - before
+
+    assert serve_lookups(1000) == serve_lookups(2000)
 
 
 # -- replica-level chaos: degradation is confined --------------------------------

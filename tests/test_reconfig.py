@@ -29,6 +29,8 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -504,6 +506,42 @@ def test_cluster_rolling_drained_swap_under_chaos(reconfig_run):
     assert [r.to_wire() for r in chaotic.responses] == [
         r.to_wire() for r in again.responses
     ]
+
+
+def test_drained_swaps_under_faults_registry_snapshot_matches_golden(
+    reconfig_run, registry_golden
+):
+    """A 4×2 fleet under drained swaps and replica crash/partition/slow
+    chaos: every instrument the run creates — fault transitions,
+    re-dispatches, reconfiguration lag, per-replica families — and
+    each float sum, as recorded."""
+    _, generations = reconfig_run
+    g0 = generations[0]
+    requests = swap_workload(g0.index, n=900, rps=3000.0)
+    plan = ServiceFaultPlan(
+        seed=11,
+        index_spike=FaultSpec(rate=0.1),
+        cache_fault=FaultSpec(rate=0.1),
+        replica_crash=FaultSpec(rate=0.5),
+        replica_partition=FaultSpec(rate=0.3),
+        replica_slow=FaultSpec(rate=0.3),
+        crash_horizon_ms=float(max(r.arrival_ms for r in requests)),
+        crash_duration_ms=40.0,
+        catchup_ms=30.0,
+    )
+
+    def run():
+        result = ClusterService(
+            g0.index, ServerConfig(),
+            ClusterConfig(n_shards=4, replicas_per_shard=2),
+            faults=plan,
+        ).serve(requests, swaps=drained_swaps(requests, generations))
+        assert result.fault_events and result.redispatches
+        return json.loads(json.dumps(result.metrics.snapshot()))
+
+    assert run() == registry_golden.section(
+        "cluster_4x2_drained_swaps_faults", run
+    )
 
 
 # -- live shard rebalancing -------------------------------------------------------

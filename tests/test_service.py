@@ -37,6 +37,7 @@ from repro.service import (
     LinkStatusService,
     MicroBatcher,
     Request,
+    Response,
     ResultCache,
     ServerConfig,
     ServiceFaultPlan,
@@ -402,6 +403,35 @@ def mixed_workload(index: LinkStatusIndex, n: int = 600) -> tuple[Request, ...]:
             aggregate_fraction=0.05,
             unknown_fraction=0.02,
         ),
+    )
+
+
+def test_response_is_an_immutable_value():
+    """A served response: fields, immutability, equality and hash by
+    fields, and the exact canonical wire bytes."""
+    fields = dict(
+        request_id=7, status=200, body={"url": "http://a.example/x"},
+        arrival_ms=1.0, start_ms=1.5, completion_ms=3.25, source="index",
+        index_version="v1",
+    )
+    response = Response(**fields)
+    assert response == Response(*fields.values())
+    assert response != Response(**{**fields, "source": "cache"})
+    assert response.latency_ms == 2.25 and not response.shed
+    assert Response(**{**fields, "status": 503}).shed
+    for name, value in fields.items():
+        assert getattr(response, name) == value
+        with pytest.raises(AttributeError):
+            setattr(response, name, value)
+    bodiless = {**fields, "body": None}
+    assert hash(Response(**bodiless)) == hash(Response(**bodiless))
+    assert len({Response(**bodiless), Response(**bodiless)}) == 1
+    assert len(
+        {Response(**bodiless), Response(**{**bodiless, "request_id": 8})}
+    ) == 2
+    assert response.to_wire() == (
+        b'{"body":{"url":"http://a.example/x"},"index_version":"v1",'
+        b'"rid":7,"status":200}'
     )
 
 
