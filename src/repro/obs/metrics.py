@@ -404,6 +404,45 @@ class MetricsRegistry:
         }
 
 
+class BoundInstrument:
+    """One named instrument of its owner's ``metrics`` registry, held
+    as a class attribute.
+
+    The first read on an instance resolves the instrument by name —
+    creating it, exactly as a direct ``registry.counter(name)`` call at
+    that moment would — and stores it in the instance's ``__dict__``.
+    This is a non-data descriptor, so the stored value shadows it and
+    every later read is a plain attribute load: a hot path that bumps
+    an instrument per request pays the name lookup once per instance,
+    and an instrument nothing touches is never created. The owner
+    must not swap its registry after the first read.
+    """
+
+    def __init__(
+        self, kind: str, name: str, bounds: tuple[float, ...] | None = None
+    ) -> None:
+        if kind not in ("counter", "gauge", "histogram"):
+            raise ValueError(f"unknown instrument kind {kind!r}")
+        self.kind = kind
+        self.name = name
+        self.bounds = bounds
+        self.attr = ""
+
+    def __set_name__(self, owner, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        registry = obj.metrics
+        if self.kind == "histogram":
+            instrument = registry.histogram(self.name, self.bounds)
+        else:
+            instrument = getattr(registry, self.kind)(self.name)
+        obj.__dict__[self.attr] = instrument
+        return instrument
+
+
 def _histogram_snapshot(histogram: Histogram) -> dict:
     """One histogram as plain data; exemplars only when present, so
     exemplar-free snapshots are byte-identical to what they were
@@ -424,6 +463,7 @@ def _histogram_snapshot(histogram: Histogram) -> dict:
 
 
 __all__ = [
+    "BoundInstrument",
     "DEFAULT_EXEMPLAR_CAPACITY",
     "DEFAULT_LATENCY_BOUNDS_MS",
     "DEFAULT_LATENCY_BOUNDS_S",

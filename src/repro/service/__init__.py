@@ -39,12 +39,13 @@ The stack, front to back:
 from .admission import AdmissionController, AdmissionError, TokenBucket
 from .audit import AuditLog, AuditRecord
 from .audit import read_jsonl as read_audit_jsonl
-from .batcher import Batch, BatchItem, MicroBatcher
+from .batcher import Batch, MicroBatcher
 from .cache import ResultCache
 from .cluster import (
     ClusterConfig,
     ClusterService,
     LinkStatusService,
+    ServiceReusedError,
     ShardIndex,
 )
 from .faults import ReplicaFaultEvent, ServiceFaultPlan, ServiceFaults
@@ -84,7 +85,6 @@ __all__ = [
     "AuditLog",
     "AuditRecord",
     "Batch",
-    "BatchItem",
     "ClusterConfig",
     "ClusterService",
     "DeltaApply",
@@ -109,6 +109,7 @@ __all__ = [
     "ServiceFaultPlan",
     "ServiceFaults",
     "ServiceResult",
+    "ServiceReusedError",
     "ShardIndex",
     "TenantQuotas",
     "TokenBucket",

@@ -23,7 +23,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
-from ..obs.metrics import DEFAULT_LATENCY_BOUNDS_MS, MetricsRegistry
+from ..obs.metrics import (
+    DEFAULT_LATENCY_BOUNDS_MS,
+    BoundInstrument,
+    MetricsRegistry,
+)
 
 __all__ = ["AdmissionController", "AdmissionError", "TokenBucket"]
 
@@ -99,7 +103,7 @@ class TokenBucket:
 class AdmissionController:
     """Token bucket in front of a bounded FIFO wait queue.
 
-    ``offer`` classifies one arrival; ``next_release_ms`` /
+    ``offer`` classifies one arrival; ``release_ms`` /
     ``release_one`` let the server's event loop dequeue waiting
     requests at the exact virtual instants their tokens accrue.
     Counters land in the shared registry under ``service.admission.*``,
@@ -109,6 +113,16 @@ class AdmissionController:
     own contribution to end-to-end latency, separated from serving
     time proper.
     """
+
+    _offered = BoundInstrument("counter", "service.admission.offered")
+    _admitted = BoundInstrument("counter", "service.admission.admitted")
+    _queued = BoundInstrument("counter", "service.admission.queued")
+    _queue_peak = BoundInstrument("gauge", "service.admission.queue_peak")
+    _shed = BoundInstrument("counter", "service.admission.shed")
+    _queue_wait = BoundInstrument(
+        "histogram", "service.admission.queue_wait_ms",
+        DEFAULT_LATENCY_BOUNDS_MS,
+    )
 
     def __init__(
         self,
@@ -122,6 +136,11 @@ class AdmissionController:
         self.queue_limit = queue_limit
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queue: deque = deque()
+        #: When the queue head's token accrues, or None while the
+        #: queue is empty. Only ``offer`` and ``release_one`` move the
+        #: bucket or the queue, and each brings this up to date, so
+        #: the event loop reads a plain attribute.
+        self.release_ms: float | None = None
 
     def offer(self, request, now_ms: float) -> str:
         """Classify one arrival: ``"admit"``, ``"queue"``, or ``"shed"``.
@@ -131,24 +150,23 @@ class AdmissionController:
         that appears while earlier arrivals wait belongs to the head
         of the queue, not to the newcomer.
         """
-        self.metrics.counter("service.admission.offered").inc()
-        if not self._queue and self.bucket.try_take(now_ms):
-            self.metrics.counter("service.admission.admitted").inc()
+        self._offered.inc()
+        queue = self._queue
+        if not queue and self.bucket.try_take(now_ms):
+            self._admitted.inc()
             return "admit"
-        if len(self._queue) < self.queue_limit:
-            self._queue.append((request, now_ms))
-            self.metrics.counter("service.admission.queued").inc()
-            peak = self.metrics.gauge("service.admission.queue_peak")
-            peak.set(max(peak.value, len(self._queue)))
+        if len(queue) < self.queue_limit:
+            if not queue:
+                # try_take just moved the bucket; while arrivals wait,
+                # only release_one does.
+                self.release_ms = self.bucket.next_ready_ms()
+            queue.append((request, now_ms))
+            self._queued.inc()
+            peak = self._queue_peak
+            peak.set(max(peak.value, len(queue)))
             return "queue"
-        self.metrics.counter("service.admission.shed").inc()
+        self._shed.inc()
         return "shed"
-
-    def next_release_ms(self) -> float | None:
-        """When the queue head's token accrues, or None when empty."""
-        if not self._queue:
-            return None
-        return self.bucket.next_ready_ms()
 
     def release_one(self) -> tuple[object, float]:
         """Dequeue the head at its token's ready instant.
@@ -158,14 +176,15 @@ class AdmissionController:
         """
         if not self._queue:
             raise IndexError("release_one on an empty admission queue")
-        ready = self.bucket.next_ready_ms()
+        ready = self.release_ms
         if not self.bucket.try_take(ready):
             raise AdmissionError(
                 f"no token at the promised release instant {ready!r} ms"
             )
-        self.metrics.counter("service.admission.admitted").inc()
+        self._admitted.inc()
         request, enqueued_ms = self._queue.popleft()
-        self.metrics.histogram(
-            "service.admission.queue_wait_ms", DEFAULT_LATENCY_BOUNDS_MS
-        ).observe(max(ready - enqueued_ms, 0.0))
+        self.release_ms = (
+            self.bucket.next_ready_ms() if self._queue else None
+        )
+        self._queue_wait.observe(max(ready - enqueued_ms, 0.0))
         return request, ready

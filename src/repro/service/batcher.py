@@ -8,62 +8,49 @@ should share one computation, not race to repeat it.
 :class:`MicroBatcher` accumulates admitted requests into a batch that
 flushes when it reaches ``max_batch`` items or when ``max_wait_ms``
 has elapsed (virtual time) since the batch opened, whichever comes
-first. A flushed :class:`Batch` exposes :meth:`Batch.groups`: its
+first. A flushed :class:`Batch` carries :attr:`Batch.groups`: its
 items grouped by query key in first-arrival order — one group is one
-index computation, however many requests ride it.
+index computation, however many requests ride it. An item is a
+``(request, ready_ms)`` pair, ``ready_ms`` being the instant the
+request's service token accrued (the start of its service time).
 
 The batcher never reads a clock of its own; the server pushes time in
-via ``ready_ms`` arguments and asks :attr:`deadline_ms` when deciding
-what happens next. That inversion is what keeps batch boundaries —
-and therefore coalescing counts — exactly reproducible.
+via ``ready_ms`` arguments and reads :attr:`MicroBatcher.deadline_ms`
+when deciding what happens next. That inversion is what keeps batch
+boundaries — and therefore coalescing counts — exactly reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import BoundInstrument, MetricsRegistry
 
-__all__ = ["Batch", "BatchItem", "MicroBatcher"]
+__all__ = ["Batch", "MicroBatcher"]
 
 #: Histogram bounds for batch sizes (batches are small by design).
 BATCH_SIZE_BOUNDS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
 
 
 @dataclass(frozen=True, slots=True)
-class BatchItem:
-    """One admitted request waiting in a batch.
+class Batch:
+    """A flushed batch: its ``(request, ready_ms)`` items, the instant
+    it flushed, and the items grouped by query key.
 
-    ``ready_ms`` is the instant its service token accrued — the start
-    of its service time for latency accounting.
+    ``groups`` maps each key to its items in first-arrival order; each
+    group is one coalesced computation: the first item is the
+    *carrier* (it owns the index-lookup span), the rest share its
+    result. Each request's key is computed once, when the batch
+    flushes.
     """
 
-    request: object
-    ready_ms: float
-
-
-@dataclass(frozen=True, slots=True)
-class Batch:
-    """A flushed batch: its items and the instant it flushed."""
-
-    items: tuple[BatchItem, ...]
+    items: tuple[tuple, ...]
     opened_ms: float
     flush_ms: float
+    groups: dict[str, list[tuple]]
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def groups(self) -> dict[str, list[BatchItem]]:
-        """Items grouped by query key, in first-arrival order.
-
-        Each group is one coalesced computation: the first item is
-        the *carrier* (it owns the index-lookup span), the rest share
-        its result.
-        """
-        grouped: dict[str, list[BatchItem]] = {}
-        for item in self.items:
-            grouped.setdefault(item.request.key, []).append(item)
-        return grouped
 
 
 class MicroBatcher:
@@ -76,6 +63,13 @@ class MicroBatcher:
             micro-batching server promises).
         metrics: registry receiving ``service.batch.*`` counters.
     """
+
+    _flushes = BoundInstrument("counter", "service.batch.flushes")
+    _items = BoundInstrument("counter", "service.batch.items")
+    _sizes = BoundInstrument(
+        "histogram", "service.batch.size", BATCH_SIZE_BOUNDS
+    )
+    _coalesced = BoundInstrument("counter", "service.batch.coalesced")
 
     def __init__(
         self,
@@ -90,20 +84,17 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._pending: list[BatchItem] = []
+        self._pending: list[tuple] = []
         self._opened_ms: float | None = None
+        #: When the open batch must flush, or None when empty. A plain
+        #: attribute, set when a batch opens and cleared when it
+        #: closes, so the event loop reads it without a call.
+        self.deadline_ms: float | None = None
 
     @property
     def pending(self) -> int:
         """Items waiting in the open batch."""
         return len(self._pending)
-
-    @property
-    def deadline_ms(self) -> float | None:
-        """When the open batch must flush, or None when empty."""
-        if self._opened_ms is None:
-            return None
-        return self._opened_ms + self.max_wait_ms
 
     def add(self, request, ready_ms: float) -> Batch | None:
         """Admit one request at ``ready_ms``; return a batch if full.
@@ -111,11 +102,13 @@ class MicroBatcher:
         The returned batch (when the item completed it) flushes at the
         triggering item's ready time — a full batch never waits.
         """
-        if self._opened_ms is None:
+        pending = self._pending
+        if not pending:
             self._opened_ms = ready_ms
-        self._pending.append(BatchItem(request=request, ready_ms=ready_ms))
-        if len(self._pending) >= self.max_batch:
-            return self._flush(flush_ms=ready_ms)
+            self.deadline_ms = ready_ms + self.max_wait_ms
+        pending.append((request, ready_ms))
+        if len(pending) >= self.max_batch:
+            return self._flush(ready_ms)
         return None
 
     def flush_due(self, now_ms: float) -> Batch | None:
@@ -123,13 +116,13 @@ class MicroBatcher:
         deadline = self.deadline_ms
         if deadline is None or deadline > now_ms:
             return None
-        return self._flush(flush_ms=deadline)
+        return self._flush(deadline)
 
     def flush(self) -> Batch | None:
         """Flush whatever is pending at its deadline (end-of-workload)."""
         if self._opened_ms is None:
             return None
-        return self._flush(flush_ms=self.deadline_ms)
+        return self._flush(self.deadline_ms)
 
     def flush_now(self, now_ms: float) -> Batch | None:
         """Flush the open batch at ``now_ms`` regardless of deadline.
@@ -145,9 +138,9 @@ class MicroBatcher:
             return None
         if now_ms < self._opened_ms:
             raise ValueError("flush_now before the batch opened")
-        return self._flush(flush_ms=now_ms)
+        return self._flush(now_ms)
 
-    def drain(self) -> tuple[BatchItem, ...]:
+    def drain(self) -> tuple[tuple, ...]:
         """Abandon the open batch, returning its items un-executed.
 
         The cluster tier calls this when a replica crashes or
@@ -158,26 +151,26 @@ class MicroBatcher:
         """
         items = tuple(self._pending)
         self._pending.clear()
-        self._opened_ms = None
+        self._opened_ms = self.deadline_ms = None
         if items:
             self.metrics.counter("service.batch.drained").inc(len(items))
         return items
 
     def _flush(self, flush_ms: float) -> Batch:
-        batch = Batch(
-            items=tuple(self._pending),
-            opened_ms=self._opened_ms,
-            flush_ms=flush_ms,
-        )
+        items = tuple(self._pending)
+        groups: dict[str, list[tuple]] = {}
+        for item in items:
+            key = item[0].key
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [item]
+            else:
+                group.append(item)
+        batch = Batch(items, self._opened_ms, flush_ms, groups)
         self._pending.clear()
-        self._opened_ms = None
-        self.metrics.counter("service.batch.flushes").inc()
-        self.metrics.counter("service.batch.items").inc(len(batch))
-        self.metrics.histogram(
-            "service.batch.size", BATCH_SIZE_BOUNDS
-        ).observe(float(len(batch)))
-        unique = len({item.request.key for item in batch.items})
-        self.metrics.counter("service.batch.coalesced").inc(
-            len(batch) - unique
-        )
+        self._opened_ms = self.deadline_ms = None
+        self._flushes.inc()
+        self._items.inc(len(items))
+        self._sizes.observe(float(len(items)))
+        self._coalesced.inc(len(items) - len(groups))
         return batch

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import BoundInstrument, MetricsRegistry
 
 __all__ = ["ResultCache"]
 
@@ -41,6 +41,14 @@ class ResultCache:
             is created when omitted (tests that only care about
             behaviour stay one-liner).
     """
+
+    _hits_total = BoundInstrument("counter", "service.cache.hits")
+    _misses_total = BoundInstrument("counter", "service.cache.misses")
+    _expirations_total = BoundInstrument(
+        "counter", "service.cache.expirations"
+    )
+    _evictions_total = BoundInstrument("counter", "service.cache.evictions")
+    _size = BoundInstrument("gauge", "service.cache.size")
 
     def __init__(
         self,
@@ -71,19 +79,19 @@ class ResultCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            self.metrics.counter("service.cache.misses").inc()
+            self._misses_total.inc()
             return None
         body, stored_at = entry
         if self.ttl_ms is not None and now_ms - stored_at >= self.ttl_ms:
             del self._entries[key]
             self.expirations += 1
-            self.metrics.counter("service.cache.expirations").inc()
+            self._expirations_total.inc()
             self.misses += 1
-            self.metrics.counter("service.cache.misses").inc()
+            self._misses_total.inc()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        self.metrics.counter("service.cache.hits").inc()
+        self._hits_total.inc()
         return body
 
     def put(self, key: str, body: Any, now_ms: float) -> None:
@@ -95,16 +103,5 @@ class ResultCache:
         while len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
-            self.metrics.counter("service.cache.evictions").inc()
-        self.metrics.gauge("service.cache.size").set(len(entries))
-
-    def rebind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Point future counters at a different registry.
-
-        The cluster tier folds each replica's registry into the
-        fleet-wide one at the end of a serve and hands the replica a
-        fresh registry; the cache must follow, or a later serve would
-        count into an already-folded registry and the totals would
-        drift.
-        """
-        self.metrics = metrics
+            self._evictions_total.inc()
+        self._size.set(len(entries))

@@ -46,8 +46,11 @@ from __future__ import annotations
 import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
-from ..obs.metrics import MetricsRegistry
+from ..errors import ReproError
+from ..obs.metrics import BoundInstrument, MetricsRegistry
 from ..obs.trace import Tracer
 from .admission import AdmissionController, TokenBucket
 from .audit import AuditLog
@@ -79,8 +82,19 @@ __all__ = [
     "ClusterConfig",
     "ClusterService",
     "LinkStatusService",
+    "ServiceReusedError",
     "ShardIndex",
 ]
+
+
+class ServiceReusedError(ReproError, RuntimeError):
+    """``serve`` was called a second time on one service instance.
+
+    A serve run leaves the token bucket's clock, the admission queue,
+    open batches, caches and the fleet registry where it ended, so a
+    second run on the same instance would start from that state and
+    fold into the first run's result. Build a fresh service per run.
+    """
 
 
 class ShardIndex:
@@ -188,16 +202,14 @@ class ClusterConfig:
 class _Replica:
     """One replica's private serving state (internal to the cluster)."""
 
-    __slots__ = (
-        "replica_id",
-        "shard_id",
-        "index",
-        "config",
-        "metrics",
-        "batcher",
-        "cache",
-        "_completions",
+    #: The instruments every emitted group updates, resolved by name
+    #: once per replica (on first use, so an unused one never exists).
+    requests_ok = BoundInstrument("counter", "service.requests.ok")
+    requests_failed = BoundInstrument("counter", "service.requests.failed")
+    latency = BoundInstrument(
+        "histogram", "service.latency_ms", LATENCY_BOUNDS_MS
     )
+    lookups = BoundInstrument("counter", "service.index.lookups")
 
     def __init__(
         self,
@@ -239,12 +251,6 @@ class _Replica:
             metrics=self.metrics,
         )
 
-    def rebind_metrics(self) -> None:
-        """Swap in a fresh registry after a fold (once per serve)."""
-        self.metrics = MetricsRegistry()
-        self.batcher.metrics = self.metrics
-        self.cache.rebind_metrics(self.metrics)
-
 
 #: Event-type priorities for same-instant ties in the cluster loop.
 #: Generation swaps rank after batch deadlines (a batch due at the
@@ -261,7 +267,13 @@ class _Replica:
 
 
 class ClusterService:
-    """A simulated fleet serving one immutable index snapshot."""
+    """A simulated fleet serving one immutable index snapshot.
+
+    One instance serves one run: :meth:`serve` raises
+    :class:`ServiceReusedError` when called again.
+    """
+
+    _shed_total = BoundInstrument("counter", "service.requests.shed")
 
     def __init__(
         self,
@@ -325,6 +337,9 @@ class ClusterService:
             for shard_id in self.shard_ids
             for replica in self.replicas[shard_id]
         )
+        #: Each replica's batcher, in replica order: the event loop
+        #: scans their deadlines on every step.
+        self._batchers = tuple(r.batcher for r in self._all_replicas)
         self.metrics.gauge("service.cluster.shards").set(cluster.n_shards)
         self.metrics.gauge("service.cluster.replicas").set(
             len(self._all_replicas)
@@ -345,6 +360,32 @@ class ClusterService:
         self._drain_state: dict | None = None
         self._reconfig_log: list[ReconfigEvent] = []
         self._versions_served: list[str] = [index.version]
+        #: re-dispatch queue: (at_ms, seq, attempt, request)
+        self._redispatch: list[tuple[float, int, int, Request]] = []
+        self._redispatch_seq = 0
+        self._pending_transitions = list(self.fault_events)
+        #: audit-only attribution state: request id -> fault blame
+        #: trail ("replica:channel" per forced re-dispatch) and
+        #: re-dispatch counts. Only touched on the (fault-only)
+        #: re-queue path, never per dispatch: a request's dispatch-
+        #: attempt total is exactly 1 + its re-queue count, because
+        #: every queued re-dispatch is popped into one ``_dispatch``
+        #: call and the first dispatch comes from admission.
+        self._blame: dict[int, list[str]] = {}
+        self._requeues: dict[int, int] = {}
+        #: Placements on a replica; published as
+        #: ``service.cluster.dispatches`` when the run folds.
+        self._dispatched = 0
+        #: Compact observation log: one tuple per coalesced group or
+        #: shed. Spans, exemplars, and audit records all expand from
+        #: it in :meth:`_materialize_observations` on first telemetry
+        #: read — the serving loop itself only pays list appends.
+        #: ``None`` when neither tracing nor auditing is on, so the
+        #: unobserved loop stays byte-identical and cost-identical.
+        self._obs_log: list[tuple] | None = (
+            [] if (tracer is not None or audit is not None) else None
+        )
+        self._served = False
 
     def _partition(self, index: LinkStatusIndex) -> dict[str, ShardIndex]:
         """Partition ``index`` by domain into per-shard views.
@@ -402,7 +443,9 @@ class ClusterService:
 
         Responses come back in request-id order. ``mode`` must be
         ``"serial"`` (the only execution mode; the parameter stays
-        for callers that name it).
+        for callers that name it). A service serves once: a second
+        call raises :class:`ServiceReusedError` (a call refused for a
+        bad mode or schedule does not count).
 
         ``swaps`` — optional reconfiguration schedule of
         :class:`~repro.service.reconfig.Reconfiguration` instances
@@ -424,39 +467,17 @@ class ClusterService:
         """
         if mode != "serial":
             raise ValueError(f"unknown serve mode {mode!r}")
+        if self._served:
+            raise ServiceReusedError(
+                "this service has already served a run; build a fresh "
+                "one for each run"
+            )
         self._pending_reconfigs = normalize_schedule(
             swaps, self.index, shard_ids=self.shard_ids
         )
-        self._drain_state = None
-        self._reconfig_log = []
-        self._versions_served = [self.index.version]
+        self._served = True
         responses: list[Response] = []
-        #: re-dispatch queue: (at_ms, seq, attempt, request)
-        self._redispatch: list[tuple[float, int, int, Request]] = []
-        self._redispatch_seq = 0
-        self._pending_transitions = list(self.fault_events)
-        #: audit-only attribution state: request id -> fault blame
-        #: trail ("replica:channel" per forced re-dispatch) and
-        #: re-dispatch counts. Only touched on the (fault-only)
-        #: re-queue path, never per dispatch: a request's dispatch-
-        #: attempt total is exactly 1 + its re-queue count, because
-        #: every queued re-dispatch is popped into one ``_dispatch``
-        #: call and the first dispatch comes from admission.
-        self._blame: dict[int, list[str]] = {}
-        self._requeues: dict[int, int] = {}
-        #: Placements on a replica; published as
-        #: ``service.cluster.dispatches`` when the run folds.
-        self._dispatched = 0
-        #: Compact observation log: one tuple per coalesced group or
-        #: shed. Spans, exemplars, and audit records all expand from
-        #: it in :meth:`_materialize_observations` on first telemetry
-        #: read — the serving loop itself only pays list appends.
-        #: ``None`` when neither tracing nor auditing is on, so the
-        #: unobserved loop stays byte-identical and cost-identical.
-        self._obs_log: list[tuple] | None = (
-            [] if (self.tracer is not None or self.audit is not None) else None
-        )
-        ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+        ordered = sorted(requests, key=attrgetter("arrival_ms", "request_id"))
         service_cm = (
             self.tracer.span(
                 "service",
@@ -471,45 +492,36 @@ class ClusterService:
             if self.tracer is not None
             else nullcontext()
         )
+        advance, offer = self._advance, self.admission.offer
+        quotas = self._quotas
         with service_cm as service_span:
             for request in ordered:
-                self._advance(request.arrival_ms, responses)
-                if self._quotas is not None and not self._quotas.admit(
-                    request.tenant, request.arrival_ms
+                arrival_ms = request.arrival_ms
+                advance(arrival_ms, responses)
+                if quotas is not None and not quotas.admit(
+                    request.tenant, arrival_ms
                 ):
                     self._shed(request, responses, status=429, source="quota")
                     self.metrics.counter("service.cluster.quota_shed").inc()
                     continue
-                verdict = self.admission.offer(request, request.arrival_ms)
+                verdict = offer(request, arrival_ms)
                 if verdict == "admit":
-                    self._dispatch(request, request.arrival_ms, responses)
+                    self._dispatch(request, arrival_ms, responses)
                 elif verdict == "shed":
                     self._shed(request, responses, status=429, source="shed")
             self._advance(None, responses)
         service_span_id = service_span.span_id if service_span else None
-        responses.sort(key=lambda r: r.request_id)
+        responses.sort(key=attrgetter("request_id"))
         self._fold_replica_metrics()
         if self._obs_log is not None:
             # Hand the run's observation log to whichever telemetry
             # surface is read first: the tracer's spans, the audit
             # log's records, and the registry's snapshot all trigger
-            # the same once-only expansion. Captured by value so a
-            # later serve() on this instance cannot disturb it; the
-            # expanded spans parent under this run's (by then closed)
-            # ``service`` span.
-            log, self._obs_log = self._obs_log, None
-            blame, requeues = self._blame, self._requeues
-            expanded = False
-
-            def materialize() -> None:
-                nonlocal expanded
-                if expanded:
-                    return
-                expanded = True
-                self._materialize_observations(
-                    log, blame, requeues, service_span_id
-                )
-
+            # the same once-only expansion, whose spans parent under
+            # this run's (by then closed) ``service`` span.
+            materialize = partial(
+                self._materialize_observations, service_span_id
+            )
             if self.tracer is not None:
                 self.tracer.add_pending_source(materialize)
             if self.audit is not None:
@@ -537,7 +549,6 @@ class ClusterService:
             self.metrics.merge(
                 replica.metrics, f"service.replica.{replica.replica_id}."
             )
-            replica.rebind_metrics()  # each registry folds exactly once
 
     # -- the event loop ----------------------------------------------------------
 
@@ -556,8 +567,8 @@ class ClusterService:
         priority = position = 0
         if self._pending_transitions:
             best_ms = self._pending_transitions[0].at_ms
-        for i, replica in enumerate(self._all_replicas):
-            deadline = replica.batcher.deadline_ms
+        for i, batcher in enumerate(self._batchers):
+            deadline = batcher.deadline_ms
             if deadline is not None and (best_ms is None or deadline < best_ms):
                 best_ms, priority, position = deadline, _P_DEADLINE, i
         if self._pending_reconfigs:
@@ -568,7 +579,7 @@ class ClusterService:
             at_ms = self._redispatch[0][0]
             if best_ms is None or at_ms < best_ms:
                 best_ms, priority, position = at_ms, _P_REDISPATCH, 0
-        release = self.admission.next_release_ms()
+        release = self.admission.release_ms
         if release is not None and (best_ms is None or release < best_ms):
             best_ms, priority, position = release, _P_RELEASE, 0
         return None if best_ms is None else (best_ms, priority, position)
@@ -617,8 +628,8 @@ class ClusterService:
         if event.kind == "crash":
             replica.wipe_cache()
         cause = f"{event.replica_id}:{event.kind}"
-        for item in replica.batcher.drain():
-            self._requeue(item.request, event.at_ms, causes=(cause,))
+        for request, _ in replica.batcher.drain():
+            self._requeue(request, event.at_ms, causes=(cause,))
         if self._drain_state is not None:
             # The batch this replica was draining a reconfiguration
             # behind just went back to the router — nothing holds the
@@ -887,7 +898,7 @@ class ClusterService:
         source: str,
         at_ms: float | None = None,
     ) -> None:
-        self.metrics.counter("service.requests.shed").inc()
+        self._shed_total.inc()
         if status == 503:
             self.metrics.counter("service.cluster.unavailable_shed").inc()
         completion = at_ms if at_ms is not None else request.arrival_ms
@@ -901,14 +912,8 @@ class ClusterService:
             )
         responses.append(
             Response(
-                request_id=request.request_id,
-                status=status,
-                body=None,
-                arrival_ms=request.arrival_ms,
-                start_ms=request.arrival_ms,
-                completion_ms=completion,
-                source=source,
-                index_version=self.index.version,
+                request.request_id, status, None, request.arrival_ms,
+                request.arrival_ms, completion, source, self.index.version,
             )
         )
 
@@ -985,7 +990,7 @@ class ClusterService:
         """
         faults = self._faults
         flush_ms = batch.flush_ms
-        groups = batch.groups()
+        groups = batch.groups
         rid = replica.replica_id
         metrics = replica.metrics
         version = replica.index.version
@@ -1000,44 +1005,43 @@ class ClusterService:
             else 0.0
         )
 
-        # Cache pass (order = first-arrival order).
-        resolved: dict[str, tuple[int, object]] = {}
-        latency: dict[str, float] = {}
-        spike: dict[str, float] = {}
-        jobs: list[str] = []
-        for key in groups:
+        # Resolve pass, in first-arrival order: a cache read per group,
+        # and a pure lookup against the replica's frozen view per miss.
+        # Every read precedes every write (the emission pass stores the
+        # fresh answers), so one batch never hits its own lookups.
+        cache = replica.cache
+        index = replica.index
+        hit_ms = self.config.cache_hit_latency_ms
+        base_ms = self.config.index_latency_ms
+        #: per group: (key, items, (status, body), latency, fresh?, spike)
+        resolved: list[tuple] = []
+        lookups = 0
+        for key, items in groups.items():
             lost = faults.cache_lost(key, rid) if faults else False
             if lost:
                 metrics.counter("service.cache.faults").inc()
-            hit = None if lost else replica.cache.get(key, flush_ms)
+            hit = None if lost else cache.get(key, flush_ms)
             if hit is not None:
-                resolved[key] = hit
-                latency[key] = self.config.cache_hit_latency_ms
-            else:
-                jobs.append(key)
-
-        # Index pass: pure lookups against the replica's frozen view.
-        for key in jobs:
-            carrier = groups[key][0].request
-            outcome = answer(replica.index, carrier.kind, carrier.target)
-            resolved[key] = outcome
+                resolved.append((key, items, hit, hit_ms, False, 0.0))
+                continue
+            carrier = items[0][0]
+            outcome = answer(index, carrier.kind, carrier.target)
             spiked = faults.spike_ms(key, rid) if faults else 0.0
             if spiked:
                 metrics.counter("service.index.spikes").inc()
-            spike[key] = spiked
-            latency[key] = (
-                key_latency_ms(version, key, self.config.index_latency_ms)
-                * slow
-                * catchup
+            latency_ms = (
+                key_latency_ms(version, key, base_ms) * slow * catchup
                 + spiked
                 + congestion_ms
             )
-            metrics.counter("service.index.lookups").inc()
+            resolved.append((key, items, outcome, latency_ms, True, spiked))
+            lookups += 1
+        if lookups:
+            replica.lookups.inc(lookups)
 
         # Emission pass: responses, counters, spans — or loss.
-        fresh = set(jobs)
-        for key, items in groups.items():
-            completion_ms = flush_ms + latency[key]
+        for key, items, outcome, latency_ms, fresh, spiked in resolved:
+            completion_ms = flush_ms + latency_ms
             if fail_at is not None and completion_ms > fail_at:
                 # The replica dies under this group: everything it was
                 # computing is lost; the router re-dispatches at the
@@ -1046,12 +1050,12 @@ class ClusterService:
                     len(items)
                 )
                 cause = f"{rid}:{fail_channel}"
-                for item in items:
-                    self._requeue(item.request, fail_at, causes=(cause,))
+                for request, _ in items:
+                    self._requeue(request, fail_at, causes=(cause,))
                 continue
-            status, body = resolved[key]
-            if key in fresh:
-                replica.cache.put(key, resolved[key], flush_ms)
+            if fresh:
+                cache.put(key, outcome, flush_ms)
+            status, body = outcome
             if self._track_load:
                 replica.note_completion(completion_ms, len(items))
             if self._obs_log is not None:
@@ -1065,31 +1069,21 @@ class ClusterService:
                 # generation.
                 self._obs_log.append((
                     replica, key, items, status, completion_ms,
-                    key in fresh, latency[key], spike.get(key, 0.0),
-                    version,
+                    fresh, latency_ms, spiked, version,
                 ))
-            metrics.counter(
-                "service.requests.ok"
-                if status == 200
-                else "service.requests.failed"
+            (
+                replica.requests_ok if status == 200
+                else replica.requests_failed
             ).inc(len(items))
-            histogram = metrics.histogram(
-                "service.latency_ms", LATENCY_BOUNDS_MS
-            )
-            source = "index" if key in fresh else "cache"
-            for item in items:
-                request = item.request
-                histogram.observe(completion_ms - request.arrival_ms)
+            observe = replica.latency.observe
+            source = "index" if fresh else "cache"
+            for request, ready_ms in items:
+                arrival_ms = request.arrival_ms
+                observe(completion_ms - arrival_ms)
                 responses.append(
                     Response(
-                        request_id=request.request_id,
-                        status=status,
-                        body=body,
-                        arrival_ms=request.arrival_ms,
-                        start_ms=item.ready_ms,
-                        completion_ms=completion_ms,
-                        source=source,
-                        index_version=version,
+                        request.request_id, status, body, arrival_ms,
+                        ready_ms, completion_ms, source, version,
                     )
                 )
                 source = "coalesced"
@@ -1100,18 +1094,14 @@ class ClusterService:
             self._finish_replica_drain(replica, flush_ms)
 
     def _materialize_observations(
-        self,
-        log: list[tuple],
-        blame: dict[int, list[str]],
-        requeues: dict[int, int],
-        service_span_id: str | None,
+        self, service_span_id: str | None
     ) -> None:
-        """Expand one serve run's observation log into spans,
-        exemplars, and audit records (request spans parent under
-        ``service_span_id``).
+        """Expand the run's observation log into spans, exemplars, and
+        audit records (request spans parent under ``service_span_id``).
 
-        Runs exactly once, on the first read of any telemetry
-        surface, off the measured serving path. Entries replay in
+        Runs on the first read of any telemetry surface, off the
+        measured serving path; it takes the log, so later reads find
+        nothing left to expand. Entries replay in
         event order, so every derived artifact is as deterministic as
         the log itself. Blame trails and re-queue counts are frozen by
         the time a request's entry exists (a request that produced a
@@ -1121,6 +1111,10 @@ class ClusterService:
         any request that reached a replica or exhausted its attempts
         (front-door sheds never dispatched, so they report 0).
         """
+        log, self._obs_log = self._obs_log, None
+        if log is None:
+            return
+        blame, requeues = self._blame, self._requeues
         tracer = self.tracer
         audit = self.audit
         rollup = self.metrics.histogram(
@@ -1174,8 +1168,7 @@ class ClusterService:
                 )
                 replica_hists[replica.replica_id] = family
             outcome = "ok" if status == 200 else "error"
-            for position, item in enumerate(items):
-                request = item.request
+            for position, (request, ready_ms) in enumerate(items):
                 rid = request.request_id
                 latency = completion_ms - request.arrival_ms
                 exemplar = f"rid={rid}|replica={replica.replica_id}"
@@ -1193,7 +1186,7 @@ class ClusterService:
                         replica.shard_id, replica.replica_id,
                         requeues.get(rid, 0) + 1,
                         tuple(blame.get(rid, ())),
-                        item.ready_ms, completion_ms, version,
+                        ready_ms, completion_ms, version,
                     )
 
     def _trace_group(
@@ -1215,7 +1208,7 @@ class ClusterService:
         tuple append per span, and the objects materialize when the
         trace is read."""
         tracer = self.tracer
-        carrier = items[0].request
+        carrier = items[0][0]
         parent = tracer.defer_span(
             "request",
             kind="service.request",
@@ -1238,13 +1231,13 @@ class ClusterService:
                 spiked=bool(spike_ms),
                 replica=replica.replica_id,
             )
-        for item in items[1:]:
+        for request, _ in items[1:]:
             tracer.defer_span(
                 "request",
                 kind="service.request",
                 parent=service_span_id,
-                virtual_ms=completion_ms - item.request.arrival_ms,
-                rid=item.request.request_id,
+                virtual_ms=completion_ms - request.arrival_ms,
+                rid=request.request_id,
                 key=key,
                 status=status,
                 coalesced=True,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..obs.metrics import DEFAULT_LATENCY_BOUNDS_MS, MetricsRegistry
 from ..reporting.cdf import ecdf
@@ -69,14 +70,17 @@ class ServerConfig:
     cache_hit_latency_ms: float = 0.5
 
 
-@dataclass(frozen=True, slots=True)
-class Response:
+class Response(NamedTuple):
     """One served request: status, body, and exact virtual timing.
 
     ``source`` says how the answer was produced: ``"index"`` (carrier
     of a fresh lookup), ``"coalesced"`` (shared a batchmate's lookup),
     ``"cache"`` (batch-time cache hit), or ``"shed"`` (429 before any
     computation).
+
+    An immutable value: equality and hash go by the fields. It is a
+    named tuple because the serving loop builds one per request, and a
+    tuple is built in a fraction of a frozen dataclass's time.
     """
 
     request_id: int

@@ -271,7 +271,7 @@ class ServeGolden(JsonGolden):
     def responses_sha(responses) -> str:
         """sha256 over every full response, timing and source included."""
         payload = json.dumps(
-            [dataclasses.asdict(r) for r in responses],
+            [r._asdict() for r in responses],
             sort_keys=True,
             separators=(",", ":"),
         )

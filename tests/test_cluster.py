@@ -368,9 +368,6 @@ def test_traced_audited_cluster_registry_snapshot_matches_golden(
     assert run() == registry_golden.section("cluster_2x2_traced_audited", run)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="the serving loop still looks instruments up per request"
-)
 @pytest.mark.parametrize("shards,replicas", [(1, 1), (2, 2)])
 def test_serve_resolves_instruments_per_run(
     service_index, monkeypatch, shards, replicas

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ReproError
 from repro.obs.trace import Tracer
 from repro.reporting.cdf import ecdf
 from repro.service import (
@@ -41,6 +42,7 @@ from repro.service import (
     ResultCache,
     ServerConfig,
     ServiceFaultPlan,
+    ServiceReusedError,
     ShardIndex,
     TokenBucket,
     WorkloadConfig,
@@ -441,6 +443,36 @@ def test_serve_replays_identically(service_index):
     again = LinkStatusService(service_index).serve(workload)
     assert first.responses == again.responses
     assert first.metrics.snapshot() == again.metrics.snapshot()
+
+
+def test_second_serve_on_one_service_is_refused(service_index):
+    """A service serves one run: the second call raises, and the first
+    run's result and registry stay exactly as they were."""
+    workload = mixed_workload(service_index, n=3000)
+    service = LinkStatusService(service_index)
+    first = service.serve(workload)
+    summary = first.as_dict()
+    snapshot = first.metrics.snapshot()
+    assert summary["shed"] > 0
+    with pytest.raises(ServiceReusedError):
+        service.serve(workload)
+    assert issubclass(ServiceReusedError, ReproError)
+    assert first.as_dict() == summary
+    assert first.metrics.snapshot() == snapshot
+
+
+def test_refused_serve_leaves_the_service_unused(service_index):
+    """A call rejected before replaying anything does not spend the
+    service."""
+    workload = mixed_workload(service_index)
+    service = LinkStatusService(service_index)
+    with pytest.raises(ValueError, match="mode"):
+        service.serve(workload, mode="fork")
+    result = service.serve(workload)
+    assert [r.to_wire() for r in result.responses] == [
+        r.to_wire()
+        for r in LinkStatusService(service_index).serve(workload).responses
+    ]
 
 
 def test_unknown_serve_mode_rejected(service_index):
