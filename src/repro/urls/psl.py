@@ -147,7 +147,9 @@ class PublicSuffixList:
     """PSL matcher over a set of rules.
 
     Instances are immutable; :func:`default_psl` returns a shared
-    instance built from :data:`BUNDLED_RULES`.
+    instance built from :data:`BUNDLED_RULES`. Each instance memoizes
+    :meth:`registrable_domain` per hostname as given (answers only: a
+    bad hostname raises on every call).
     """
 
     def __init__(self, rules: frozenset[str] | None = None) -> None:
@@ -158,6 +160,7 @@ class PublicSuffixList:
         self._plain = frozenset(
             rule for rule in self._rules if not rule.startswith("!")
         )
+        self._domains: dict[str, str] = {}
 
     @classmethod
     def from_text(cls, text: str) -> "PublicSuffixList":
@@ -190,6 +193,12 @@ class PublicSuffixList:
         If the hostname *is* a public suffix (no extra label exists),
         the hostname itself is returned so every URL maps somewhere.
         """
+        domain = self._domains.get(hostname)
+        if domain is None:
+            domain = self._domains[hostname] = self._registrable(hostname)
+        return domain
+
+    def _registrable(self, hostname: str) -> str:
         labels = self._labels(hostname)
         suffix = self.public_suffix(hostname)
         suffix_len = len(suffix.split(".")) if suffix else 0

@@ -1,6 +1,8 @@
 """Tests for repro.urls.psl — Public Suffix List matching."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import UrlError
 from repro.urls.psl import PublicSuffixList, default_psl, registrable_domain
@@ -85,3 +87,37 @@ class TestCustomRules:
         )
         assert psl.registrable_domain("www.site.co.zz") == "site.co.zz"
         assert psl.registrable_domain("www.site.zz") == "site.zz"
+
+
+#: Labels that hit plain, wildcard (``*.ck``, ``*.kawasaki.jp``) and
+#: exception (``!www.ck``, ``!city.kawasaki.jp``) rules, plus free
+#: labels, an upper-case one and the empty label (an invalid host).
+_LABELS = st.sampled_from(
+    ["www", "ck", "city", "kawasaki", "jp", "co", "uk", "com", "example",
+     "Shop", "a-b", "zz", ""]
+)
+_HOSTS = st.builds(
+    lambda labels, dot: ".".join(labels) + dot,
+    st.lists(_LABELS, min_size=1, max_size=5),
+    st.sampled_from(["", "."]),
+)
+
+
+class TestMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(hosts=st.lists(_HOSTS, min_size=1, max_size=12))
+    def test_memoized_answers_equal_a_fresh_instance(self, hosts):
+        """One instance asked the same hosts again and again answers
+        exactly what a fresh, empty-memo instance answers, and a bad
+        host raises on every call."""
+        psl = PublicSuffixList()
+        for host in hosts + hosts:
+            try:
+                expected = PublicSuffixList().registrable_domain(host)
+            except UrlError:
+                with pytest.raises(UrlError):
+                    psl.registrable_domain(host)
+                with pytest.raises(UrlError):
+                    psl.registrable_domain(host)
+            else:
+                assert psl.registrable_domain(host) == expected
