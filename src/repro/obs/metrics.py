@@ -405,27 +405,24 @@ class MetricsRegistry:
 
 
 class BoundInstrument:
-    """One named instrument of its owner's ``metrics`` registry, held
-    as a class attribute.
+    """A class attribute naming one instrument of its owner's
+    ``metrics`` registry: ``kind`` is the registry method
+    (``"counter"``, ``"gauge"`` or ``"histogram"``), ``args`` the
+    rest of its arguments (a histogram's bounds).
 
-    The first read on an instance resolves the instrument by name —
-    creating it, exactly as a direct ``registry.counter(name)`` call at
-    that moment would — and stores it in the instance's ``__dict__``.
-    This is a non-data descriptor, so the stored value shadows it and
-    every later read is a plain attribute load: a hot path that bumps
-    an instrument per request pays the name lookup once per instance,
-    and an instrument nothing touches is never created. The owner
-    must not swap its registry after the first read.
+    The first read on an instance resolves the instrument by name,
+    creating it exactly when a direct ``registry.counter(name)`` call
+    at that moment would, and stores it in the instance's ``__dict__``.
+    That value shadows this non-data descriptor, so later reads are
+    plain attribute loads: a hot path pays the name lookup once per
+    instance, and an instrument nothing touches is never created. The
+    owner must not swap its registry after the first read.
     """
 
-    def __init__(
-        self, kind: str, name: str, bounds: tuple[float, ...] | None = None
-    ) -> None:
-        if kind not in ("counter", "gauge", "histogram"):
-            raise ValueError(f"unknown instrument kind {kind!r}")
+    def __init__(self, kind: str, name: str, *args) -> None:
         self.kind = kind
         self.name = name
-        self.bounds = bounds
+        self.args = args
         self.attr = ""
 
     def __set_name__(self, owner, attr: str) -> None:
@@ -434,11 +431,7 @@ class BoundInstrument:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        registry = obj.metrics
-        if self.kind == "histogram":
-            instrument = registry.histogram(self.name, self.bounds)
-        else:
-            instrument = getattr(registry, self.kind)(self.name)
+        instrument = getattr(obj.metrics, self.kind)(self.name, *self.args)
         obj.__dict__[self.attr] = instrument
         return instrument
 

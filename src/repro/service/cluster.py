@@ -202,14 +202,19 @@ class ClusterConfig:
 class _Replica:
     """One replica's private serving state (internal to the cluster)."""
 
-    #: The instruments every emitted group updates, resolved by name
-    #: once per replica (on first use, so an unused one never exists).
+    #: The instruments a batch's groups update, resolved by name once
+    #: per replica (on first use, so an unused one never exists).
     requests_ok = BoundInstrument("counter", "service.requests.ok")
     requests_failed = BoundInstrument("counter", "service.requests.failed")
     latency = BoundInstrument(
         "histogram", "service.latency_ms", LATENCY_BOUNDS_MS
     )
     lookups = BoundInstrument("counter", "service.index.lookups")
+    cache_faults = BoundInstrument("counter", "service.cache.faults")
+    spikes = BoundInstrument("counter", "service.index.spikes")
+    lost_inflight = BoundInstrument(
+        "counter", "service.cluster.lost_inflight"
+    )
 
     def __init__(
         self,
@@ -274,6 +279,11 @@ class ClusterService:
     """
 
     _shed_total = BoundInstrument("counter", "service.requests.shed")
+    _quota_shed = BoundInstrument("counter", "service.cluster.quota_shed")
+    _unavailable_shed = BoundInstrument(
+        "counter", "service.cluster.unavailable_shed"
+    )
+    _redispatches = BoundInstrument("counter", "service.cluster.redispatches")
 
     def __init__(
         self,
@@ -502,7 +512,7 @@ class ClusterService:
                     request.tenant, arrival_ms
                 ):
                     self._shed(request, responses, status=429, source="quota")
-                    self.metrics.counter("service.cluster.quota_shed").inc()
+                    self._quota_shed.inc()
                     continue
                 verdict = offer(request, arrival_ms)
                 if verdict == "admit":
@@ -872,7 +882,7 @@ class ClusterService:
             self._redispatch,
             (at_ms, self._redispatch_seq, attempt, request),
         )
-        self.metrics.counter("service.cluster.redispatches").inc()
+        self._redispatches.inc()
         if self._obs_log is not None:
             rid = request.request_id
             self._requeues[rid] = self._requeues.get(rid, 0) + 1
@@ -900,7 +910,7 @@ class ClusterService:
     ) -> None:
         self._shed_total.inc()
         if status == 503:
-            self.metrics.counter("service.cluster.unavailable_shed").inc()
+            self._unavailable_shed.inc()
         completion = at_ms if at_ms is not None else request.arrival_ms
         if self._obs_log is not None:
             # Shed entries are tagged by a None replica slot. The
@@ -992,7 +1002,6 @@ class ClusterService:
         flush_ms = batch.flush_ms
         groups = batch.groups
         rid = replica.replica_id
-        metrics = replica.metrics
         version = replica.index.version
         failure = faults.next_failure(rid, flush_ms) if faults else None
         fail_at, fail_channel = failure if failure else (None, "")
@@ -1007,19 +1016,19 @@ class ClusterService:
 
         # Resolve pass, in first-arrival order: a cache read per group,
         # and a pure lookup against the replica's frozen view per miss.
-        # Every read precedes every write (the emission pass stores the
-        # fresh answers), so one batch never hits its own lookups.
+        # Every cache read precedes the emission pass's writes, because
+        # LRU order and evictions depend on that order.
         cache = replica.cache
         index = replica.index
         hit_ms = self.config.cache_hit_latency_ms
         base_ms = self.config.index_latency_ms
-        #: per group: (key, items, (status, body), latency, fresh?, spike)
+        # per group: (key, items, (status, body), latency, fresh?, spike)
         resolved: list[tuple] = []
         lookups = 0
         for key, items in groups.items():
             lost = faults.cache_lost(key, rid) if faults else False
             if lost:
-                metrics.counter("service.cache.faults").inc()
+                replica.cache_faults.inc()
             hit = None if lost else cache.get(key, flush_ms)
             if hit is not None:
                 resolved.append((key, items, hit, hit_ms, False, 0.0))
@@ -1028,7 +1037,7 @@ class ClusterService:
             outcome = answer(index, carrier.kind, carrier.target)
             spiked = faults.spike_ms(key, rid) if faults else 0.0
             if spiked:
-                metrics.counter("service.index.spikes").inc()
+                replica.spikes.inc()
             latency_ms = (
                 key_latency_ms(version, key, base_ms) * slow * catchup
                 + spiked
@@ -1046,9 +1055,7 @@ class ClusterService:
                 # The replica dies under this group: everything it was
                 # computing is lost; the router re-dispatches at the
                 # failure instant. No response, no cache write.
-                metrics.counter("service.cluster.lost_inflight").inc(
-                    len(items)
-                )
+                replica.lost_inflight.inc(len(items))
                 cause = f"{rid}:{fail_channel}"
                 for request, _ in items:
                     self._requeue(request, fail_at, causes=(cause,))
