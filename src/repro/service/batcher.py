@@ -108,7 +108,7 @@ class MicroBatcher:
             self.deadline_ms = ready_ms + self.max_wait_ms
         pending.append((request, ready_ms))
         if len(pending) >= self.max_batch:
-            return self._flush(ready_ms)
+            return self._flush(flush_ms=ready_ms)
         return None
 
     def flush_due(self, now_ms: float) -> Batch | None:
@@ -116,13 +116,13 @@ class MicroBatcher:
         deadline = self.deadline_ms
         if deadline is None or deadline > now_ms:
             return None
-        return self._flush(deadline)
+        return self._flush(flush_ms=deadline)
 
     def flush(self) -> Batch | None:
         """Flush whatever is pending at its deadline (end-of-workload)."""
         if self._opened_ms is None:
             return None
-        return self._flush(self.deadline_ms)
+        return self._flush(flush_ms=self.deadline_ms)
 
     def flush_now(self, now_ms: float) -> Batch | None:
         """Flush the open batch at ``now_ms`` regardless of deadline.
@@ -138,7 +138,7 @@ class MicroBatcher:
             return None
         if now_ms < self._opened_ms:
             raise ValueError("flush_now before the batch opened")
-        return self._flush(now_ms)
+        return self._flush(flush_ms=now_ms)
 
     def drain(self) -> tuple[tuple, ...]:
         """Abandon the open batch, returning its items un-executed.
@@ -160,12 +160,7 @@ class MicroBatcher:
         items = tuple(self._pending)
         groups: dict[str, list[tuple]] = {}
         for item in items:
-            key = item[0].key
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [item]
-            else:
-                group.append(item)
+            groups.setdefault(item[0].key, []).append(item)
         batch = Batch(items, self._opened_ms, flush_ms, groups)
         self._pending.clear()
         self._opened_ms = self.deadline_ms = None
